@@ -1,6 +1,6 @@
 // Engineering microbenchmarks (google-benchmark) for the hot paths: the
 // schedule hash, window search, SINR event processing, event queue churn,
-// and routing-table construction.
+// and routing (every tree, and a trial's lazily built share of them).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -157,21 +157,49 @@ void BM_SimulatorEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvent)->Arg(25)->Arg(50)->Unit(benchmark::kMillisecond);
 
-void BM_RoutingTablesBuild(benchmark::State& state) {
-  const auto stations = static_cast<std::size_t>(state.range(0));
+drn::routing::Graph routing_graph(std::size_t stations) {
   drn::Rng rng(7);
   const auto placement = drn::geo::uniform_disc(stations, 1000.0, rng);
   const drn::radio::FreeSpacePropagation model;
   const auto gains =
       drn::radio::PropagationMatrix::from_placement(placement, model);
-  const auto graph = drn::routing::Graph::min_energy(gains, 6.25e-6);
+  return drn::routing::Graph::min_energy(gains, 6.25e-6);
+}
+
+/// Every destination's tree: the work the all-pairs tables used to do.
+void BM_RoutingTablesBuild(benchmark::State& state) {
+  const auto stations = static_cast<std::size_t>(state.range(0));
+  const auto graph = routing_graph(stations);
   for (auto _ : state) {
     auto tables = drn::routing::RoutingTables::build(graph);
-    benchmark::DoNotOptimize(tables);
+    for (StationId dst = 0; dst < stations; ++dst)
+      benchmark::DoNotOptimize(tables.next_hop(dst == 0 ? 1 : 0, dst));
   }
   state.SetLabel("stations=" + std::to_string(stations));
 }
 BENCHMARK(BM_RoutingTablesBuild)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+
+/// A trial's pattern: M/2 uniform random pairs routed hop by hop from fresh
+/// lazy tables, so only the trees (and tree parts) those routes need are
+/// built.
+void BM_RoutingUniformPairs(benchmark::State& state) {
+  const auto stations = static_cast<std::size_t>(state.range(0));
+  const auto graph = routing_graph(stations);
+  drn::Rng rng(8);
+  std::vector<std::pair<StationId, StationId>> pairs;
+  for (std::size_t i = 0; i < stations / 2; ++i)
+    pairs.emplace_back(static_cast<StationId>(rng.uniform_index(stations)),
+                       static_cast<StationId>(rng.uniform_index(stations)));
+  for (auto _ : state) {
+    const auto tables = drn::routing::RoutingTables::build(graph);
+    for (auto [at, dst] : pairs) {
+      while (at != dst && at != drn::kNoStation) at = tables.next_hop(at, dst);
+      benchmark::DoNotOptimize(at);
+    }
+  }
+  state.SetLabel("stations=" + std::to_string(stations));
+}
+BENCHMARK(BM_RoutingUniformPairs)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

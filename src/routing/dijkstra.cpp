@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
 #include "common/expects.hpp"
 
@@ -10,7 +11,9 @@ namespace drn::routing {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+
+using HeapItem = std::pair<double, StationId>;  // (cost, station)
+}  // namespace
 
 PathTree shortest_paths(const Graph& graph, StationId source) {
   DRN_EXPECTS(source < graph.size());
@@ -20,8 +23,7 @@ PathTree shortest_paths(const Graph& graph, StationId source) {
   tree.parent.assign(graph.size(), kNoStation);
   tree.cost[source] = 0.0;
 
-  using Item = std::pair<double, StationId>;  // (cost, station)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
   heap.emplace(0.0, source);
   while (!heap.empty()) {
     const auto [cost, at] = heap.top();
@@ -51,45 +53,142 @@ std::vector<StationId> extract_path(const PathTree& tree,
   return path;
 }
 
-RoutingTables::RoutingTables(std::size_t size)
-    : size_(size),
-      next_hop_(size * size, kNoStation),
-      cost_(size * size, kInf) {}
-
-RoutingTables RoutingTables::build(const Graph& graph) {
-  RoutingTables tables(graph.size());
-  // One Dijkstra per DESTINATION: with symmetric costs, the parent of `at`
-  // in the tree rooted at dst is exactly the next hop from `at` toward dst.
-  for (StationId dst = 0; dst < graph.size(); ++dst) {
-    const PathTree tree = shortest_paths(graph, dst);
-    for (StationId at = 0; at < graph.size(); ++at) {
-      if (at == dst) continue;
-      tables.next_hop_[tables.index(at, dst)] = tree.parent[at];
-      tables.cost_[tables.index(at, dst)] = tree.cost[at];
+/// The graph's adjacency in compressed rows, plus one paused Dijkstra per
+/// destination queried so far.
+class RoutingTables::Lazy {
+ public:
+  explicit Lazy(const Graph& graph)
+      : first_(graph.size() + 1), trees_(graph.size()) {
+    for (StationId s = 0; s < graph.size(); ++s) {
+      for (const Edge& e : graph.edges(s)) arcs_.push_back({e.to, e.cost});
+      first_[s + 1] = arcs_.size();
     }
   }
-  return tables;
+
+  [[nodiscard]] std::size_t size() const { return trees_.size(); }
+
+  StationId next_hop(StationId at, StationId dst) {
+    DRN_EXPECTS(at < size() && dst < size());
+    if (at == dst) return kNoStation;
+    return final_entry(at, dst).parent[at];
+  }
+
+  double cost(StationId at, StationId dst) {
+    DRN_EXPECTS(at < size() && dst < size());
+    if (at == dst) return 0.0;
+    return final_entry(at, dst).cost[at];
+  }
+
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  [[nodiscard]] std::size_t memory_bytes() const {
+    std::size_t bytes = first_.capacity() * sizeof(std::size_t) +
+                        arcs_.capacity() * sizeof(Arc) +
+                        trees_.capacity() * sizeof(std::unique_ptr<Tree>);
+    for (const auto& t : trees_) {
+      if (!t) continue;
+      bytes += sizeof(Tree) + t->cost.capacity() * sizeof(double) +
+               t->parent.capacity() * sizeof(StationId) +
+               t->frontier.capacity() * sizeof(HeapItem);
+    }
+    return bytes;
+  }
+
+ private:
+  struct Arc {
+    StationId to;
+    double cost;
+  };
+
+  /// Dijkstra rooted at one destination, paused between queries. `frontier`
+  /// is the binary min-heap std::priority_queue would hold, stale entries
+  /// included, so resuming performs exactly shortest_paths' steps.
+  struct Tree {
+    std::vector<double> cost;
+    std::vector<StationId> parent;
+    std::vector<HeapItem> frontier;
+  };
+
+  /// dst's tree, advanced until the entry of `at` can no longer change: no
+  /// later step relaxes below the frontier's minimum, so an entry at or
+  /// below it is final (and one never reached once the frontier is empty
+  /// stays unreachable).
+  const Tree& final_entry(StationId at, StationId dst) {
+    std::unique_ptr<Tree>& slot = trees_[dst];
+    if (!slot) {
+      slot = std::make_unique<Tree>();
+      slot->cost.assign(size(), kInf);
+      slot->parent.assign(size(), kNoStation);
+      slot->cost[dst] = 0.0;
+      slot->frontier.emplace_back(0.0, dst);
+      ++stats_.trees;
+    }
+    Tree& t = *slot;
+    while (!t.frontier.empty() && t.frontier.front().first < t.cost[at])
+      step(t);
+    return t;
+  }
+
+  /// One pop of shortest_paths' loop.
+  void step(Tree& t) {
+    std::pop_heap(t.frontier.begin(), t.frontier.end(), std::greater<>{});
+    const auto [cost, at] = t.frontier.back();
+    t.frontier.pop_back();
+    if (cost <= t.cost[at]) {  // not a stale entry
+      ++stats_.settled;
+      for (std::size_t i = first_[at]; i < first_[at + 1]; ++i) {
+        const Arc& e = arcs_[i];
+        const double candidate = cost + e.cost;
+        if (candidate < t.cost[e.to]) {
+          t.cost[e.to] = candidate;
+          t.parent[e.to] = at;
+          t.frontier.emplace_back(candidate, e.to);
+          std::push_heap(t.frontier.begin(), t.frontier.end(),
+                         std::greater<>{});
+        }
+      }
+    }
+    if (t.frontier.empty()) t.frontier.shrink_to_fit();  // tree complete
+  }
+
+  std::vector<std::size_t> first_;  // arcs of s: [first_[s], first_[s + 1])
+  std::vector<Arc> arcs_;
+  std::vector<std::unique_ptr<Tree>> trees_;  // by destination
+  Stats stats_;
+};
+
+RoutingTables::RoutingTables(std::shared_ptr<Lazy> lazy)
+    : lazy_(std::move(lazy)) {}
+
+RoutingTables RoutingTables::build(const Graph& graph) {
+  return RoutingTables(std::make_shared<Lazy>(graph));
 }
 
 StationId RoutingTables::next_hop(StationId at, StationId dst) const {
-  DRN_EXPECTS(at < size_ && dst < size_);
-  return next_hop_[index(at, dst)];
+  return lazy_->next_hop(at, dst);
 }
 
 double RoutingTables::cost(StationId at, StationId dst) const {
-  DRN_EXPECTS(at < size_ && dst < size_);
-  if (at == dst) return 0.0;
-  return cost_[index(at, dst)];
+  return lazy_->cost(at, dst);
+}
+
+std::size_t RoutingTables::size() const { return lazy_->size(); }
+
+RoutingTables::Stats RoutingTables::stats() const { return lazy_->stats(); }
+
+std::size_t RoutingTables::memory_bytes() const {
+  return lazy_->memory_bytes();
 }
 
 bool RoutingTables::prefix_consistent() const {
-  for (StationId at = 0; at < size_; ++at) {
-    for (StationId dst = 0; dst < size_; ++dst) {
+  const std::size_t n = size();
+  for (StationId at = 0; at < n; ++at) {
+    for (StationId dst = 0; dst < n; ++dst) {
       if (at == dst || cost(at, dst) == kInf) continue;
       StationId hop = at;
       double last_cost = cost(at, dst);
       for (std::size_t steps = 0; hop != dst; ++steps) {
-        if (steps > size_) return false;  // loop
+        if (steps > n) return false;  // loop
         hop = next_hop(hop, dst);
         if (hop == kNoStation) return false;
         const double c = cost(hop, dst);
@@ -102,9 +201,8 @@ bool RoutingTables::prefix_consistent() const {
 }
 
 std::function<StationId(StationId, StationId)> RoutingTables::router() const {
-  // Copy the tables into the closure so the router outlives this object.
-  return [tables = *this](StationId at, StationId dst) {
-    return tables.next_hop(at, dst);
+  return [lazy = lazy_](StationId at, StationId dst) {
+    return lazy->next_hop(at, dst);
   };
 }
 

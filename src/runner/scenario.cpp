@@ -131,7 +131,7 @@ std::unique_ptr<sim::MacProtocol> make_baseline_mac(const ScenarioSpec& spec) {
 
 void install_macs(sim::Simulator& sim, Scenario& scenario,
                   const ScenarioSpec& spec) {
-  const auto stations = scenario.gains.size();
+  const auto stations = scenario.placement.size();
   if (spec.mac == MacKind::kScheme) {
     for (StationId s = 0; s < stations; ++s)
       sim.set_mac(s, std::move(scenario.net.macs[s]));
@@ -170,7 +170,9 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
   } else if (dyn.jammer.count > 0) {
     sim_box.emplace(radio::make_dense_gains(placement, *model), sim_cfg);
   } else {
-    sim_box.emplace(scenario.gains, sim_cfg);
+    // The simulator's engine keeps its own matrix; nothing below reads
+    // scenario.gains, so hand it over rather than copy M x M gains.
+    sim_box.emplace(std::move(scenario.gains), sim_cfg);
   }
   sim::Simulator& sim = *sim_box;
   if (dyn.mobility_enabled() &&
@@ -211,7 +213,7 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
   Rng traffic_rng = Rng(seed).split(2);
   for (const auto& inj : sim::poisson_traffic(
            spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
+           sim::uniform_pairs(scenario.placement.size()), traffic_rng))
     sim.inject(inj.time_s, inj.packet);
   const double total = spec.duration_s + spec.drain_s;
   std::optional<dynamics::DynamicsEngine> driver;

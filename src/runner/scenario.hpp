@@ -51,7 +51,7 @@ enum class MacKind : std::uint8_t {
 [[nodiscard]] core::ScheduledNetworkConfig multihop_config();
 
 /// A fully assembled network: placement, physics, scheduled-network state
-/// and min-energy routing tables.
+/// and min-energy routing tables (whose trees are built on first use).
 struct Scenario {
   geo::Placement placement;
   radio::PropagationMatrix gains;

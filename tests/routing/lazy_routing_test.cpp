@@ -1,0 +1,172 @@
+// Lazy per-destination routing trees against the eager oracle: one complete
+// shortest_paths() per destination, which is what the all-pairs tables held.
+// Every next hop and cost must match bit for bit, whatever order the queries
+// arrive in (each order pauses the per-destination Dijkstras at different
+// points).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "common/expects.hpp"
+#include "common/rng.hpp"
+#include "routing/dijkstra.hpp"
+#include "runner/scenario.hpp"
+#include "runner/sweep.hpp"
+
+namespace drn::routing {
+namespace {
+
+/// tab_sec8's gains: `stations` in a `region_m` disc, as runner::make_scenario
+/// builds them.
+radio::PropagationMatrix section8_gains(std::size_t stations, double region_m,
+                                        std::uint64_t seed) {
+  return runner::make_scenario(stations, region_m, seed,
+                               runner::multihop_config())
+      .gains;
+}
+
+/// The network builder's neighbour threshold, which runner::make_scenario
+/// also routes over.
+double min_gain() {
+  const auto cfg = runner::multihop_config();
+  return cfg.target_received_w / cfg.max_power_w;
+}
+
+Graph section8_graph(std::size_t stations, double region_m,
+                     std::uint64_t seed) {
+  return Graph::min_energy(section8_gains(stations, region_m, seed),
+                           min_gain());
+}
+
+/// Every (at, dst) pair, at != dst, in a seeded random order.
+std::vector<std::pair<StationId, StationId>> shuffled_pairs(
+    std::size_t n, std::uint64_t seed) {
+  std::vector<std::pair<StationId, StationId>> pairs;
+  for (StationId at = 0; at < n; ++at)
+    for (StationId dst = 0; dst < n; ++dst)
+      if (at != dst) pairs.emplace_back(at, dst);
+  Rng rng(seed);
+  for (std::size_t i = pairs.size(); i > 1; --i)
+    std::swap(pairs[i - 1], pairs[rng.uniform_index(i)]);
+  return pairs;
+}
+
+/// Asserts that lazy answers equal the eager oracle exactly, queried in a
+/// random order.
+void expect_matches_oracle(const Graph& g, std::uint64_t order_seed) {
+  std::vector<PathTree> oracle;
+  for (StationId dst = 0; dst < g.size(); ++dst)
+    oracle.push_back(shortest_paths(g, dst));
+  const auto tables = RoutingTables::build(g);
+  std::size_t mismatches = 0;
+  for (const auto& [at, dst] : shuffled_pairs(g.size(), order_seed)) {
+    const PathTree& t = oracle[dst];
+    // Exact equality: the lazy trees run the very same relaxations.
+    if (tables.next_hop(at, dst) != t.parent[at]) ++mismatches;
+    if (tables.cost(at, dst) != t.cost[at]) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(tables.stats().trees, g.size());
+}
+
+TEST(LazyRouting, MatchesEagerTablesOnSection8Seeds) {
+  // tab_sec8's 100-station cells (seed 606) and a 1000-station cell at its
+  // density (seed 707).
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    expect_matches_oracle(
+        section8_graph(100, 1600.0, runner::trial_seed(606, i)), i);
+  }
+  expect_matches_oracle(
+      section8_graph(1000, 5000.0, runner::trial_seed(707, 0)), 7);
+}
+
+TEST(LazyRouting, MatchesEagerTablesUnderCostTies) {
+  // Unit costs: every tie in the heap is broken by station id, exactly as in
+  // shortest_paths.
+  expect_matches_oracle(
+      Graph::min_hop(section8_gains(120, 1600.0, runner::trial_seed(606, 5)),
+                     min_gain()),
+      11);
+}
+
+TEST(LazyRouting, MatchesEagerTablesOnDisconnectedGraph) {
+  Graph g(6);
+  g.add_edge(0, 1, 1.0, 1.0);
+  g.add_edge(1, 2, 2.0, 0.5);
+  g.add_edge(3, 4, 1.0, 1.0);  // station 5 is isolated
+  expect_matches_oracle(g, 3);
+}
+
+TEST(LazyRouting, BuildsTreesOnlyForQueriedDestinations) {
+  const Graph g = section8_graph(200, 2263.0, runner::trial_seed(606, 1));
+  const auto tables = RoutingTables::build(g);
+  const std::size_t empty_bytes = tables.memory_bytes();
+  EXPECT_EQ(tables.stats().trees, 0u);
+  EXPECT_EQ(tables.next_hop(5, 5), kNoStation);  // no tree for at == dst
+  EXPECT_EQ(tables.stats().trees, 0u);
+
+  (void)tables.next_hop(3, 17);
+  (void)tables.next_hop(40, 17);
+  (void)tables.cost(99, 17);
+  (void)tables.next_hop(3, 150);
+  const auto stats = tables.stats();
+  EXPECT_EQ(stats.trees, 2u);
+  EXPECT_GT(stats.settled, 0u);
+  EXPECT_LE(stats.settled, 2u * g.size());
+  EXPECT_GT(tables.memory_bytes(), empty_bytes);
+  // Two O(M) trees, nothing like the M x M tables.
+  EXPECT_LT(tables.memory_bytes() - empty_bytes,
+            4 * g.size() * (sizeof(double) + sizeof(StationId)) + 4096);
+}
+
+TEST(LazyRouting, PausesAtTheQueriedStation) {
+  // A path 0-1-2-...-9 toward 0: station s's entry is final once s - 1 is
+  // settled, so a query from 1 settles station 0 only, and a later query
+  // from 9 resumes the same tree through station 8.
+  Graph g(10);
+  for (StationId s = 0; s + 1 < 10; ++s) g.add_edge(s, s + 1, 1.0, 1.0);
+  const auto tables = RoutingTables::build(g);
+  EXPECT_EQ(tables.next_hop(1, 0), 0u);
+  EXPECT_EQ(tables.stats().settled, 1u);
+  EXPECT_EQ(tables.next_hop(9, 0), 8u);
+  EXPECT_EQ(tables.cost(9, 0), 9.0);
+  EXPECT_EQ(tables.stats().trees, 1u);
+  EXPECT_EQ(tables.stats().settled, 9u);
+  EXPECT_TRUE(tables.prefix_consistent());  // queries every destination
+  EXPECT_EQ(tables.stats().trees, 10u);
+}
+
+TEST(LazyRouting, RouterSharesTreesAndOutlivesTables) {
+  const Graph g = section8_graph(100, 1600.0, runner::trial_seed(606, 2));
+  std::function<StationId(StationId, StationId)> router;
+  std::vector<StationId> expected;
+  {
+    const auto tables = RoutingTables::build(g);
+    router = tables.router();
+    (void)router(4, 60);  // the closure's query builds the tables' tree
+    EXPECT_EQ(tables.stats().trees, 1u);
+    const PathTree oracle = shortest_paths(g, 60);
+    expected = oracle.parent;
+  }
+  for (StationId at = 0; at < g.size(); ++at) {
+    if (at != 60) {
+      EXPECT_EQ(router(at, 60), expected[at]);
+    }
+  }
+}
+
+TEST(LazyRouting, Contracts) {
+  Graph g(3);
+  g.add_edge(0, 1, 1.0, 1.0);
+  const auto tables = RoutingTables::build(g);
+  EXPECT_THROW((void)tables.next_hop(3, 0), ContractViolation);
+  EXPECT_THROW((void)tables.next_hop(0, 3), ContractViolation);
+  EXPECT_THROW((void)tables.cost(0, 7), ContractViolation);
+  EXPECT_EQ(tables.stats().trees, 0u);
+}
+
+}  // namespace
+}  // namespace drn::routing

@@ -306,7 +306,7 @@ int run(const Options& opt) {
     model = std::make_shared<radio::LogNormalShadowing>(
         model, radio::Decibels{opt.shadowing_db}, opt.seed ^ 0x5AD0ull);
   }
-  const auto gains = radio::PropagationMatrix::from_placement(placement, *model);
+  auto gains = radio::PropagationMatrix::from_placement(placement, *model);
   const radio::ReceptionCriterion criterion(radio::Hertz{opt.bandwidth_hz},
                                             radio::BitsPerSecond{opt.data_rate_bps},
                                             radio::Decibels{opt.margin_db});
@@ -360,7 +360,8 @@ int run(const Options& opt) {
           radio::PropagationMatrix::from_placement(all_placement, *model),
           sim_cfg);
     } else {
-      sim_box.emplace(gains, sim_cfg);
+      // Handed over, not copied: nothing below reads `gains`.
+      sim_box.emplace(std::move(gains), sim_cfg);
     }
   }
   sim::Simulator& sim = *sim_box;
@@ -422,10 +423,10 @@ int run(const Options& opt) {
     }
   }
   if (opt.mac == "scheme") {
-    for (StationId s = 0; s < gains.size(); ++s)
+    for (StationId s = 0; s < opt.stations; ++s)
       sim.set_mac(s, std::move(net.macs[s]));
   } else {
-    for (StationId s = 0; s < gains.size(); ++s)
+    for (StationId s = 0; s < opt.stations; ++s)
       sim.set_mac(s, fresh_mac(s));
   }
   if (opt.jammers > 0) {
@@ -438,7 +439,7 @@ int run(const Options& opt) {
   Rng traffic_rng = rng.split(2);
   for (const auto& inj : sim::poisson_traffic(
            opt.rate_pps, opt.duration_s, net.packet_bits,
-           sim::uniform_pairs(gains.size()), traffic_rng))
+           sim::uniform_pairs(opt.stations), traffic_rng))
     sim.inject(inj.time_s, inj.packet);
   const double total_s = opt.duration_s + opt.drain_s;
   dynamics::DynamicsConfig dc;
@@ -496,6 +497,9 @@ int run(const Options& opt) {
     w.key("mean_delay_s").value(m.delivered() > 0 ? m.delay().mean() : 0.0);
     w.key("mean_hops").value(m.delivered() > 0 ? m.hops().mean() : 0.0);
     w.key("mean_duty").value(m.mean_duty_cycle(total_s));
+    // Lazy routing work: destinations whose tree was built, stations settled.
+    w.key("routing_trees").value(tables.stats().trees);
+    w.key("routing_settled").value(tables.stats().settled);
     if (driver) {
       w.key("aborted_losses").value(m.losses(sim::LossType::kAborted));
       w.key("station_leaves").value(m.station_leaves());
@@ -544,6 +548,9 @@ int run(const Options& opt) {
   }
   t.add_row({"mean transmit duty",
              analysis::Table::num(m.mean_duty_cycle(total_s), 4)});
+  t.add_row({"routing trees built / stations settled",
+             analysis::Table::num(tables.stats().trees) + " / " +
+                 analysis::Table::num(tables.stats().settled)});
   if (driver) {
     t.add_row({"aborted (churn) losses",
                analysis::Table::num(m.losses(sim::LossType::kAborted))});
