@@ -1,6 +1,7 @@
 // Engineering microbenchmarks (google-benchmark) for the hot paths: the
-// schedule hash, window search, SINR event processing, event queue churn,
-// and routing (every tree, and a trial's lazily built share of them).
+// schedule hash, window search, neighbour lookup, SINR event processing,
+// event queue churn, and routing (every tree, and a trial's lazily built
+// share of them).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 
 #include "common.hpp"
 #include "core/access.hpp"
+#include "core/neighbor_table.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -45,6 +47,34 @@ void BM_WindowSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowSearch);
+
+/// Neighbour lookup by id in a table of N entries: 8 is a static network's
+/// table (the schedule path's find_start), 1024 a table grown by beacon
+/// re-adoption at M = 1024 (the decoded-beacon path).
+void BM_NeighborTableFind(benchmark::State& state) {
+  const auto entries = static_cast<std::size_t>(state.range(0));
+  drn::Rng rng(5);
+  core::NeighborTable table;
+  std::vector<StationId> ids;
+  while (ids.size() < entries) {
+    const auto id = static_cast<StationId>(rng.uniform_index(4 * entries));
+    if (table.find(id) != nullptr) continue;
+    core::Neighbor n;
+    n.id = id;
+    n.gain = 1.0e-6;
+    table.add(n);
+    ids.push_back(id);
+  }
+  std::vector<StationId> queries(4096);
+  for (auto& q : queries) q = ids[rng.uniform_index(ids.size())];
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(queries[k]));
+    k = (k + 1) % queries.size();
+  }
+  state.SetLabel("entries=" + std::to_string(entries));
+}
+BENCHMARK(BM_NeighborTableFind)->Arg(8)->Arg(1024);
 
 void BM_EventQueueChurn(benchmark::State& state) {
   sim::EventQueue q;

@@ -265,65 +265,84 @@ void ScheduledStation::on_broadcast_received(sim::MacContext& ctx,
                                              StationId from,
                                              double signal_w) {
   if (!beacons_enabled()) return;
-  // One amortized-O(1) lookup covers everything the beacon updates: at
-  // large M every station hears every beacon, so this path runs millions of
-  // times per simulated second.
-  BeaconPeer& peer = beacon_peers_[from];
+  // One O(1) lookup covers everything the beacon updates: at large M every
+  // station hears every beacon, so this path runs millions of times per
+  // simulated second.
+  std::uint32_t slot = peer_index_.find(from);
+  if (slot == IdIndex::kAbsent) {
+    const std::uint32_t at = neighbors_.position(from);
+    // A stranger that may never be adopted needs no state.
+    if (at == IdIndex::kAbsent && !config_.readopt_neighbors) return;
+    slot = open_peer(from, at);
+  }
+  BeaconPeer& peer = peers_[slot];
   peer.last_heard_global_s = ctx.now();
-  Neighbor* n = neighbors_.find_mutable(from);
-  if (n == nullptr && !config_.readopt_neighbors) return;
 
   ClockSample sample;
   sample.mine_s = config_.clock.local(Seconds{ctx.now()}).value();
   sample.theirs_s =
       pkt.sender_local_s + pkt.size_bits / config_.data_rate_bps;
-  if (peer.ring.size() < config_.max_clock_samples) {
-    if (peer.ring.empty()) peer.ring.reserve(config_.max_clock_samples);
-    peer.ring.push_back(sample);
+  const std::size_t capacity = config_.max_clock_samples;
+  ClockSample* window = windows_.data() + slot * capacity;
+  if (peer.samples < capacity) {
+    window[peer.samples++] = sample;
   } else {
-    // Full: overwrite the oldest in place — the last max_clock_samples
-    // stamps survive, exactly as the old push_back/pop_front window.
-    peer.ring[peer.head] = sample;
-    peer.head = (peer.head + 1) % peer.ring.size();
+    // Full: slide the oldest out (a short move within the slot's cache
+    // lines). The window must stay oldest->newest: ClockModel::fit sums in
+    // that order, and the pinned outputs depend on its bits.
+    std::copy(window + 1, window + capacity, window);
+    window[capacity - 1] = sample;
   }
 
-  if (n == nullptr) {
+  if (peer.neighbor == IdIndex::kAbsent) {
     // An unknown beaconer — a station that joined or rejoined. Adopt it once
     // two stamps allow a clock fit and the stamped power reveals the gain.
-    if (peer.ring.size() < 2 || pkt.tx_power_w <= 0.0 || signal_w <= 0.0)
-      return;
+    if (peer.samples < 2 || pkt.tx_power_w <= 0.0 || signal_w <= 0.0) return;
     Neighbor fresh;
     fresh.id = from;
     fresh.gain = signal_w / pkt.tx_power_w;
-    fresh.clock = ClockModel::fit(beacon_window(peer));
+    fresh.clock = ClockModel::fit(beacon_window(slot));
+    peer.neighbor = static_cast<std::uint32_t>(neighbors_.size());
     neighbors_.add(fresh);
     beacon_power_w_ =
         std::max(beacon_power_w_, config_.power.transmit_power_w(fresh.gain));
     replan(ctx);
     return;
   }
+  Neighbor& n = neighbors_.at_position(peer.neighbor);
 
   // Refresh the observed gain (mobility changes it). Sub-ppb wobble from the
   // power round-trip is ignored so a static network keeps bit-identical
   // gains; any real change dwarfs the threshold.
   if (pkt.tx_power_w > 0.0 && signal_w > 0.0) {
     const double observed = signal_w / pkt.tx_power_w;
-    if (std::abs(observed - n->gain) > 1e-9 * n->gain) n->gain = observed;
+    if (std::abs(observed - n.gain) > 1e-9 * n.gain) n.gain = observed;
   }
 
   // Refit once the window holds enough points to track drift.
-  if (peer.ring.size() >= 2) n->clock = ClockModel::fit(beacon_window(peer));
+  if (peer.samples >= 2) n.clock = ClockModel::fit(beacon_window(slot));
+}
+
+std::uint32_t ScheduledStation::open_peer(StationId id,
+                                          std::uint32_t neighbor) {
+  std::uint32_t slot = 0;
+  if (free_peers_.empty()) {
+    slot = static_cast<std::uint32_t>(peers_.size());
+    peers_.emplace_back();
+    windows_.resize(windows_.size() + config_.max_clock_samples);
+  } else {
+    slot = free_peers_.back();  // reset to an empty window when freed
+    free_peers_.pop_back();
+  }
+  peers_[slot].neighbor = neighbor;
+  peer_index_.insert(id, slot);
+  return slot;
 }
 
 std::span<const ClockSample> ScheduledStation::beacon_window(
-    const BeaconPeer& peer) {
-  // Unroll the ring oldest->newest into the reused scratch so the fit sums
-  // the samples in the same order (same bits) the old deque walk produced.
-  fit_window_.clear();
-  const std::size_t count = peer.ring.size();
-  for (std::size_t i = 0; i < count; ++i)
-    fit_window_.push_back(peer.ring[(peer.head + i) % count]);
-  return fit_window_;
+    std::uint32_t slot) const {
+  return {windows_.data() + slot * config_.max_clock_samples,
+          peers_[slot].samples};
 }
 
 void ScheduledStation::on_clock_rate_changed(sim::MacContext& ctx,
@@ -341,15 +360,25 @@ void ScheduledStation::evict_stale(sim::MacContext& ctx) {
   const double now = ctx.now();
   std::vector<StationId> stale;
   for (const auto& n : neighbors_.all()) {
-    const auto heard = beacon_peers_.find(n.id);
-    const double since = heard != beacon_peers_.end()
-                             ? heard->second.last_heard_global_s
+    const std::uint32_t slot = peer_index_.find(n.id);
+    const double since = slot != IdIndex::kAbsent
+                             ? peers_[slot].last_heard_global_s
                              : eviction_epoch_s_;
     if (now - since > config_.neighbor_timeout_s) stale.push_back(n.id);
   }
   for (const StationId id : stale) {
+    const std::uint32_t at = neighbors_.position(id);
     neighbors_.erase(id);
-    beacon_peers_.erase(id);
+    // Entries past the evicted one moved down a position.
+    for (BeaconPeer& p : peers_)
+      if (p.neighbor != IdIndex::kAbsent && p.neighbor > at) --p.neighbor;
+    if (const std::uint32_t slot = peer_index_.find(id);
+        slot != IdIndex::kAbsent) {
+      // Freed with an empty window: a re-adopted peer starts afresh.
+      peer_index_.erase(id);
+      peers_[slot] = BeaconPeer{};
+      free_peers_.push_back(slot);
+    }
     // The ghost's queue dies with it: those packets had nowhere to go.
     if (const auto it = queues_.find(id); it != queues_.end()) {
       for (const sim::Packet& pkt : it->second) ctx.drop(pkt);
@@ -363,8 +392,8 @@ void ScheduledStation::evict_stale(sim::MacContext& ctx) {
 }
 
 std::size_t ScheduledStation::clock_samples_from(StationId neighbor) const {
-  const auto it = beacon_peers_.find(neighbor);
-  return it == beacon_peers_.end() ? 0 : it->second.ring.size();
+  const std::uint32_t slot = peer_index_.find(neighbor);
+  return slot == IdIndex::kAbsent ? 0 : peers_[slot].samples;
 }
 
 }  // namespace drn::core

@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/access.hpp"
@@ -114,6 +113,11 @@ class ScheduledStation final : public sim::MacProtocol {
   /// Beacon stamps received from `neighbor` so far (test introspection).
   [[nodiscard]] std::size_t clock_samples_from(StationId neighbor) const;
 
+  /// Beaconers this station keeps state for (test introspection).
+  [[nodiscard]] std::size_t beacon_peer_count() const {
+    return peer_index_.size();
+  }
+
  private:
   struct Plan {
     StationId neighbor = kNoStation;  // kBroadcast for a beacon
@@ -140,11 +144,14 @@ class ScheduledStation final : public sim::MacProtocol {
   /// opportunity exists.
   void replan(sim::MacContext& ctx);
 
-  struct BeaconPeer;
-  /// The peer's sample ring unrolled oldest->newest (into fit_window_),
-  /// ready for ClockModel::fit. Valid until the next call.
+  /// The clock-stamp window of peer slot `slot`, oldest->newest, ready for
+  /// ClockModel::fit. Valid until the next new peer.
   [[nodiscard]] std::span<const ClockSample> beacon_window(
-      const BeaconPeer& peer);
+      std::uint32_t slot) const;
+
+  /// Starts an empty window for beaconer `id`, whose neighbour-table
+  /// position is `neighbor` (IdIndex::kAbsent if none); returns its slot.
+  std::uint32_t open_peer(StationId id, std::uint32_t neighbor);
 
   void send_beacon(sim::MacContext& ctx);
 
@@ -173,21 +180,24 @@ class ScheduledStation final : public sim::MacProtocol {
   double next_beacon_due_global_s_ = 0.0;
   double beacon_power_w_ = 0.0;
   /// Per-beaconer bookkeeping: when the station was last heard (global
-  /// seconds) and its clock-stamp window. The window is a fixed ring of
-  /// capacity max_clock_samples — `head` names the OLDEST sample once the
-  /// ring is full — kept in one hashed map: at large M every station hears
-  /// every beacon, so this lookup runs millions of times per simulated
-  /// second and must not walk an ordered map of all beaconers, and nothing
-  /// ever iterates the map (iteration order would not be deterministic).
-  struct BeaconPeer {  // declared above for beacon_window's signature
+  /// seconds), where it sits in neighbors_ (if it does), and its clock-stamp
+  /// window. At large M every station hears every beacon, so this state is
+  /// reached through one O(1) id lookup per decoded beacon: peer_index_
+  /// names a slot in peers_, and the slot names the neighbour entry. Each
+  /// window holds the last max_clock_samples stamps oldest->newest in the
+  /// pooled windows_ (slot s owns [s * capacity, (s + 1) * capacity)). A
+  /// beaconer that is neither a neighbour nor adoptable gets no state. An
+  /// evicted neighbour's slot is freed and reused, so a re-adopted peer
+  /// starts a fresh window.
+  struct BeaconPeer {
     double last_heard_global_s = 0.0;
-    std::vector<ClockSample> ring;
-    std::size_t head = 0;
+    std::uint32_t neighbor = IdIndex::kAbsent;  // position in neighbors_
+    std::uint32_t samples = 0;
   };
-  std::unordered_map<StationId, BeaconPeer> beacon_peers_;
-  /// Scratch for unrolling a ring oldest->newest before a clock fit (the
-  /// fit's summation order — hence its bits — matches the old deque walk).
-  std::vector<ClockSample> fit_window_;
+  IdIndex peer_index_;  // id -> slot in peers_
+  std::vector<BeaconPeer> peers_;
+  std::vector<std::uint32_t> free_peers_;
+  std::vector<ClockSample> windows_;
   // Reference instant a never-heard neighbour's silence ages from.
   double eviction_epoch_s_ = 0.0;
 };

@@ -14,11 +14,14 @@
 #   6. bench smoke   interference-engine, dynamics and event-core ablations
 #                    in --smoke mode; the JSON they emit is schema-checked
 #                    when python3 is present
-#   7. clang-tidy    over src/ and tools/ (needs stage 4's compile commands)
-#   8. build + test  once per sanitizer config (default: tsan, then
+#   7. trialbench counters  trialbench/run.py --check-counters: every
+#                    workload's per-layer work counts must equal the pinned
+#                    ones (needs python3; built under build-ci/trialbench)
+#   8. clang-tidy    over src/ and tools/ (needs stage 4's compile commands)
+#   9. build + test  once per sanitizer config (default: tsan, then
 #                    asan+ubsan)
 #
-# Stages 1, 4 and 7 fail the build on any finding. The others also fail on
+# Stages 1, 4, 7 and 8 fail the build on any finding. The others also fail on
 # findings, but are skipped with a notice when the host lacks the tool
 # (libclang / clang-format / clang-tidy — the baked toolchain is gcc-only);
 # the configs are checked in so any host that has the tools enforces them.
@@ -151,6 +154,14 @@ print(f"event-core bench smoke OK: {len(cells)} cells, M in {sorted(stations)}")
 PY
 else
   echo "event-core bench schema check SKIPPED: no python3 on this host"
+fi
+
+echo "==== stage: trialbench counters ===="
+if command -v python3 >/dev/null 2>&1; then
+  CARGO_TARGET_DIR="$(pwd)/build-ci/trialbench" \
+    python3 trialbench/run.py --check-counters
+else
+  echo "trialbench counters SKIPPED: no python3 on this host"
 fi
 
 echo "==== stage: clang-tidy ===="
