@@ -1,10 +1,10 @@
 // Ablation: interference-engine throughput and footprint vs station count.
 //
-// Drives each engine (dense, compensated, nearfar) through an identical
-// synthetic churn — a sliding window of concurrent transmissions, each
-// received at the sender's nearest neighbour — at fixed station density
-// (region radius grows as sqrt(M)). The dense engines pay the O(M²)
-// PropagationMatrix up front and are capped at kDenseMatrixGuardM stations;
+// Drives each engine (compensated, nearfar) through an identical synthetic
+// churn — a sliding window of concurrent transmissions, each received at the
+// sender's nearest neighbour — at fixed station density (region radius grows
+// as sqrt(M)). The compensated engine pays the O(M²) PropagationMatrix up
+// front and is capped at kDenseMatrixGuardM stations;
 // the near/far engine builds an O(M) grid and evaluates gains lazily, so it
 // also runs at station counts the dense path cannot reach.
 //
@@ -89,9 +89,7 @@ RunResult churn(radio::InterferenceEngineKind kind,
   } else {
     auto gains = radio::make_dense_gains(placement, model);
     r.matrix_bytes = gains.size() * gains.size() * sizeof(double);
-    engine = kind == radio::InterferenceEngineKind::kDense
-                 ? radio::make_dense_engine(std::move(gains))
-                 : radio::make_compensated_engine(std::move(gains));
+    engine = radio::make_compensated_engine(std::move(gains));
   }
   engine->set_thermal_noise(radio::Watts{1.0e-15});
   const auto nn = nearest_neighbors(placement, region_m / 16.0);
@@ -171,8 +169,7 @@ int run(bool smoke, const std::string& out_path) {
     Rng rng(9000 + m);
     const auto placement = geo::uniform_disc(m, region_m, rng);
     for (const auto kind : {radio::InterferenceEngineKind::kNearFar,
-                            radio::InterferenceEngineKind::kCompensated,
-                            radio::InterferenceEngineKind::kDense}) {
+                            radio::InterferenceEngineKind::kCompensated}) {
       if (kind != radio::InterferenceEngineKind::kNearFar &&
           m > radio::kDenseMatrixGuardM)
         continue;  // the dense path is capped by design

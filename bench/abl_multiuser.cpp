@@ -10,7 +10,8 @@
 
 #include "analysis/table.hpp"
 #include "baselines/aloha.hpp"
-#include "common.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace {
 
@@ -26,9 +27,9 @@ struct Outcome {
 };
 
 Outcome run_aloha(int k, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(20, 600.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
   // Narrowband receiver (0 dB threshold): ALOHA's collisions are SINR
   // failures a canceller can actually rescue. (Under the 23 dB spread
   // design, ALOHA's losses are almost purely Type 3 — the receiver's own
@@ -56,14 +57,14 @@ Outcome run_aloha(int k, std::uint64_t seed) {
 }
 
 Outcome run_scheme(int k, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(20, 600.0, seed, cfg);
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sc.multiuser_subtract_k = k;
   sim::Simulator sim(scenario.gains, sc);
   const auto& m =
-      drn::bench::run_scheme(scenario, sim, 800.0, 2.0, seed, 60.0);
+      drn::runner::run_scheme(scenario, sim, 800.0, 2.0, seed, 60.0);
   return {m.delivery_ratio(), m.losses(sim::LossType::kType1),
           m.losses(sim::LossType::kType2), m.losses(sim::LossType::kType3)};
 }

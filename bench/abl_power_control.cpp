@@ -8,8 +8,8 @@
 #include <string>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "radio/units.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -25,9 +25,9 @@ struct Outcome {
 };
 
 Outcome run(bool controlled, std::uint64_t seed) {
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(40, 1000.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(40, 1000.0, seed, cfg);
 
   if (!controlled) {
     // Rebuild the MACs with fixed-power policy: every station blasts at the
@@ -48,9 +48,9 @@ Outcome run(bool controlled, std::uint64_t seed) {
     }
   }
 
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sim::Simulator simulator(scenario.gains, sc);
-  const auto& m = drn::bench::run_scheme(scenario, simulator, 300.0, 2.0,
+  const auto& m = drn::runner::run_scheme(scenario, simulator, 300.0, 2.0,
                                          seed, 120.0);
   Outcome o;
   o.margin_mean_db = m.sinr_margin_db().mean();

@@ -17,8 +17,9 @@
 #include <string>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "core/rate_selection.hpp"
+#include "radio/propagation.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -47,7 +48,7 @@ drn::radio::PropagationMatrix make_gains() {
 
 double run(bool adaptive, const drn::radio::PropagationMatrix& gains,
            const core::RateLadder& ladder, Table* per_link) {
-  const auto criterion = drn::bench::scheme_criterion();
+  const auto criterion = drn::runner::scheme_criterion();
   sim::SimulatorConfig sc{criterion};
   sc.thermal_noise_w = kThermalW;
   sim::Simulator sim(gains, sc);

@@ -9,7 +9,7 @@
 
 #include "analysis/schedule_math.hpp"
 #include "analysis/table.hpp"
-#include "common.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -29,14 +29,14 @@ void despreading_channels() {
            ++other)
         gains.set_gain(leaf, other, drn::radio::LinearGain{2.5e-5});
     }
-    auto cfg = drn::bench::multihop_config();
+    auto cfg = drn::runner::multihop_config();
     cfg.max_power_w = 1.0;
     cfg.exact_clock_models = true;
     cfg.respect_third_party_windows = false;  // isolate the channel effect
     drn::Rng rng(4);
     auto net = drn::core::build_scheduled_network(
-        gains, drn::bench::scheme_criterion(), cfg, rng);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+        gains, drn::runner::scheme_criterion(), cfg, rng);
+    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
     sc.despreading_channels = channels;
     sim::Simulator simulator(gains, sc);
     for (StationId s = 0; s < 7; ++s)
@@ -67,14 +67,14 @@ void packet_fraction() {
                "1/4)\n\n";
   Table t({"fraction", "analytic packing eff", "delivered", "mean delay (slots)"});
   for (double f : {0.125, 0.25, 0.5, 0.75}) {
-    auto cfg = drn::bench::multihop_config();
+    auto cfg = drn::runner::multihop_config();
     cfg.packet_fraction = f;
     cfg.exact_clock_models = true;
-    auto scenario = drn::bench::make_scenario(25, 800.0, 909, cfg);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+    auto scenario = drn::runner::make_scenario(25, 800.0, 909, cfg);
+    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
     sim::Simulator simulator(scenario.gains, sc);
     const auto& m =
-        drn::bench::run_scheme(scenario, simulator, 200.0, 2.0, 909, 120.0);
+        drn::runner::run_scheme(scenario, simulator, 200.0, 2.0, 909, 120.0);
     t.add_row({Table::num(f, 3),
                Table::num(drn::analysis::packing_efficiency(f), 3),
                Table::num(m.delivered()),

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "routing/min_energy.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -25,7 +25,7 @@ struct RouteStudy {
   std::size_t unreachable = 0;
 };
 
-RouteStudy study(const drn::bench::Scenario& scenario,
+RouteStudy study(const drn::runner::Scenario& scenario,
                  const routing::RoutingTables& tables,
                  StationId observer) {
   RouteStudy out;
@@ -74,9 +74,9 @@ int main() {
                "hop for every pair (reach permitting); observer D sits at the "
                "disc edge.\n\n";
 
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::bench::make_scenario(40, 1000.0, 808, cfg);
+  auto scenario = drn::runner::make_scenario(40, 1000.0, 808, cfg);
   const double min_gain = cfg.target_received_w / cfg.max_power_w;
 
   const auto energy_graph = routing::Graph::min_energy(scenario.gains, min_gain);

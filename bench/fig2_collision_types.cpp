@@ -11,8 +11,9 @@
 #include <vector>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "baselines/aloha.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace {
 
@@ -160,7 +161,7 @@ int main() {
                "mechanism):\n\n";
   {
     // Same 3 stations, bidirectional load, but driven by ScheduledStation.
-    auto cfg = drn::bench::multihop_config();
+    auto cfg = drn::runner::multihop_config();
     cfg.max_power_w = 1.0;
     cfg.exact_clock_models = true;
     radio::PropagationMatrix m(3);

@@ -9,8 +9,11 @@
 #include <iostream>
 
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "radio/noise_growth.hpp"
+#include "radio/propagation.hpp"
+#include "radio/propagation_matrix.hpp"
+#include "routing/dijkstra.hpp"
+#include "routing/graph.hpp"
 #include "routing/min_energy.hpp"
 
 namespace {

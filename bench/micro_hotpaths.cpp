@@ -8,9 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "common.hpp"
 #include "core/access.hpp"
 #include "core/neighbor_table.hpp"
+#include "radio/propagation.hpp"
+#include "runner/scenario.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -172,15 +173,15 @@ void BM_SimulatorEvent(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto cfg = drn::bench::multihop_config();
+    auto cfg = drn::runner::multihop_config();
     cfg.exact_clock_models = true;
     auto scenario =
-        drn::bench::make_scenario(stations, 1000.0, 42, cfg);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+        drn::runner::make_scenario(stations, 1000.0, 42, cfg);
+    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
     sim::Simulator simulator(scenario.gains, sc);
     state.ResumeTiming();
     const auto& m =
-        drn::bench::run_scheme(scenario, simulator, 300.0, 1.0, 42, 30.0);
+        drn::runner::run_scheme(scenario, simulator, 300.0, 1.0, 42, 30.0);
     benchmark::DoNotOptimize(m.delivered());
   }
   state.SetLabel("stations=" + std::to_string(stations));

@@ -13,8 +13,8 @@
 #include "analysis/delay_model.hpp"
 #include "analysis/schedule_math.hpp"
 #include "analysis/table.hpp"
-#include "common.hpp"
 #include "core/access.hpp"
+#include "runner/scenario.hpp"
 
 namespace {
 
@@ -113,13 +113,13 @@ void duty_cycle_sweep() {
   Table t({"p", "delivered", "mean delay (slots)", "mean tx duty",
            "collision losses"});
   for (double p : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
-    auto cfg = drn::bench::multihop_config();
+    auto cfg = drn::runner::multihop_config();
     cfg.receive_fraction = p;
-    auto scenario = drn::bench::make_scenario(30, 900.0, 99, cfg);
-    sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+    auto scenario = drn::runner::make_scenario(30, 900.0, 99, cfg);
+    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
     sim::Simulator simulator(scenario.gains, sc);
     const double duration = 3.0;
-    const auto& m = drn::bench::run_scheme(scenario, simulator, 700.0,
+    const auto& m = drn::runner::run_scheme(scenario, simulator, 700.0,
                                            duration, 99, 120.0);
     t.add_row({Table::num(p, 2), Table::num(m.delivered()),
                Table::num(m.delay().mean() / cfg.slot_s, 1),
@@ -146,14 +146,14 @@ void saturation_duty_cycle() {
   for (StationId a = 0; a < kStations; ++a)
     for (StationId b = static_cast<StationId>(a + 1); b < kStations; ++b)
       gains.set_gain(a, b, drn::radio::LinearGain{1.0e-4});
-  auto cfg = drn::bench::multihop_config();
+  auto cfg = drn::runner::multihop_config();
   cfg.max_power_w = 1.0;
   cfg.exact_clock_models = true;
   cfg.respect_third_party_windows = false;
   drn::Rng rng(5);
   auto net = drn::core::build_scheduled_network(
-      gains, drn::bench::scheme_criterion(), cfg, rng);
-  sim::SimulatorConfig sc{drn::bench::scheme_criterion()};
+      gains, drn::runner::scheme_criterion(), cfg, rng);
+  sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sim::Simulator simulator(gains, sc);
   for (StationId s = 0; s < kStations; ++s)
     simulator.set_mac(s, std::move(net.macs[s]));

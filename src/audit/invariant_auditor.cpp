@@ -44,8 +44,6 @@ InvariantAuditor::InvariantAuditor(AuditConfig config)
   DRN_EXPECTS(config_.thermal_noise.value() > 0.0);
 }
 
-namespace {
-
 AuditConfig config_from(const sim::Simulator& sim) {
   AuditConfig cfg;
   cfg.stations = sim.station_count();
@@ -55,8 +53,6 @@ AuditConfig config_from(const sim::Simulator& sim) {
   cfg.margin = sim.config().criterion.margin();
   return cfg;
 }
-
-}  // namespace
 
 InvariantAuditor::InvariantAuditor(const sim::Simulator& sim)
     : InvariantAuditor(config_from(sim)) {}

@@ -64,6 +64,9 @@ struct AuditConfig {
   bool record_receptions = false;
 };
 
+/// The AuditConfig a simulator's public configuration implies.
+[[nodiscard]] AuditConfig config_from(const sim::Simulator& sim);
+
 /// One observed breach of an invariant.
 struct Violation {
   /// Stable key, e.g. "half-duplex", "despreading-cap", "metrics-crosscheck".

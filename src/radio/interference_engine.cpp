@@ -21,7 +21,7 @@ struct ActiveTx {
   double power_w = 0.0;
 };
 
-/// Flat sorted-by-id set of active transmissions for the dense engines. The
+/// Flat sorted-by-id set of active transmissions for the matrix engine. The
 /// hot loops walk the whole set once per opened reception, so locality beats
 /// asymptotics: iteration is one contiguous ascending-id scan — the exact
 /// order the previous std::map produced, so every plain and compensated sum
@@ -73,7 +73,7 @@ class ActiveSet {
   std::vector<Entry> entries_;
 };
 
-/// Shared slot bookkeeping for the two dense-matrix engines.
+/// Reception slot bookkeeping shared by the matrix and near/far engines.
 template <typename Slot>
 class SlotTable {
  public:
@@ -118,143 +118,6 @@ class SlotTable {
  private:
   std::vector<Slot> slots_;
   std::vector<ReceptionHandle> free_;
-};
-
-// ---------------------------------------------------------------------------
-// Dense engine: the historical subtract-and-clamp arithmetic, verbatim.
-
-class DenseEngine final : public InterferenceEngine {
- public:
-  explicit DenseEngine(PropagationMatrix gains) : gains_(std::move(gains)) {}
-
-  [[nodiscard]] std::size_t station_count() const override {
-    return gains_.size();
-  }
-  [[nodiscard]] const char* name() const override { return "dense"; }
-  [[nodiscard]] double gain(StationId rx, StationId tx) const override {
-    return gains_.gain(rx, tx);
-  }
-
-  void transmit_started(std::uint64_t tx_id, StationId from, Watts power,
-                        const SenderVisitor& at_sender,
-                        const AffectedVisitor& affected) override {
-    const double power_w = power.value();
-    active_.insert(tx_id, ActiveTx{from, power_w});
-    // By symmetry row(from)[rx] == gain(rx, from): the walk over open
-    // receptions reads one contiguous row instead of striding a column.
-    const double* from_row = gains_.row(from);
-    slots_.for_each_live([&](ReceptionHandle h, Slot& s) {
-      if (s.rx == from) {
-        if (at_sender) at_sender(h);
-        return;
-      }
-      const double watts = from_row[s.rx] * power_w;
-      s.interference_w += watts;
-      if (affected) affected(h, Watts{watts});
-    });
-  }
-
-  void transmit_ended(std::uint64_t tx_id,
-                      const AffectedVisitor& affected) override {
-    const ActiveTx tx = active_.extract(tx_id);
-    const double* from_row = gains_.row(tx.from);
-    slots_.for_each_live([&](ReceptionHandle h, Slot& s) {
-      if (s.tx_id == tx_id || s.rx == tx.from) return;
-      const double watts = from_row[s.rx] * tx.power_w;
-      // The drift bug under test: `watts` was added when the rounding context
-      // was different, so this subtraction leaves a residue, and the clamp
-      // only hides the cases that would have gone below thermal.
-      s.interference_w = std::max(thermal_w_, s.interference_w - watts);
-      if (affected) affected(h, Watts{watts});
-    });
-  }
-
-  [[nodiscard]] ReceptionHandle open_reception(
-      std::uint64_t tx_id, StationId rx,
-      const ContributionVisitor& contribution) override {
-    DRN_EXPECTS(active_.contains(tx_id));
-    const ReceptionHandle h = slots_.alloc();
-    Slot& s = slots_.at(h);
-    s.tx_id = tx_id;
-    s.rx = rx;
-    s.interference_w = thermal_w_;
-    for (const auto& [id, other] : active_) {
-      if (id == tx_id || other.from == rx) continue;
-      const double watts = gains_.gain(rx, other.from) * other.power_w;
-      s.interference_w += watts;
-      if (contribution) contribution(id, Watts{watts});
-    }
-    return h;
-  }
-
-  void close_reception(ReceptionHandle h) override { slots_.release(h); }
-  [[nodiscard]] std::size_t open_receptions() const override {
-    return slots_.live_count();
-  }
-
-  [[nodiscard]] Watts interference(ReceptionHandle h) const override {
-    return Watts{slots_.at(h).interference_w};
-  }
-
-  [[nodiscard]] Watts recomputed_interference(
-      ReceptionHandle h) const override {
-    const Slot& s = slots_.at(h);
-    CompensatedSum sum;
-    for (const auto& [id, other] : active_) {
-      if (id == s.tx_id || other.from == s.rx) continue;
-      sum.add(gains_.gain(s.rx, other.from) * other.power_w);
-    }
-    return Watts{thermal_w_ + std::max(0.0, sum.value())};
-  }
-
-  [[nodiscard]] Watts power_at(StationId st) const override {
-    double power = thermal_w_;
-    for (const auto& [id, tx] : active_)
-      power += gains_.gain(st, tx.from) * tx.power_w;
-    return Watts{power};
-  }
-
-  void enable_mobility(geo::Placement placement,
-                       std::shared_ptr<const PropagationModel> model,
-                       LinearGain self_gain) override {
-    DRN_EXPECTS(model != nullptr);
-    DRN_EXPECTS(placement.size() == gains_.size());
-    placement_ = std::move(placement);
-    model_ = std::move(model);
-    self_gain_ = self_gain.value();
-  }
-
-  void station_moved(StationId s, geo::Vec2 position) override {
-    DRN_EXPECTS(s < gains_.size());
-    DRN_EXPECTS(model_ != nullptr);  // enable_mobility() first
-    // RF-idle precondition: no running interference sum may reference the
-    // station's old gains, or the eventual subtraction would not match.
-    for (const auto& [id, tx] : active_) DRN_EXPECTS(tx.from != s);
-    slots_.for_each_live(
-        [&](ReceptionHandle, Slot& slot) { DRN_EXPECTS(slot.rx != s); });
-    placement_[s] = position;
-    for (StationId other = 0; other < gains_.size(); ++other) {
-      if (other == s) continue;
-      gains_.set_gain(s, other,
-                      model_->power_gain(placement_[s], placement_[other]));
-    }
-    gains_.set_gain(s, s, LinearGain{self_gain_});
-  }
-
- private:
-  struct Slot {
-    std::uint64_t tx_id = 0;
-    StationId rx = kNoStation;
-    double interference_w = 0.0;
-    bool live = false;
-  };
-
-  PropagationMatrix gains_;
-  ActiveSet active_;
-  SlotTable<Slot> slots_;
-  geo::Placement placement_;                        // mobility only
-  std::shared_ptr<const PropagationModel> model_;   // mobility only
-  double self_gain_ = 1.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -768,7 +631,6 @@ void InterferenceEngine::enable_mobility(
 }
 
 std::optional<InterferenceEngineKind> parse_engine(std::string_view text) {
-  if (text == "dense") return InterferenceEngineKind::kDense;
   if (text == "compensated") return InterferenceEngineKind::kCompensated;
   if (text == "nearfar") return InterferenceEngineKind::kNearFar;
   return std::nullopt;
@@ -776,7 +638,6 @@ std::optional<InterferenceEngineKind> parse_engine(std::string_view text) {
 
 const char* engine_name(InterferenceEngineKind kind) {
   switch (kind) {
-    case InterferenceEngineKind::kDense: return "dense";
     case InterferenceEngineKind::kCompensated: return "compensated";
     case InterferenceEngineKind::kNearFar: return "nearfar";
   }
@@ -789,10 +650,6 @@ PropagationMatrix make_dense_gains(const geo::Placement& placement,
   DRN_EXPECTS(placement.size() <= kDenseMatrixGuardM);
   // drn-lint: allow(dense-matrix) — the sanctioned guarded route.
   return PropagationMatrix::from_placement(placement, model, self_gain);
-}
-
-std::unique_ptr<InterferenceEngine> make_dense_engine(PropagationMatrix gains) {
-  return std::make_unique<DenseEngine>(std::move(gains));
 }
 
 std::unique_ptr<InterferenceEngine> make_compensated_engine(

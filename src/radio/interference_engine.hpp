@@ -4,15 +4,13 @@
 // all other active transmissions (Eq. 5-6). How that sum is maintained is a
 // pure performance/precision trade, so it lives behind this interface:
 //
-//   dense        The historical baseline: plain += / subtract-and-clamp over
-//                a dense O(M²) PropagationMatrix. Kept because its drift bug
-//                (subtracting a float that was added in a different rounding
-//                context, then clamping at thermal) is what the regression
-//                tests demonstrate against.
-//   compensated  The fix: Neumaier compensated accumulation plus a periodic
-//                exact recomputation from the live transmission set, still
-//                over the dense matrix. Bit-accurate interference for runs of
-//                any length; the default engine.
+//   compensated  Neumaier compensated accumulation plus a periodic exact
+//                recomputation from the live transmission set, over a dense
+//                O(M²) PropagationMatrix. Bit-accurate interference for runs
+//                of any length; the default engine. (Plain += and
+//                subtract-and-clamp drift over long runs; the drift test in
+//                tests/radio/interference_engine_test.cpp replays that
+//                arithmetic with a bare double to show it.)
 //   nearfar      Section 4's din made algorithmic: a uniform spatial grid
 //                (geo/grid_index) enumerates interferers within a cutoff
 //                radius exactly, and everything beyond is folded into one
@@ -75,12 +73,11 @@ class CompensatedSum {
 };
 
 enum class InterferenceEngineKind {
-  kDense,        // legacy subtract-and-clamp (drifts; kept as the baseline)
   kCompensated,  // compensated exact accumulation (default)
   kNearFar,      // grid-indexed near field + aggregated far-field din
 };
 
-/// Parses "dense" | "compensated" | "nearfar".
+/// Parses "compensated" | "nearfar".
 std::optional<InterferenceEngineKind> parse_engine(std::string_view text);
 const char* engine_name(InterferenceEngineKind kind);
 
@@ -156,10 +153,10 @@ class InterferenceEngine {
   /// Station `s` relocated to `position` (dynamics mobility). Precondition,
   /// enforced by the simulator: the station is RF-idle — it is not
   /// transmitting and has no open reception — so no in-flight interference
-  /// sum ever mixes gains sampled at two positions. The dense/compensated
-  /// engines recompute the station's matrix row and column and additionally
-  /// require enable_mobility() to have been called first (they otherwise
-  /// have no propagation model to recompute gains from); the nearfar engine
+  /// sum ever mixes gains sampled at two positions. The compensated
+  /// engine recomputes the station's matrix row and column and additionally
+  /// requires enable_mobility() to have been called first (it otherwise
+  /// has no propagation model to recompute gains from); the nearfar engine
   /// re-bins the station in its spatial grid and needs no setup. The base
   /// default rejects the call.
   virtual void station_moved(StationId s, geo::Vec2 position);
@@ -187,10 +184,6 @@ inline constexpr std::size_t kDenseMatrixGuardM = 4096;
 [[nodiscard]] PropagationMatrix make_dense_gains(
     const geo::Placement& placement, const PropagationModel& model,
     LinearGain self_gain = LinearGain{1.0});
-
-/// Legacy engine: plain += on start, subtract-and-clamp on end. Drifts.
-[[nodiscard]] std::unique_ptr<InterferenceEngine> make_dense_engine(
-    PropagationMatrix gains);
 
 /// Default engine: Neumaier accumulation + periodic exact recomputation.
 [[nodiscard]] std::unique_ptr<InterferenceEngine> make_compensated_engine(

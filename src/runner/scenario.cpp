@@ -52,21 +52,47 @@ core::ScheduledNetworkConfig multihop_config() {
   return cfg;
 }
 
-Scenario make_scenario(std::size_t stations, double region_m,
-                       std::uint64_t seed,
-                       core::ScheduledNetworkConfig net_cfg) {
+std::shared_ptr<const radio::PropagationModel> propagation_model(
+    const ScenarioSpec& spec, std::uint64_t seed) {
+  std::shared_ptr<const radio::PropagationModel> model;
+  if (spec.dual_slope_breakpoint_m > 0.0) {
+    model = std::make_shared<radio::DualSlopePropagation>(
+        radio::Meters{spec.dual_slope_breakpoint_m});
+  } else {
+    model = std::make_shared<radio::FreeSpacePropagation>();
+  }
+  if (spec.shadowing_db > 0.0) {
+    model = std::make_shared<radio::LogNormalShadowing>(
+        model, radio::Decibels{spec.shadowing_db}, seed ^ 0x5AD0ull);
+  }
+  return model;
+}
+
+Scenario make_scenario(const ScenarioSpec& spec, std::uint64_t seed,
+                       bool* connected) {
   Rng rng(seed);
-  auto placement = geo::uniform_disc(stations, region_m, rng);
-  const radio::FreeSpacePropagation model;
-  auto gains = radio::make_dense_gains(placement, model);
+  auto placement = geo::uniform_disc(spec.stations, spec.region_m, rng);
+  auto gains =
+      radio::make_dense_gains(placement, *propagation_model(spec, seed));
   Rng build_rng = rng.split(1);
-  auto net =
-      core::build_scheduled_network(gains, scheme_criterion(), net_cfg, build_rng);
+  auto net = core::build_scheduled_network(gains, spec.criterion(), spec.net,
+                                           build_rng);
   const auto graph = routing::Graph::min_energy(
-      gains, net_cfg.target_received_w / net_cfg.max_power_w);
+      gains, spec.net.target_received_w / spec.net.max_power_w);
+  if (connected) *connected = graph.connected();
   auto tables = routing::RoutingTables::build(graph);
   return Scenario{std::move(placement), std::move(gains), std::move(net),
                   std::move(tables)};
+}
+
+Scenario make_scenario(std::size_t stations, double region_m,
+                       std::uint64_t seed,
+                       core::ScheduledNetworkConfig net_cfg) {
+  ScenarioSpec spec;
+  spec.stations = stations;
+  spec.region_m = region_m;
+  spec.net = net_cfg;
+  return make_scenario(spec, seed);
 }
 
 TrialResult summarize(const sim::Metrics& m, double total_duration_s) {
@@ -141,60 +167,67 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
     sim.set_mac(s, make_baseline_mac(spec));
 }
 
-TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
-  auto scenario =
-      make_scenario(spec.stations, spec.region_m, seed, spec.net);
+Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
+    : spec_(spec),
+      seed_(seed),
+      scenario_(make_scenario(spec, seed, &connected_)),
+      placement_(scenario_.placement) {
   const dynamics::DynamicsConfig& dyn = spec.dynamics;
   // Jammer stations are appended after the real network: they get gains and
   // despreading channels like everyone else, but no traffic, no routes, and
   // the dynamics engine leaves them alone.
-  geo::Placement placement = scenario.placement;
   if (dyn.jammer.count > 0) {
     Rng jammer_rng = Rng(seed).split(4);
-    placement = dynamics::with_jammers(placement, dyn.jammer.count,
-                                       spec.region_m, jammer_rng);
+    placement_ = dynamics::with_jammers(placement_, dyn.jammer.count,
+                                        spec.region_m, jammer_rng);
   }
   sim::SimulatorConfig sim_cfg{spec.criterion()};
   sim_cfg.seed = seed;
   sim_cfg.engine = spec.engine;
-  std::optional<sim::Simulator> sim_box;
-  const auto model = std::make_shared<radio::FreeSpacePropagation>();
+  const auto model = propagation_model(spec, seed);
   if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
-    // Lazy near/far evaluation over the same free-space physics the dense
-    // scenario matrix was built from.
+    // Lazy near/far evaluation over the same physics the scenario matrix
+    // was built from.
     radio::NearFarConfig nf;
     nf.cutoff = radio::Meters{
         spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
     nf.cell = radio::Meters{spec.engine_cell_m};
-    sim_box.emplace(radio::make_nearfar_engine(placement, model, nf), sim_cfg);
+    sim_.emplace(radio::make_nearfar_engine(placement_, model, nf), sim_cfg);
   } else if (dyn.jammer.count > 0) {
-    sim_box.emplace(radio::make_dense_gains(placement, *model), sim_cfg);
+    sim_.emplace(radio::make_dense_gains(placement_, *model), sim_cfg);
   } else {
     // The simulator's engine keeps its own matrix; nothing below reads
-    // scenario.gains, so hand it over rather than copy M x M gains.
-    sim_box.emplace(std::move(scenario.gains), sim_cfg);
+    // scenario_.gains, so hand it over rather than copy M x M gains.
+    sim_.emplace(std::move(scenario_.gains), sim_cfg);
   }
-  sim::Simulator& sim = *sim_box;
   if (dyn.mobility_enabled() &&
       spec.engine != radio::InterferenceEngineKind::kNearFar)
-    sim.enable_mobility(placement, model);
-  std::unique_ptr<audit::InvariantAuditor> auditor;
+    sim_->enable_mobility(placement_, model);
   if (spec.audit) {
-    auditor = std::make_unique<audit::InvariantAuditor>(sim);
-    sim.add_observer(auditor.get());
+    auditor_ = std::make_unique<audit::InvariantAuditor>(*sim_);
+    sim_->add_observer(auditor_.get());
   }
+}
+
+Trial::~Trial() = default;
+
+TrialResult Trial::run() {
+  DRN_EXPECTS(!ran_);  // the scheme MACs are consumed by the first run
+  ran_ = true;
+  const dynamics::DynamicsConfig& dyn = spec_.dynamics;
+  sim::Simulator& sim = *sim_;
   // Churn rejoin factory, built from a pre-run snapshot: a scheme station
   // warm-reboots with its flash-stored config and neighbour table (clock
   // models go stale while it is down; beacons re-fit them), a baseline
   // station reboots stateless.
   dynamics::MacFactory rejoin;
   if (dyn.churn_enabled()) {
-    if (spec.mac == MacKind::kScheme) {
+    if (spec_.mac == MacKind::kScheme) {
       std::vector<core::ScheduledStationConfig> cfgs;
       std::vector<core::NeighborTable> tables;
-      cfgs.reserve(scenario.net.macs.size());
-      tables.reserve(scenario.net.macs.size());
-      for (const auto& mac : scenario.net.macs) {
+      cfgs.reserve(scenario_.net.macs.size());
+      tables.reserve(scenario_.net.macs.size());
+      for (const auto& mac : scenario_.net.macs) {
         cfgs.push_back(mac->config());
         tables.push_back(mac->neighbors());
       }
@@ -203,26 +236,26 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
         return std::make_unique<core::ScheduledStation>(cfgs[s], tables[s]);
       };
     } else {
-      rejoin = [spec](StationId) { return make_baseline_mac(spec); };
+      rejoin = [spec = spec_](StationId) { return make_baseline_mac(spec); };
     }
   }
-  install_macs(sim, scenario, spec);
+  install_macs(sim, scenario_, spec_);
   if (dyn.jammer.count > 0)
-    dynamics::install_jammers(sim, spec.stations, dyn.jammer);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
+    dynamics::install_jammers(sim, spec_.stations, dyn.jammer);
+  sim.set_router(scenario_.tables.router());
+  Rng traffic_rng = Rng(seed_).split(2);
   for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.placement.size()), traffic_rng))
+           spec_.rate_pps, spec_.duration_s, scenario_.net.packet_bits,
+           sim::uniform_pairs(spec_.stations), traffic_rng))
     sim.inject(inj.time_s, inj.packet);
-  const double total = spec.duration_s + spec.drain_s;
+  const double total = spec_.duration_s + spec_.drain_s;
   std::optional<dynamics::DynamicsEngine> driver;
   if (dyn.enabled()) {
     dynamics::DynamicsConfig dc = dyn;
     if (dc.mobility_enabled() && dc.mobility_region_m <= 0.0)
-      dc.mobility_region_m = spec.region_m;
-    driver.emplace(dc, sim, placement, spec.stations, std::move(rejoin),
-                   Rng(seed).split(3));
+      dc.mobility_region_m = spec_.region_m;
+    driver.emplace(dc, sim, placement_, spec_.stations, std::move(rejoin),
+                   Rng(seed_).split(3));
     driver->run(total);
   } else {
     sim.run_until(total);
@@ -237,13 +270,17 @@ TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
     result.median_recovery_s =
         samples.empty() ? 0.0 : samples[samples.size() / 2];
   }
-  if (auditor) {
-    auditor->finalize(total);
-    auditor->cross_check(sim.metrics());
-    result.audit_checks = auditor->checks_run();
-    result.audit_violations = auditor->violation_count();
+  if (auditor_) {
+    auditor_->finalize(total);
+    auditor_->cross_check(sim.metrics());
+    result.audit_checks = auditor_->checks_run();
+    result.audit_violations = auditor_->violation_count();
   }
   return result;
+}
+
+TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
+  return Trial(spec, seed).run();
 }
 
 const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,

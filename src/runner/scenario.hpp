@@ -1,7 +1,8 @@
-// Declarative scenario assembly + single-trial execution for the experiment
-// runner. This is the scenario logic the bench binaries used to carry
-// privately in bench/common.hpp, promoted to a library so sweeps, tools and
-// benches share one definition.
+// Declarative scenario assembly + single-trial execution: the one place a
+// trial is wired. drn_sim, drn_sweep and the golden-digest tests run whole
+// trials through Trial / run_trial; benches and tests that need a
+// random-disc network on a simulator of their own take it from
+// make_scenario.
 //
 // A trial is a pure function of (ScenarioSpec, seed): it builds a fresh
 // placement, propagation matrix, network and simulator, runs Poisson traffic
@@ -25,6 +26,10 @@
 #include "routing/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+
+namespace drn::audit {
+class InvariantAuditor;
+}
 
 namespace drn::runner {
 
@@ -59,6 +64,8 @@ struct Scenario {
   routing::RoutingTables tables;
 };
 
+/// make_scenario(spec, seed) for a free-space network at the Section 6
+/// design point (scheme_criterion()), under `net_cfg`.
 [[nodiscard]] Scenario make_scenario(std::size_t stations, double region_m,
                                      std::uint64_t seed,
                                      core::ScheduledNetworkConfig net_cfg);
@@ -77,6 +84,12 @@ struct ScenarioSpec {
   double bandwidth_hz = 200.0e6;
   double data_rate_bps = 1.0e6;
   double margin_db = 5.0;
+  /// Propagation: free space (1/r²) unless dual_slope_breakpoint_m > 0,
+  /// which selects the two-ray model (1/r² out to the breakpoint, 1/r⁴
+  /// beyond); shadowing_db > 0 adds log-normal shadowing of that sigma,
+  /// drawn per station pair from the trial seed.
+  double dual_slope_breakpoint_m = 0.0;
+  double shadowing_db = 0.0;
   /// Baseline-MAC knobs (the Section 8 comparison defaults).
   double baseline_power_w = 1.0e-4;
   int baseline_max_retries = 6;
@@ -145,6 +158,8 @@ struct TrialResult {
   /// documents, whose bytes must not depend on queue internals.
   std::uint64_t events_processed = 0;
   std::uint64_t peak_queue_bytes = 0;
+
+  friend bool operator==(const TrialResult&, const TrialResult&) = default;
 };
 
 /// Extracts a TrialResult from a finished simulator's metrics.
@@ -162,14 +177,68 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
 [[nodiscard]] std::unique_ptr<sim::MacProtocol> make_baseline_mac(
     const ScenarioSpec& spec);
 
-/// Builds the scenario for (spec, seed), runs it, and summarises. The whole
-/// trial is deterministic in its two arguments.
+/// The propagation model of a trial of `spec` drawn with `seed`.
+[[nodiscard]] std::shared_ptr<const radio::PropagationModel> propagation_model(
+    const ScenarioSpec& spec, std::uint64_t seed);
+
+/// Builds the scenario for (spec, seed): placement, gains under
+/// propagation_model(spec, seed), the scheduled network under
+/// spec.criterion() and spec.net, and min-energy routes. `connected`, when
+/// given, receives whether the routing graph spans every station. Refuses
+/// M > radio::kDenseMatrixGuardM (the gains are a dense matrix).
+[[nodiscard]] Scenario make_scenario(const ScenarioSpec& spec,
+                                     std::uint64_t seed,
+                                     bool* connected = nullptr);
+
+/// One trial of (spec, seed), fully wired: scenario, simulator (jammers and
+/// mobility included) and, when spec.audit is set, an invariant auditor.
+/// Construction stops before any MAC, route or packet is installed, so a
+/// caller can attach its own observers to simulator() first; run() then
+/// installs MACs, jammers, router and traffic, drives the loop (through a
+/// dynamics::DynamicsEngine when spec.dynamics is enabled) and summarises.
+class Trial {
+ public:
+  Trial(const ScenarioSpec& spec, std::uint64_t seed);
+  ~Trial();
+  Trial(const Trial&) = delete;
+  Trial& operator=(const Trial&) = delete;
+
+  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
+
+  /// Runs the trial to duration_s + drain_s. Call once.
+  TrialResult run();
+
+  /// Whether the min-energy routing graph spans every station.
+  [[nodiscard]] bool connected() const { return connected_; }
+  /// The routing tables; their trees are built as run() queries them.
+  [[nodiscard]] const routing::RoutingTables& tables() const {
+    return scenario_.tables;
+  }
+  /// The spec.audit auditor (null otherwise), finalised by run().
+  [[nodiscard]] const audit::InvariantAuditor* auditor() const {
+    return auditor_.get();
+  }
+
+ private:
+  ScenarioSpec spec_;
+  std::uint64_t seed_;
+  bool connected_ = false;
+  Scenario scenario_;
+  geo::Placement placement_;  // scenario placement plus any jammers
+  std::optional<sim::Simulator> sim_;
+  std::unique_ptr<audit::InvariantAuditor> auditor_;
+  bool ran_ = false;
+};
+
+/// Trial(spec, seed).run(): the whole trial, deterministic in its two
+/// arguments.
 [[nodiscard]] TrialResult run_trial(const ScenarioSpec& spec,
                                     std::uint64_t seed);
 
 /// Installs the scheme MACs + min-energy router and runs Poisson
-/// uniform-pair traffic; returns the metrics for inspection. (The historical
-/// bench/common.hpp helper, kept for the fig/tab binaries.)
+/// uniform-pair traffic; returns the metrics for inspection. For benches and
+/// tests that run a make_scenario network on a Simulator they configured
+/// themselves.
 const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
                                double packets_per_s, double duration_s,
                                std::uint64_t traffic_seed, double drain_s = 60.0);

@@ -14,16 +14,16 @@ std::uint64_t trial_seed(std::uint64_t master_seed, std::uint64_t trial_index) {
   return master.split(trial_index)();
 }
 
-std::vector<Trial> expand(const SweepSpec& spec) {
+std::vector<SweepTrial> expand(const SweepSpec& spec) {
   DRN_EXPECTS(spec.seeds > 0);
-  std::vector<Trial> trials;
+  std::vector<SweepTrial> trials;
   trials.reserve(spec.trial_count());
   for (std::size_t m : spec.stations)
     for (double region : spec.region_m)
       for (MacKind mac : spec.macs)
         for (double rate : spec.rates_pps)
           for (std::size_t rep = 0; rep < spec.seeds; ++rep) {
-            Trial t;
+            SweepTrial t;
             t.index = trials.size();
             t.point = ParamPoint{m, region, mac, rate};
             t.replicate = rep;
@@ -34,7 +34,8 @@ std::vector<Trial> expand(const SweepSpec& spec) {
   return trials;
 }
 
-ScenarioSpec trial_scenario(const SweepSpec& spec, const Trial& trial) {
+ScenarioSpec trial_scenario(const SweepSpec& spec,
+                            const SweepTrial& trial) {
   ScenarioSpec s = spec.base;
   s.stations = trial.point.stations;
   s.region_m = trial.point.region_m;
@@ -57,7 +58,7 @@ SweepResult run_sweep(
   std::atomic<std::size_t> done{0};
   ThreadPool pool(out.jobs);
   parallel_for(pool, out.trials.size(), [&](std::size_t i) {
-    const Trial& trial = out.trials[i];
+    const SweepTrial& trial = out.trials[i];
     out.results[i] = run_trial(trial_scenario(spec, trial), trial.seed);
     const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (progress) progress(d, out.trials.size());
@@ -72,7 +73,7 @@ std::vector<PointSummary> summarize(const SweepSpec& spec,
                                     const SweepResult& result) {
   std::vector<PointSummary> points;
   for (std::size_t i = 0; i < result.trials.size(); ++i) {
-    const Trial& trial = result.trials[i];
+    const SweepTrial& trial = result.trials[i];
     if (trial.replicate == 0) {
       PointSummary p;
       p.point = trial.point;
@@ -167,7 +168,7 @@ void write_results_json(std::ostream& os, const SweepSpec& spec,
 
   w.key("trials").begin_array();
   for (std::size_t i = 0; i < result.trials.size(); ++i) {
-    const Trial& t = result.trials[i];
+    const SweepTrial& t = result.trials[i];
     const TrialResult& r = result.results[i];
     w.begin_object();
     w.key("index").value(t.index);

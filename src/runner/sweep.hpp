@@ -59,7 +59,7 @@ struct ParamPoint {
 };
 
 /// One unit of work: a parameter point plus a seed replicate.
-struct Trial {
+struct SweepTrial {
   std::size_t index = 0;      // position in the expanded sweep
   ParamPoint point;
   std::size_t replicate = 0;  // 0 .. seeds-1
@@ -72,11 +72,11 @@ struct Trial {
 
 /// Expands the spec into its trial list: axes vary slowest-to-fastest in the
 /// order stations, region, mac, rate, replicate; index is the row number.
-[[nodiscard]] std::vector<Trial> expand(const SweepSpec& spec);
+[[nodiscard]] std::vector<SweepTrial> expand(const SweepSpec& spec);
 
 /// Builds the full ScenarioSpec for one trial.
 [[nodiscard]] ScenarioSpec trial_scenario(const SweepSpec& spec,
-                                          const Trial& trial);
+                                          const SweepTrial& trial);
 
 /// Per-point aggregation of the replicate results.
 struct PointSummary {
@@ -94,7 +94,7 @@ struct PointSummary {
 };
 
 struct SweepResult {
-  std::vector<Trial> trials;
+  std::vector<SweepTrial> trials;
   /// results[i] belongs to trials[i].
   std::vector<TrialResult> results;
   /// Measured execution facts — NOT written into the results document.

@@ -11,16 +11,9 @@ namespace {
 
 std::unique_ptr<radio::InterferenceEngine> engine_from_matrix(
     radio::PropagationMatrix gains, radio::InterferenceEngineKind kind) {
-  switch (kind) {
-    case radio::InterferenceEngineKind::kDense:
-      return radio::make_dense_engine(std::move(gains));
-    case radio::InterferenceEngineKind::kCompensated:
-      return radio::make_compensated_engine(std::move(gains));
-    case radio::InterferenceEngineKind::kNearFar:
-      break;  // needs station geometry; use the engine constructor
-  }
-  DRN_EXPECTS(kind != radio::InterferenceEngineKind::kNearFar);
-  return nullptr;
+  // The near/far engine needs station geometry; use the engine constructor.
+  DRN_EXPECTS(kind == radio::InterferenceEngineKind::kCompensated);
+  return radio::make_compensated_engine(std::move(gains));
 }
 
 std::size_t station_count_of(const radio::InterferenceEngine* engine) {

@@ -57,7 +57,8 @@ namespace drn::sim {
 
 class Simulator final : public MacContext, private RadioMedium::Client {
  public:
-  /// Builds a dense-matrix engine of config.engine's kind over `gains`.
+  /// Builds the compensated matrix engine over `gains` (config.engine must
+  /// name it).
   Simulator(radio::PropagationMatrix gains, SimulatorConfig config);
   /// Adopts a ready-made engine (the only route to the near/far engine).
   Simulator(std::unique_ptr<radio::InterferenceEngine> engine,

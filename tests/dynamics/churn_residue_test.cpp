@@ -81,10 +81,6 @@ void run_abort_under_reception(radio::InterferenceEngineKind kind) {
   }
 }
 
-TEST(ChurnResidue, AbortMidTransmissionLeavesNoResidueDense) {
-  run_abort_under_reception(radio::InterferenceEngineKind::kDense);
-}
-
 TEST(ChurnResidue, AbortMidTransmissionLeavesNoResidueCompensated) {
   run_abort_under_reception(radio::InterferenceEngineKind::kCompensated);
 }

@@ -17,6 +17,7 @@
 #include "radio/reception.hpp"
 #include "sim/simulator.hpp"
 #include "helpers/scenario.hpp"
+#include "runner/scenario.hpp"
 #include "helpers/test_macs.hpp"
 
 namespace drn::dynamics {
@@ -158,7 +159,7 @@ TEST(DynamicsEngine, DriftRampsReachTheMac) {
 // -- scheme-level churn behaviour: re-discovery and ghost eviction ----------
 
 struct SchemeChurnRig {
-  testing::Scenario scenario;
+  runner::Scenario scenario;
   std::unique_ptr<sim::Simulator> sim;
   std::vector<core::ScheduledStation*> macs;  // borrowed; sim owns them
   std::vector<core::ScheduledStationConfig> cfgs;
@@ -173,9 +174,9 @@ SchemeChurnRig scheme_rig(double beacon_s, double timeout_s) {
   net.beacon_interval_s = beacon_s;
   net.neighbor_timeout_s = timeout_s;
   net.readopt_neighbors = true;
-  SchemeChurnRig rig{testing::make_scenario(10, 500.0, 77, net), {}, {}, {},
+  SchemeChurnRig rig{runner::make_scenario(10, 500.0, 77, net), {}, {}, {},
                      {}};
-  sim::SimulatorConfig cfg{testing::scheme_criterion()};
+  sim::SimulatorConfig cfg{runner::scheme_criterion()};
   cfg.seed = 77;
   rig.sim = std::make_unique<sim::Simulator>(rig.scenario.gains, cfg);
   for (const auto& mac : rig.scenario.net.macs) {

@@ -1,30 +1,14 @@
-// End-to-end scenario assembly shared by the integration tests: placement ->
-// propagation matrix -> scheduled network -> min-energy routing -> simulator
-// with Poisson traffic.
+// Audit harness shared by the integration tests: every scenario they run
+// rides an InvariantAuditor along. Scenarios themselves come from
+// runner::make_scenario / runner::Trial, the product path.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <utility>
-
 #include "audit/invariant_auditor.hpp"
-#include "core/network_builder.hpp"
-#include "geo/placement.hpp"
-#include "radio/propagation.hpp"
-#include "radio/propagation_matrix.hpp"
-#include "routing/dijkstra.hpp"
-#include "routing/graph.hpp"
 #include "sim/simulator.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn::testing {
-
-/// The paper-flavoured criterion used across integration tests: 1 Mb/s over
-/// 200 MHz (23 dB processing gain) with the 5 dB detection margin.
-inline radio::ReceptionCriterion scheme_criterion() {
-  return radio::ReceptionCriterion(radio::Hertz{200.0e6}, radio::BitsPerSecond{1.0e6}, radio::Decibels{5.0});
-}
 
 /// Rides an InvariantAuditor along on `sim` for the scope's lifetime and
 /// asserts a clean verdict (including the metrics cross-check) on
@@ -50,51 +34,5 @@ class ScopedAudit {
   audit::InvariantAuditor auditor_;
   sim::Simulator* sim_;
 };
-
-struct Scenario {
-  geo::Placement placement;
-  radio::PropagationMatrix gains;
-  core::ScheduledNetwork net;
-  routing::RoutingTables tables;
-};
-
-/// Random-disc scenario with min-energy routing over the builder's neighbour
-/// threshold. Deterministic in `seed`.
-inline Scenario make_scenario(std::size_t stations, double region_m,
-                              std::uint64_t seed,
-                              core::ScheduledNetworkConfig net_cfg = {}) {
-  Rng rng(seed);
-  auto placement = geo::uniform_disc(stations, region_m, rng);
-  const radio::FreeSpacePropagation model;
-  auto gains = radio::PropagationMatrix::from_placement(placement, model);
-  Rng build_rng = rng.split(1);
-  auto net =
-      build_scheduled_network(gains, scheme_criterion(), net_cfg, build_rng);
-  const double min_gain = net_cfg.target_received_w / net_cfg.max_power_w;
-  const auto graph = routing::Graph::min_energy(gains, min_gain);
-  auto tables = routing::RoutingTables::build(graph);
-  return Scenario{std::move(placement), std::move(gains), std::move(net),
-                  std::move(tables)};
-}
-
-/// Runs Poisson traffic over the scenario's scheduled MACs and min-energy
-/// routes. Consumes the scenario's MACs. Traffic is uniform random pairs
-/// (multihop) and the run continues past the arrival window until queues
-/// drain (drain_s).
-inline const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
-                                      double packets_per_s, double duration_s,
-                                      std::uint64_t traffic_seed,
-                                      double drain_s = 60.0) {
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, std::move(scenario.net.macs[s]));
-  sim.set_router(scenario.tables.router());
-  Rng rng(traffic_seed);
-  const auto traffic = sim::poisson_traffic(
-      packets_per_s, duration_s, scenario.net.packet_bits,
-      sim::uniform_pairs(scenario.gains.size()), rng);
-  for (const auto& inj : traffic) sim.inject(inj.time_s, inj.packet);
-  sim.run_until(duration_s + drain_s);
-  return sim.metrics();
-}
 
 }  // namespace drn::testing

@@ -5,133 +5,77 @@
 // despite the baselines enjoying free genie acknowledgements.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 
-#include "baselines/aloha.hpp"
-#include "baselines/csma.hpp"
-#include "baselines/slotted_aloha.hpp"
-#include "helpers/scenario.hpp"
+#include "runner/scenario.hpp"
 
 namespace drn::testing {
 namespace {
 
-core::ScheduledNetworkConfig net_config() {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  cfg.exact_clock_models = true;
-  return cfg;
+/// 30 stations in a 900 m disc under aggressive load (400 pkt/s). Trials of
+/// one seed share placement, routes and offered traffic, whatever the MAC.
+runner::ScenarioSpec comparison_spec(runner::MacKind mac) {
+  runner::ScenarioSpec spec;
+  spec.stations = 30;
+  spec.region_m = 900.0;
+  spec.mac = mac;
+  spec.rate_pps = 400.0;
+  spec.duration_s = 2.0;
+  spec.net.exact_clock_models = true;
+  spec.baseline_power_w = 1.0e-4;  // comparable radiated power
+  spec.audit = true;
+  return spec;
 }
 
-struct RunOutcome {
-  double delivery = 0.0;
-  std::uint64_t collisions = 0;
-  std::uint64_t attempts = 0;
-};
+/// run_trial with its invariant auditor required clean.
+runner::TrialResult audited(const runner::ScenarioSpec& spec,
+                            std::uint64_t seed) {
+  const runner::TrialResult r = runner::run_trial(spec, seed);
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  return r;
+}
 
-/// Runs `traffic` under baseline MACs built by `make_mac`, with the same
-/// routes as the scheme run.
-template <typename MakeMac>
-RunOutcome run_baseline(const Scenario& scenario, MakeMac&& make_mac,
-                        double packets_per_s, double duration_s,
-                        std::uint64_t traffic_seed) {
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, make_mac());
-  sim.set_router(scenario.tables.router());
-  Rng rng(traffic_seed);
-  const auto traffic = sim::poisson_traffic(
-      packets_per_s, duration_s, scenario.net.packet_bits,
-      sim::uniform_pairs(scenario.gains.size()), rng);
-  for (const auto& inj : traffic) sim.inject(inj.time_s, inj.packet);
-  sim.run_until(duration_s + 60.0);
-  RunOutcome out;
-  out.delivery = sim.metrics().delivery_ratio();
-  out.collisions = sim.metrics().total_hop_losses();
-  out.attempts = sim.metrics().hop_attempts();
-  return out;
+std::uint64_t collisions(const runner::TrialResult& r) {
+  return r.type1_losses + r.type2_losses + r.type3_losses;
 }
 
 TEST(BaselineComparison, SchemeBeatsRandomAccessUnderLoad) {
   const std::uint64_t seed = 101;
-  const double rate = 400.0;  // aggressive load
-  const double duration = 2.0;
-
-  auto scheme_scenario = make_scenario(30, 900.0, seed, net_config());
-  // Baselines share topology/routes but need their own (unconsumed) copy.
-  auto baseline_scenario = make_scenario(30, 900.0, seed, net_config());
-
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator scheme_sim(scheme_scenario.gains, sc);
-  ScopedAudit audited_scheme(scheme_sim);
-  const auto& scheme =
-      run_scheme(scheme_scenario, scheme_sim, rate, duration, seed);
-
-  baselines::ContentionConfig cc;
-  cc.power_w = 1.0e-4;  // comparable radiated power
-  cc.max_retries = 6;
-  cc.backoff_mean_s = 0.01;
-  const auto aloha = run_baseline(
-      baseline_scenario,
-      [&] { return std::make_unique<baselines::PureAloha>(cc); }, rate,
-      duration, seed);
+  const auto scheme = audited(comparison_spec(runner::MacKind::kScheme), seed);
+  const auto aloha = audited(comparison_spec(runner::MacKind::kAloha), seed);
 
   // The scheme: zero collision losses. ALOHA: real collision losses.
-  EXPECT_EQ(scheme.total_hop_losses(), 0u);
-  EXPECT_GT(aloha.collisions, 0u);
-  EXPECT_GE(scheme.delivery_ratio(), aloha.delivery);
+  EXPECT_EQ(collisions(scheme), 0u);
+  EXPECT_GT(collisions(aloha), 0u);
+  EXPECT_GE(scheme.delivery_ratio, aloha.delivery_ratio);
   // The scheme spends exactly one transmission per hop; ALOHA burns extra
   // attempts on retries of collided packets.
-  EXPECT_EQ(scheme.hop_attempts(), scheme.hop_successes());
-  EXPECT_GT(aloha.attempts, scheme.hop_attempts());
+  EXPECT_EQ(scheme.hop_attempts, scheme.hop_successes);
+  EXPECT_GT(aloha.hop_attempts, scheme.hop_attempts);
 }
 
 TEST(BaselineComparison, CsmaSuffersHiddenTerminalsTheSchemeDoesNot) {
   const std::uint64_t seed = 103;
-  const double rate = 400.0;
-  const double duration = 2.0;
-
-  auto scheme_scenario = make_scenario(30, 900.0, seed, net_config());
-  auto baseline_scenario = make_scenario(30, 900.0, seed, net_config());
-
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator scheme_sim(scheme_scenario.gains, sc);
-  ScopedAudit audited_scheme(scheme_sim);
-  const auto& scheme =
-      run_scheme(scheme_scenario, scheme_sim, rate, duration, seed);
-
-  baselines::ContentionConfig cc;
-  cc.power_w = 1.0e-4;
-  cc.max_retries = 6;
-  cc.backoff_mean_s = 0.005;
+  const auto scheme = audited(comparison_spec(runner::MacKind::kScheme), seed);
+  auto spec = comparison_spec(runner::MacKind::kCsma);
+  spec.baseline_backoff_mean_s = 0.005;
   // Sense threshold ~ the power a 200 m neighbour delivers.
-  const auto csma = run_baseline(
-      baseline_scenario,
-      [&] { return std::make_unique<baselines::CsmaMac>(cc, 2.5e-9); }, rate,
-      duration, seed);
+  spec.csma_sense_threshold_w = 2.5e-9;
+  const auto csma = audited(spec, seed);
 
-  EXPECT_EQ(scheme.total_hop_losses(), 0u);
-  EXPECT_GT(csma.collisions, 0u);
-  EXPECT_GE(scheme.delivery_ratio(), csma.delivery);
+  EXPECT_EQ(collisions(scheme), 0u);
+  EXPECT_GT(collisions(csma), 0u);
+  EXPECT_GE(scheme.delivery_ratio, csma.delivery_ratio);
 }
 
 TEST(BaselineComparison, SlottedAlohaStillCollides) {
-  const std::uint64_t seed = 105;
-  auto scenario = make_scenario(30, 900.0, seed, net_config());
-  baselines::ContentionConfig cc;
-  cc.power_w = 1.0e-4;
-  cc.max_retries = 4;
-  cc.backoff_mean_s = 0.02;
-  const auto slotted = run_baseline(
-      scenario,
-      [&] {
-        return std::make_unique<baselines::SlottedAloha>(cc, 0.0025);
-      },
-      400.0, 2.0, seed);
-  EXPECT_GT(slotted.collisions, 0u);
-  EXPECT_LT(slotted.delivery, 1.0);
+  auto spec = comparison_spec(runner::MacKind::kSlottedAloha);
+  spec.baseline_max_retries = 4;
+  spec.baseline_backoff_mean_s = 0.02;
+  const auto slotted = audited(spec, 105);  // slots of net.slot_s / 4
+  EXPECT_GT(collisions(slotted), 0u);
+  EXPECT_LT(slotted.delivery_ratio, 1.0);
 }
 
 }  // namespace

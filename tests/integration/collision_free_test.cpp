@@ -5,27 +5,21 @@
 // models, with only a single transmission per hop and no global coordination.
 #include <gtest/gtest.h>
 
+#include "core/network_builder.hpp"
+#include "geo/placement.hpp"
 #include "helpers/scenario.hpp"
+#include "radio/propagation.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
 
-core::ScheduledNetworkConfig multihop_config() {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;  // reach ~400 m
-  cfg.exact_clock_models = false;
-  cfg.max_drift_ppm = 20.0;
-  cfg.rendezvous_count = 4;
-  cfg.rendezvous_noise_s = 1.0e-6;
-  cfg.guard_fraction = 0.02;
-  return cfg;
-}
-
 class CollisionFree : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
-  auto scenario = make_scenario(40, 1000.0, GetParam(), multihop_config());
+  auto scenario =
+      runner::make_scenario(40, 1000.0, GetParam(), runner::multihop_config());
 
   // Fraction of ordered pairs the topology can route at all (random discs
   // leave some fringe stations disconnected at this reach).
@@ -37,11 +31,11 @@ TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
   const double routable_fraction =
       static_cast<double>(routable) / static_cast<double>(n * (n - 1));
 
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sc.seed = GetParam();
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, /*packets_per_s=*/150.0,
+  const auto& m = runner::run_scheme(scenario, sim, /*packets_per_s=*/150.0,
                              /*duration_s=*/2.0, /*traffic_seed=*/GetParam());
 
   EXPECT_GT(m.offered(), 100u);
@@ -63,13 +57,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CollisionFree,
 class ReceiveFractionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ReceiveFractionSweep, CollisionFreedomHoldsAcrossDutyCycles) {
-  auto cfg = multihop_config();
+  auto cfg = runner::multihop_config();
   cfg.receive_fraction = GetParam();
-  auto scenario = make_scenario(30, 900.0, 7, cfg);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  auto scenario = runner::make_scenario(30, 900.0, 7, cfg);
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 100.0, 2.0, 7);
+  const auto& m = runner::run_scheme(scenario, sim, 100.0, 2.0, 7);
   EXPECT_EQ(m.losses(sim::LossType::kType2), 0u) << "p " << GetParam();
   EXPECT_EQ(m.losses(sim::LossType::kType3), 0u) << "p " << GetParam();
   EXPECT_GT(m.delivered(), 0u);
@@ -82,15 +76,15 @@ TEST(CollisionFreeEdge, InsufficientGuardBreaksTheInvariant) {
   // Falsification control: with drifting clocks, noisy rendezvous and NO
   // guard, predictions miss receive windows and Type 3 losses reappear —
   // demonstrating the guard is load-bearing, not decorative.
-  auto cfg = multihop_config();
+  auto cfg = runner::multihop_config();
   cfg.guard_fraction = 0.0;
   cfg.rendezvous_noise_s = 2.0e-3;  // 20% of a slot: hopeless predictions
   cfg.max_drift_ppm = 100.0;
-  auto scenario = make_scenario(30, 900.0, 13, cfg);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  auto scenario = runner::make_scenario(30, 900.0, 13, cfg);
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 150.0, 2.0, 13);
+  const auto& m = runner::run_scheme(scenario, sim, 150.0, 2.0, 13);
   EXPECT_GT(m.total_hop_losses(), 0u);
 }
 
@@ -118,10 +112,10 @@ TEST(CollisionFreeEdge, RespectingThirdPartyWindowsPreventsType1) {
     cfg.exact_clock_models = true;
     cfg.respect_third_party_windows = respect;
     Rng build_rng(61);
-    auto net = core::build_scheduled_network(gains, scheme_criterion(), cfg,
-                                             build_rng);
+    auto net = core::build_scheduled_network(
+        gains, runner::scheme_criterion(), cfg, build_rng);
 
-    sim::SimulatorConfig sc{scheme_criterion()};
+    sim::SimulatorConfig sc{runner::scheme_criterion()};
     sim::Simulator sim(gains, sc);
     ScopedAudit audited(sim);
     for (StationId s = 0; s < 4; ++s) sim.set_mac(s, std::move(net.macs[s]));
@@ -156,11 +150,12 @@ TEST(CollisionFreeEdge, SingleTransmissionPerHop) {
   // "at each hop requires no per-packet transmissions other than the single
   // transmission used to convey the packet": hop attempts == hop successes
   // (+ nothing), and attempts == delivered packets' total hop count.
-  auto scenario = make_scenario(25, 800.0, 21, multihop_config());
-  sim::SimulatorConfig sc{scheme_criterion()};
+  auto scenario =
+      runner::make_scenario(25, 800.0, 21, runner::multihop_config());
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 100.0, 2.0, 21);
+  const auto& m = runner::run_scheme(scenario, sim, 100.0, 2.0, 21);
   EXPECT_EQ(m.hop_attempts(), m.hop_successes());
   const double total_hops = m.hops().sum();
   EXPECT_DOUBLE_EQ(static_cast<double>(m.hop_attempts()), total_hops);

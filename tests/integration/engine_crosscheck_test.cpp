@@ -8,76 +8,36 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "audit/invariant_auditor.hpp"
 #include "radio/interference_engine.hpp"
-#include "radio/propagation.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 #include "sim/simulator.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn {
 namespace {
-
-audit::AuditConfig recording_config(const sim::Simulator& sim) {
-  audit::AuditConfig cfg;
-  cfg.stations = sim.station_count();
-  cfg.despreading_channels = sim.config().despreading_channels;
-  cfg.thermal_noise = drn::units::Watts{sim.config().thermal_noise_w};
-  cfg.bandwidth = sim.config().criterion.bandwidth();
-  cfg.margin = sim.config().criterion.margin();
-  cfg.record_receptions = true;
-  return cfg;
-}
 
 struct AuditedRun {
   runner::TrialResult result;
   std::unique_ptr<audit::InvariantAuditor> auditor;
 };
 
-/// runner::run_trial with a recording auditor riding along (the runner's own
+/// A runner::Trial with a recording auditor riding along (the runner's own
 /// audit path records no per-reception outcomes, which the engine
 /// cross-check needs).
 AuditedRun run_audited(const runner::ScenarioSpec& spec, std::uint64_t seed) {
-  auto scenario =
-      runner::make_scenario(spec.stations, spec.region_m, seed, spec.net);
-  sim::SimulatorConfig sim_cfg{spec.criterion()};
-  sim_cfg.seed = seed;
-  sim_cfg.engine = spec.engine;
-  std::optional<sim::Simulator> sim_box;
-  if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
-    radio::NearFarConfig nf;
-    nf.cutoff = radio::Meters{
-        spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
-    nf.cell = radio::Meters{spec.engine_cell_m};
-    sim_box.emplace(
-        radio::make_nearfar_engine(scenario.placement,
-                                   std::make_shared<radio::FreeSpacePropagation>(),
-                                   nf),
-        sim_cfg);
-  } else {
-    sim_box.emplace(scenario.gains, sim_cfg);
-  }
-  sim::Simulator& sim = *sim_box;
-  auto auditor =
-      std::make_unique<audit::InvariantAuditor>(recording_config(sim));
+  runner::Trial trial(spec, seed);
+  sim::Simulator& sim = trial.simulator();
+  audit::AuditConfig recording = audit::config_from(sim);
+  recording.record_receptions = true;
+  auto auditor = std::make_unique<audit::InvariantAuditor>(recording);
   sim.add_observer(auditor.get());
-  runner::install_macs(sim, scenario, spec);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
-  for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
+  AuditedRun out{trial.run(), std::move(auditor)};
   const double total = spec.duration_s + spec.drain_s;
-  sim.run_until(total);
-  AuditedRun out;
-  out.result = runner::summarize(sim.metrics(), total);
-  auditor->finalize(total);
-  auditor->cross_check(sim.metrics());
-  return AuditedRun{out.result, std::move(auditor)};
+  out.auditor->finalize(total);
+  out.auditor->cross_check(sim.metrics());
+  return out;
 }
 
 /// Per-far-field-term relative gain error of the near/far engine: both
@@ -105,55 +65,28 @@ void expect_headline_metrics_close(const runner::TrialResult& approx,
               static_cast<double>(exact.type3_losses), slack);
 }
 
-TEST(EngineCrossCheck, SchemeOnTabSec8Seed) {
-  // The tab_sec8 100-station point (region 1600 m, Poisson 400 pkt/s,
-  // master seed 606) at a shortened offer window.
+/// The tab_sec8 100-station point (region 1600 m, Poisson 400 pkt/s,
+/// master seed 606) at a shortened offer window.
+runner::ScenarioSpec tab_sec8_point(runner::MacKind mac, double drain_s) {
   runner::ScenarioSpec spec;
   spec.stations = 100;
   spec.region_m = 1600.0;
-  spec.mac = runner::MacKind::kScheme;
+  spec.mac = mac;
   spec.rate_pps = 400.0;
   spec.duration_s = 1.0;
-  spec.drain_s = 60.0;
-  const std::uint64_t seed = runner::trial_seed(606, 0);
-
-  spec.engine = radio::InterferenceEngineKind::kCompensated;
-  auto exact = run_audited(spec, seed);
-  EXPECT_TRUE(exact.auditor->ok()) << exact.auditor->report();
-
-  spec.engine = radio::InterferenceEngineKind::kNearFar;
-  spec.engine_cutoff_m = 800.0;  // 2x the 400 m free-space reach
-  auto approx = run_audited(spec, seed);
-  EXPECT_TRUE(approx.auditor->ok()) << approx.auditor->report();
-
-  radio::NearFarConfig nf;
-  nf.cutoff = radio::Meters{spec.engine_cutoff_m};
-  approx.auditor->cross_check_engine(*exact.auditor, far_field_bound(nf));
-  EXPECT_TRUE(approx.auditor->ok()) << approx.auditor->report();
-  EXPECT_GT(exact.auditor->recorded_receptions().size(), 100u);
-  expect_headline_metrics_close(approx.result, exact.result);
+  spec.drain_s = drain_s;
+  return spec;
 }
 
-TEST(EngineCrossCheck, AlohaLossMixOnTabSec8Seed) {
-  // ALOHA generates real collision losses — the loss-type mix actually
-  // exercises interference-driven outcomes, unlike the (collision-free)
-  // scheduled scheme.
-  runner::ScenarioSpec spec;
-  spec.stations = 100;
-  spec.region_m = 1600.0;
-  spec.mac = runner::MacKind::kAloha;
-  spec.rate_pps = 400.0;
-  spec.duration_s = 1.0;
-  spec.drain_s = 30.0;
+/// Runs `spec` exactly (compensated) and under near/far with an 800 m cutoff
+/// (2x the 400 m free-space reach). Both audits must pass, and every
+/// recorded reception and the headline metrics must agree within the
+/// far-field bound. Returns the exact run.
+AuditedRun cross_check(runner::ScenarioSpec spec) {
   const std::uint64_t seed = runner::trial_seed(606, 0);
-
   spec.engine = radio::InterferenceEngineKind::kCompensated;
   auto exact = run_audited(spec, seed);
   EXPECT_TRUE(exact.auditor->ok()) << exact.auditor->report();
-  EXPECT_GT(exact.result.type1_losses + exact.result.type2_losses +
-                exact.result.type3_losses,
-            0u)
-      << "workload produced no collisions; the cross-check is vacuous";
 
   spec.engine = radio::InterferenceEngineKind::kNearFar;
   spec.engine_cutoff_m = 800.0;
@@ -165,6 +98,25 @@ TEST(EngineCrossCheck, AlohaLossMixOnTabSec8Seed) {
   approx.auditor->cross_check_engine(*exact.auditor, far_field_bound(nf));
   EXPECT_TRUE(approx.auditor->ok()) << approx.auditor->report();
   expect_headline_metrics_close(approx.result, exact.result);
+  return exact;
+}
+
+TEST(EngineCrossCheck, SchemeOnTabSec8Seed) {
+  const auto exact =
+      cross_check(tab_sec8_point(runner::MacKind::kScheme, 60.0));
+  EXPECT_GT(exact.auditor->recorded_receptions().size(), 100u);
+}
+
+TEST(EngineCrossCheck, AlohaLossMixOnTabSec8Seed) {
+  // ALOHA generates real collision losses — the loss-type mix actually
+  // exercises interference-driven outcomes, unlike the (collision-free)
+  // scheduled scheme.
+  const auto exact =
+      cross_check(tab_sec8_point(runner::MacKind::kAloha, 30.0));
+  EXPECT_GT(exact.result.type1_losses + exact.result.type2_losses +
+                exact.result.type3_losses,
+            0u)
+      << "workload produced no collisions; the cross-check is vacuous";
 }
 
 }  // namespace

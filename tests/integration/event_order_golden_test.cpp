@@ -4,51 +4,33 @@
 // load-bearing contract: every published number depends on events being
 // handled in exactly this order. These tests pin an order-sensitive FNV-1a
 // digest of the full observed event stream (InvariantAuditor::event_hash)
-// for two fixed scenarios. The constants were captured from the
-// std::priority_queue implementation that predates the indexed 4-ary heap —
-// a changed hash means the queue no longer replays history bit-identically,
-// which invalidates every recorded experiment.
+// for three fixed scenarios, run through runner::Trial — the path every
+// tool takes — so a change to the trial's wiring shows up here too. The
+// constants were captured from the std::priority_queue implementation that
+// predates the indexed 4-ary heap — a changed hash means the queue no
+// longer replays history bit-identically, which invalidates every recorded
+// experiment.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "audit/invariant_auditor.hpp"
-#include "core/scheduled_station.hpp"
-#include "dynamics/dynamics.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
-#include "sim/simulator.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn {
 namespace {
 
-/// run_trial's exact wiring with an auditor riding along, returning the
-/// digest of everything it observed.
-std::uint64_t hash_of(const runner::ScenarioSpec& spec, std::uint64_t seed) {
-  auto scenario =
-      runner::make_scenario(spec.stations, spec.region_m, seed, spec.net);
-  sim::SimulatorConfig sim_cfg{spec.criterion()};
-  sim_cfg.seed = seed;
-  sim::Simulator sim(scenario.gains, sim_cfg);
-  audit::InvariantAuditor auditor(sim);
-  sim.add_observer(&auditor);
-  runner::install_macs(sim, scenario, spec);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
-  for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  const double total = spec.duration_s + spec.drain_s;
-  sim.run_until(total);
-  auditor.finalize(total);
-  auditor.cross_check(sim.metrics());
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
-  return auditor.event_hash();
+/// The digest of everything the trial's own auditor observed.
+std::uint64_t hash_of(runner::ScenarioSpec spec, std::uint64_t seed,
+                      runner::TrialResult* result = nullptr) {
+  spec.audit = true;
+  runner::Trial trial(spec, seed);
+  const runner::TrialResult r = trial.run();
+  EXPECT_TRUE(trial.auditor()->ok()) << trial.auditor()->report();
+  EXPECT_EQ(r.audit_violations, 0u);
+  if (result) *result = r;
+  return trial.auditor()->event_hash();
 }
 
 runner::ScenarioSpec golden_spec(runner::MacKind mac) {
@@ -78,10 +60,10 @@ TEST(EventOrderGolden, AlohaHashPinned) {
             kGolden);
 }
 
-/// run_trial's dynamics wiring with the auditor riding along: churn tears
-/// stations down mid-run (abort + rejoin paths), mobility relocates them
-/// between receptions. Pins the ordering contract under dynamics, not just
-/// the static Section 8 runs.
+/// The dynamics path with the auditor riding along: churn tears stations
+/// down mid-run (abort + rejoin paths), mobility relocates them between
+/// receptions. Pins the ordering contract under dynamics, not just the
+/// static Section 8 runs.
 std::uint64_t churn_mobility_hash(std::uint64_t seed) {
   runner::ScenarioSpec spec = golden_spec(runner::MacKind::kScheme);
   // Maintenance beacons so churned stations can re-converge (the same knobs
@@ -94,51 +76,12 @@ std::uint64_t churn_mobility_hash(std::uint64_t seed) {
   spec.dynamics.mobility_speed_mps = 20.0;
   spec.dynamics.mobility_step_s = 0.25;
   spec.dynamics.mobility_region_m = spec.region_m;
-
-  auto scenario =
-      runner::make_scenario(spec.stations, spec.region_m, seed, spec.net);
-  sim::SimulatorConfig sim_cfg{spec.criterion()};
-  sim_cfg.seed = seed;
-  sim::Simulator sim(scenario.gains, sim_cfg);
-  const auto model = std::make_shared<radio::FreeSpacePropagation>();
-  sim.enable_mobility(scenario.placement, model);
-  audit::InvariantAuditor auditor(sim);
-  sim.add_observer(&auditor);
-
-  // Scheme stations warm-reboot with their pre-run config and neighbour
-  // table, exactly as run_trial's rejoin factory does.
-  std::vector<core::ScheduledStationConfig> cfgs;
-  std::vector<core::NeighborTable> tables;
-  cfgs.reserve(scenario.net.macs.size());
-  tables.reserve(scenario.net.macs.size());
-  for (const auto& mac : scenario.net.macs) {
-    cfgs.push_back(mac->config());
-    tables.push_back(mac->neighbors());
-  }
-  dynamics::MacFactory rejoin = [cfgs = std::move(cfgs),
-                                 tables = std::move(tables)](StationId s) {
-    return std::make_unique<core::ScheduledStation>(cfgs[s], tables[s]);
-  };
-
-  runner::install_macs(sim, scenario, spec);
-  sim.set_router(scenario.tables.router());
-  Rng traffic_rng = Rng(seed).split(2);
-  for (const auto& inj : sim::poisson_traffic(
-           spec.rate_pps, spec.duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  const double total = spec.duration_s + spec.drain_s;
-  dynamics::DynamicsEngine driver(spec.dynamics, sim, scenario.placement,
-                                  spec.stations, std::move(rejoin),
-                                  Rng(seed).split(3));
-  driver.run(total);
-  auditor.finalize(total);
-  auditor.cross_check(sim.metrics());
-  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  runner::TrialResult r;
+  const std::uint64_t hash = hash_of(spec, seed, &r);
   // The scenario must actually exercise the dynamics paths it pins.
-  EXPECT_GT(sim.metrics().station_leaves(), 0u);
-  EXPECT_GT(sim.metrics().station_joins(), 0u);
-  return auditor.event_hash();
+  EXPECT_GT(r.station_leaves, 0u);
+  EXPECT_GT(r.station_joins, 0u);
+  return hash;
 }
 
 TEST(EventOrderGolden, ChurnMobilityHashPinned) {

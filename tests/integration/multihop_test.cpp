@@ -6,9 +6,15 @@
 #include <memory>
 
 #include "core/network_builder.hpp"
+#include "geo/placement.hpp"
 #include "helpers/scenario.hpp"
+#include "radio/propagation.hpp"
 #include "routing/bellman_ford.hpp"
+#include "routing/dijkstra.hpp"
+#include "routing/graph.hpp"
 #include "routing/min_energy.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
@@ -25,15 +31,15 @@ TEST(Multihop, ChainDeliversEndToEndWithExpectedHops) {
   cfg.max_power_w = 1.0e-9 * 150.0 * 150.0;  // reach 150 m
   cfg.exact_clock_models = true;
   Rng build_rng(3);
-  auto net = core::build_scheduled_network(gains, scheme_criterion(), cfg,
-                                           build_rng);
+  auto net = core::build_scheduled_network(
+      gains, runner::scheme_criterion(), cfg, build_rng);
 
   const auto graph =
       routing::Graph::min_energy(gains, cfg.target_received_w / cfg.max_power_w);
   ASSERT_TRUE(graph.connected());
   const auto tables = routing::RoutingTables::build(graph);
 
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(gains, sc);
   ScopedAudit audited(sim);
   for (StationId s = 0; s < 6; ++s) sim.set_mac(s, std::move(net.macs[s]));
@@ -52,17 +58,15 @@ TEST(Multihop, ChainDeliversEndToEndWithExpectedHops) {
 }
 
 TEST(Multihop, HopCountsMatchDijkstraOracle) {
-  auto cfg = core::ScheduledNetworkConfig{};
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
+  auto cfg = runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = make_scenario(30, 900.0, 17, cfg);
+  auto scenario = runner::make_scenario(30, 900.0, 17, cfg);
 
   // Pick a handful of connected pairs and check delivered hop counts equal
   // the shortest-path hop counts.
   const auto graph = routing::Graph::min_energy(
       scenario.gains, cfg.target_received_w / cfg.max_power_w);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
   for (StationId s = 0; s < scenario.gains.size(); ++s)
@@ -102,12 +106,12 @@ TEST(Multihop, MinEnergyPrefersRelaysOverDirectBlast) {
   cfg.max_power_w = 1.0;  // everything reachable
   cfg.exact_clock_models = true;
   Rng build_rng(5);
-  auto net = core::build_scheduled_network(gains, scheme_criterion(), cfg,
-                                           build_rng);
+  auto net = core::build_scheduled_network(
+      gains, runner::scheme_criterion(), cfg, build_rng);
   const auto tables = routing::RoutingTables::build(
       routing::Graph::min_energy(gains, 1.0e-9));
 
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(gains, sc);
   ScopedAudit audited(sim);
   for (StationId s = 0; s < 3; ++s) sim.set_mac(s, std::move(net.macs[s]));
@@ -170,9 +174,9 @@ TEST(Multihop, StationChurnRerouteViaBellmanFord) {
   cfg.max_power_w = 1.0e-9 / min_gain;
   cfg.exact_clock_models = true;
   Rng build_rng(6);
-  auto net = core::build_scheduled_network(gains, scheme_criterion(), cfg,
-                                           build_rng);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  auto net = core::build_scheduled_network(
+      gains, runner::scheme_criterion(), cfg, build_rng);
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(gains, sc);
   ScopedAudit audited(sim);
   for (StationId s = 0; s < gains.size(); ++s)
@@ -192,50 +196,32 @@ TEST(Multihop, SchemeWorksUnderDualSlopePropagation) {
   // The whole stack under the obstructed (two-ray) propagation model: the
   // scheme is propagation-agnostic — gains come from H regardless of the
   // law that generated them — so collision-freedom must be preserved.
-  Rng rng(29);
-  const auto placement = geo::uniform_disc(25, 800.0, rng);
-  const radio::DualSlopePropagation model(radio::Meters{100.0}, 4.0);
-  auto gains = radio::PropagationMatrix::from_placement(placement, model);
-
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
+  runner::ScenarioSpec spec;
+  spec.stations = 25;
+  spec.region_m = 800.0;
+  spec.dual_slope_breakpoint_m = 100.0;  // 1/r^4 beyond 100 m
   // Reach ~250 m under dual-slope: gain(250) = 1e-4 * (100/250)^4 = 2.6e-7.
-  cfg.max_power_w = 1.0e-9 / 2.6e-7;
-  cfg.exact_clock_models = true;
-  Rng build_rng(30);
-  auto net = core::build_scheduled_network(gains, scheme_criterion(), cfg,
-                                           build_rng);
-  const auto graph = routing::Graph::min_energy(
-      gains, cfg.target_received_w / cfg.max_power_w);
-  const auto tables = routing::RoutingTables::build(graph);
-
-  sim::SimulatorConfig sc{scheme_criterion()};
-  sim::Simulator sim(gains, sc);
-  ScopedAudit audited(sim);
-  for (StationId s = 0; s < gains.size(); ++s)
-    sim.set_mac(s, std::move(net.macs[s]));
-  sim.set_router(tables.router());
-  Rng traffic_rng(31);
-  for (const auto& inj : sim::poisson_traffic(
-           100.0, 1.0, net.packet_bits, sim::uniform_pairs(gains.size()),
-           traffic_rng))
-    sim.inject(inj.time_s, inj.packet);
-  sim.run_until(60.0);
-  EXPECT_GT(sim.metrics().delivered(), 0u);
-  EXPECT_EQ(sim.metrics().losses(sim::LossType::kType2), 0u);
-  EXPECT_EQ(sim.metrics().losses(sim::LossType::kType3), 0u);
-  EXPECT_EQ(sim.metrics().delivered() + sim.metrics().mac_drops(),
-            sim.metrics().offered());
+  spec.net.max_power_w = 1.0e-9 / 2.6e-7;
+  spec.net.exact_clock_models = true;
+  spec.rate_pps = 100.0;
+  spec.duration_s = 1.0;
+  spec.drain_s = 59.0;
+  spec.audit = true;
+  const runner::TrialResult r = runner::run_trial(spec, 29);
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  EXPECT_GT(r.delivered, 0u);
+  EXPECT_EQ(r.type2_losses, 0u);
+  EXPECT_EQ(r.type3_losses, 0u);
+  EXPECT_EQ(r.delivered + r.mac_drops, r.offered);
 }
 
 TEST(Multihop, DistributedBellmanFordRoutesWorkInTheSimulator) {
   // Swap Dijkstra tables for the distributed asynchronous computation the
   // paper proposes; behaviour must be identical in cost structure.
-  auto cfg = core::ScheduledNetworkConfig{};
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
+  auto cfg = runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = make_scenario(25, 800.0, 19, cfg);
+  auto scenario = runner::make_scenario(25, 800.0, 19, cfg);
   const auto graph = routing::Graph::min_energy(
       scenario.gains, cfg.target_received_w / cfg.max_power_w);
 
@@ -243,7 +229,7 @@ TEST(Multihop, DistributedBellmanFordRoutesWorkInTheSimulator) {
   Rng order_rng(19);
   (void)bf.run_asynchronous(order_rng);
 
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
   for (StationId s = 0; s < scenario.gains.size(); ++s)

@@ -13,6 +13,8 @@
 #include "core/schedule.hpp"
 #include "helpers/scenario.hpp"
 #include "helpers/test_macs.hpp"
+#include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
@@ -136,14 +138,13 @@ TEST(SinrBookkeeping, MarginMatchesBruteForceForStaggeredOverlaps) {
 class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Conservation, AttemptsEqualSuccessesPlusLosses) {
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  auto scenario = make_scenario(25, 800.0, GetParam(), cfg);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  auto scenario = runner::make_scenario(25, 800.0, GetParam(),
+                                        runner::multihop_config());
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
-  const auto& m = run_scheme(scenario, sim, 200.0, 1.5, GetParam(), 60.0);
+  const auto& m =
+      runner::run_scheme(scenario, sim, 200.0, 1.5, GetParam(), 60.0);
   EXPECT_EQ(m.hop_attempts(), m.hop_successes() + m.total_hop_losses());
   EXPECT_EQ(m.delivered() + m.mac_drops(), m.offered());
 }
@@ -183,14 +184,12 @@ TEST(Conservation, HoldsForContendingBaselinesToo) {
 
 TEST(Determinism, FullScenarioIsBitReproducible) {
   auto run = [] {
-    core::ScheduledNetworkConfig cfg;
-    cfg.target_received_w = 1.0e-9;
-    cfg.max_power_w = 1.6e-4;
-    auto scenario = make_scenario(20, 700.0, 31, cfg);
-    sim::SimulatorConfig sc{scheme_criterion()};
+    auto scenario =
+        runner::make_scenario(20, 700.0, 31, runner::multihop_config());
+    sim::SimulatorConfig sc{runner::scheme_criterion()};
     sim::Simulator sim(scenario.gains, sc);
     ScopedAudit audited(sim);
-    const auto& m = run_scheme(scenario, sim, 80.0, 1.0, 31, 30.0);
+    const auto& m = runner::run_scheme(scenario, sim, 80.0, 1.0, 31, 30.0);
     return std::tuple{m.offered(), m.delivered(), m.hop_attempts(),
                       m.delivered() > 0 ? m.delay().mean() : 0.0};
   };

@@ -10,7 +10,9 @@
 
 #include "baselines/aloha.hpp"
 #include "helpers/scenario.hpp"
+#include "runner/scenario.hpp"
 #include "sim/observer.hpp"
+#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
@@ -68,14 +70,14 @@ TEST_P(ScheduleCompliance, EveryTransmissionHonoursBothSchedules) {
   cfg.exact_clock_models = false;  // fitted models + guards must still comply
   cfg.max_drift_ppm = 20.0;
   cfg.rendezvous_noise_s = 1.0e-6;
-  auto scenario = make_scenario(30, 900.0, GetParam(), cfg);
+  auto scenario = runner::make_scenario(30, 900.0, GetParam(), cfg);
 
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
   sim.add_observer(&auditor);
-  (void)run_scheme(scenario, sim, 120.0, 2.0, GetParam());
+  (void)runner::run_scheme(scenario, sim, 120.0, 2.0, GetParam());
 
   EXPECT_GT(auditor.transmissions(), 200u);
   EXPECT_EQ(auditor.sender_violations(), 0u) << "seed " << GetParam();
@@ -88,13 +90,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleCompliance,
 TEST(ScheduleCompliance, BaselinesDoViolateSchedules) {
   // Control: ALOHA transmits whenever it pleases, so against the same
   // schedules it racks up violations — the auditor is not vacuous.
-  core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
-  cfg.max_power_w = 1.6e-4;
-  auto scenario = make_scenario(30, 900.0, 13, cfg);
+  auto scenario =
+      runner::make_scenario(30, 900.0, 13, runner::multihop_config());
 
   WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{scheme_criterion()};
+  sim::SimulatorConfig sc{runner::scheme_criterion()};
   sim::Simulator sim(scenario.gains, sc);
   ScopedAudit audited(sim);
   sim.add_observer(&auditor);

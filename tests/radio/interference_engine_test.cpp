@@ -1,11 +1,12 @@
-// Tests for the pluggable interference engines: name parsing, dense /
-// compensated / nearfar agreement on shared scenarios, the near/far
-// far-field approximation bound, and the drift regression the compensated
-// engine exists to fix.
+// Tests for the pluggable interference engines: name parsing, compensated /
+// nearfar agreement on shared scenarios, the near/far far-field
+// approximation bound, and the drift regression the compensated engine
+// exists to fix.
 #include "radio/interference_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -22,14 +23,14 @@ namespace drn::radio {
 namespace {
 
 TEST(InterferenceEngine, ParseAndNameRoundTrip) {
-  for (const auto kind :
-       {InterferenceEngineKind::kDense, InterferenceEngineKind::kCompensated,
-        InterferenceEngineKind::kNearFar}) {
+  for (const auto kind : {InterferenceEngineKind::kCompensated,
+                          InterferenceEngineKind::kNearFar}) {
     const auto parsed = parse_engine(engine_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(parse_engine("exact").has_value());
+  EXPECT_FALSE(parse_engine("dense").has_value());  // removed engine
   EXPECT_FALSE(parse_engine("").has_value());
 }
 
@@ -129,24 +130,10 @@ std::vector<double> run_script(InterferenceEngine& engine,
   return samples;
 }
 
-TEST(InterferenceEngine, CompensatedMatchesDenseRecomputation) {
-  const std::size_t stations = 24;
-  auto w = make_workload(stations, 41);
-  const auto dense = make_dense_engine(w.gains);
-  const auto comp = make_compensated_engine(w.gains);
-  dense->set_thermal_noise(Watts{1.0e-15});
-  comp->set_thermal_noise(Watts{1.0e-15});
-  const auto a = run_script(*dense, stations, 99);
-  const auto b = run_script(*comp, stations, 99);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_NEAR(a[i], b[i], 1.0e-9 * a[i]) << "sample " << i;
-}
-
 TEST(InterferenceEngine, NearFarWithFullCutoffMatchesCompensated) {
   // Cutoff spanning the whole region: every interferer is in the near field,
-  // so the nearfar engine must agree with the dense-matrix engines to
-  // rounding error.
+  // so the nearfar engine must agree with the matrix engine to rounding
+  // error.
   const std::size_t stations = 24;
   auto w = make_workload(stations, 43);
   const auto comp = make_compensated_engine(w.gains);
@@ -210,16 +197,37 @@ TEST(InterferenceEngine, NearFarFarFieldStaysWithinCellBound) {
 // The drift regression (ISSUE 4 satellite 1).
 //
 // One long-lived reception watches >= 10^4 overlapping transmissions come
-// and go. The legacy dense engine's subtract-and-clamp accumulates rounding
-// error in its incremental interference; the compensated engine stays within
+// and go. A plain double running sum with subtract-and-clamp at thermal (the
+// arithmetic the engines used before compensated summation) accumulates
+// rounding error; CompensatedSum, and every engine built on it, stays within
 // 1e-12 relative of a from-scratch recomputation throughout.
 
-/// Churns `total` overlapping transmissions (a sliding window of `overlap`
-/// concurrently on air) past one reception held open for the whole run, and
-/// returns the worst relative error of interference() vs
-/// recomputed_interference() observed at any point.
-double churn_and_measure(InterferenceEngine& engine, int total, int overlap) {
+/// The drift workload: `total` loud transmissions (~1 W at the receiver,
+/// with ragged mantissas so nearly every add/subtract rounds), a sliding
+/// window of `overlap` concurrently on air, ended oldest first. `measure`
+/// runs every 500 starts and once more after the last end.
+template <typename Start, typename End, typename Measure>
+void drift_workload(int total, std::size_t overlap, Start start, End end,
+                    Measure measure) {
   Rng rng(4242);
+  std::size_t on_air = 0;
+  for (int i = 0; i < total; ++i) {
+    start(1.0 + 1.0e-6 * static_cast<double>(rng() % 999983));
+    if (++on_air > overlap) {
+      end();
+      --on_air;
+    }
+    if (i % 500 == 0) measure();
+  }
+  for (; on_air > 0; --on_air) end();
+  measure();
+}
+
+/// Runs the drift workload past one reception held open for the whole run
+/// and returns the worst relative error of interference() vs
+/// recomputed_interference() observed at any measurement.
+double churn_and_measure(InterferenceEngine& engine, int total,
+                         std::size_t overlap) {
   const auto noop_s = [](ReceptionHandle) {};
   const auto noop_a = [](ReceptionHandle, Watts) {};
   // tx 1: the persistent weak interferer that keeps the true interference
@@ -228,37 +236,26 @@ double churn_and_measure(InterferenceEngine& engine, int total, int overlap) {
   // tx 2: the transmission being received (its own power never counts).
   engine.transmit_started(2, 0, Watts{1.0e-4}, noop_s, noop_a);
   const auto h = engine.open_reception(2, 2, nullptr);
-
   double worst_rel = 0.0;
-  const auto measure = [&] {
-    const double inc = engine.interference(h).value();
-    const double exact = engine.recomputed_interference(h).value();
-    const double rel = std::abs(inc - exact) / exact;
-    if (rel > worst_rel) worst_rel = rel;
-  };
   std::deque<std::uint64_t> on_air;
   std::uint64_t next_tx = 10;
-  for (int i = 0; i < total; ++i) {
-    // Loud interferers (~1 W at the receiver) with ragged mantissas so
-    // nearly every add/subtract rounds.
-    const double power =
-        1.0 + 1.0e-6 * static_cast<double>(rng() % 999983);
-    const std::uint64_t tx = next_tx++;
-    engine.transmit_started(tx, 3, Watts{power}, noop_s, noop_a);
-    on_air.push_back(tx);
-    if (on_air.size() > static_cast<std::size_t>(overlap)) {
-      engine.transmit_ended(on_air.front(), noop_a);
-      on_air.pop_front();
-    }
-    if (i % 500 == 0) measure();
-  }
-  while (!on_air.empty()) {
-    engine.transmit_ended(on_air.front(), noop_a);
-    on_air.pop_front();
-  }
-  // Quiescent again: only the 1e-10 interferer remains. Any leftover from
-  // the 10^4 loud transmissions is pure bookkeeping drift.
-  measure();
+  drift_workload(
+      total, overlap,
+      [&](double power) {
+        engine.transmit_started(next_tx, 3, Watts{power}, noop_s, noop_a);
+        on_air.push_back(next_tx++);
+      },
+      [&] {
+        engine.transmit_ended(on_air.front(), noop_a);
+        on_air.pop_front();
+      },
+      [&] {
+        // At the last measurement only the 1e-10 interferer remains: any
+        // leftover from the loud transmissions is pure bookkeeping drift.
+        const double inc = engine.interference(h).value();
+        const double exact = engine.recomputed_interference(h).value();
+        worst_rel = std::max(worst_rel, std::abs(inc - exact) / exact);
+      });
   engine.close_reception(h);
   return worst_rel;
 }
@@ -274,14 +271,52 @@ PropagationMatrix drift_matrix() {
   return m;
 }
 
-TEST(InterferenceDrift, LegacyDenseEngineDriftsBeyondTolerance) {
-  const auto dense = make_dense_engine(drift_matrix());
-  dense->set_thermal_noise(Watts{1.0e-15});
-  const double worst = churn_and_measure(*dense, 10000, 16);
-  // The teeth of the regression test: the subtract-and-clamp baseline is
-  // measurably wrong. (Observed ~3e-3 relative on this workload; anything
-  // over the fixed engine's 1e-12 bound demonstrates the bug.)
-  EXPECT_GT(worst, 1.0e-12);
+/// Replays the drift workload on one reception's running sum outside any
+/// engine (every gain is 1, so each contribution is the transmit power):
+/// `plain` keeps a bare double with the old subtract-and-clamp at thermal,
+/// otherwise a CompensatedSum. Returns the worst relative error against a
+/// from-scratch sum over the live set.
+double replay_drift(bool plain, int total, std::size_t overlap) {
+  constexpr double kThermal = 1.0e-15;
+  constexpr double kTrickle = 1.0e-10;  // tx 1, the persistent interferer
+  double bare = kThermal + kTrickle;
+  CompensatedSum comp;
+  comp.add(kTrickle);
+  std::deque<double> on_air;
+  double worst_rel = 0.0;
+  drift_workload(
+      total, overlap,
+      [&](double power) {
+        bare += power;
+        comp.add(power);
+        on_air.push_back(power);
+      },
+      [&] {
+        bare = std::max(kThermal, bare - on_air.front());
+        comp.add(-on_air.front());
+        on_air.pop_front();
+      },
+      [&] {
+        CompensatedSum exact;
+        exact.add(kTrickle);
+        for (const double p : on_air) exact.add(p);
+        const double truth = kThermal + exact.value();
+        const double inc =
+            plain ? bare : kThermal + std::max(0.0, comp.value());
+        worst_rel = std::max(worst_rel, std::abs(inc - truth) / truth);
+      });
+  return worst_rel;
+}
+
+TEST(InterferenceDrift, PlainDoubleSumDriftsBeyondTolerance) {
+  // The teeth of the regression test: subtract-and-clamp on a bare double is
+  // measurably wrong on this workload; anything over the compensated 1e-12
+  // bound demonstrates the bug.
+  EXPECT_GT(replay_drift(/*plain=*/true, 10000, 16), 1.0e-12);
+}
+
+TEST(InterferenceDrift, CompensatedSumStaysExactOnTheSameOps) {
+  EXPECT_LE(replay_drift(/*plain=*/false, 10000, 16), 1.0e-12);
 }
 
 TEST(InterferenceDrift, CompensatedEngineStaysExact) {

@@ -1,0 +1,113 @@
+// runner::Trial — the one place a trial is wired — and the scenario builder
+// beneath it: the spec's radio design point and propagation choice must
+// reach setup, observers attached before run() must see the whole trial,
+// and run_trial must be exactly Trial + run().
+#include "runner/scenario.hpp"
+
+#include <gtest/gtest.h>
+
+#include "audit/invariant_auditor.hpp"
+#include "common/expects.hpp"
+#include "geo/vec2.hpp"
+#include "radio/interference_engine.hpp"
+#include "radio/propagation.hpp"
+#include "sim/trace.hpp"
+
+namespace drn::runner {
+namespace {
+
+ScenarioSpec small_spec() {
+  ScenarioSpec spec;
+  spec.stations = 8;
+  spec.region_m = 400.0;
+  spec.rate_pps = 50.0;
+  spec.duration_s = 0.3;
+  spec.drain_s = 5.0;
+  spec.net.max_power_w = 1.0e-3;  // keep the small disc connected
+  return spec;
+}
+
+TEST(Trial, NetworkPacketSizeFollowsSpecDataRate) {
+  // The scheduled network must be built at the spec's design point, not a
+  // fixed one: packet airtime is a fraction of a slot, so packet_bits is
+  // data_rate x airtime and doubles with the rate.
+  ScenarioSpec spec = small_spec();
+  const auto base = make_scenario(spec, 5);
+  EXPECT_DOUBLE_EQ(base.net.packet_bits,
+                   spec.data_rate_bps * base.net.packet_airtime_s);
+  spec.data_rate_bps = 2.0 * spec.data_rate_bps;
+  const auto fast = make_scenario(spec, 5);
+  EXPECT_DOUBLE_EQ(fast.net.packet_airtime_s, base.net.packet_airtime_s);
+  EXPECT_DOUBLE_EQ(fast.net.packet_bits, 2.0 * base.net.packet_bits);
+}
+
+TEST(Trial, ShorthandBuilderIsTheDefaultSpec) {
+  const ScenarioSpec spec = small_spec();
+  bool connected = false;
+  const auto full = make_scenario(spec, 9, &connected);
+  const auto shorthand =
+      make_scenario(spec.stations, spec.region_m, 9, spec.net);
+  EXPECT_TRUE(connected);
+  ASSERT_EQ(full.gains.size(), shorthand.gains.size());
+  for (StationId rx = 0; rx < full.gains.size(); ++rx)
+    for (StationId tx = 0; tx < full.gains.size(); ++tx)
+      EXPECT_EQ(full.gains.gain(rx, tx), shorthand.gains.gain(rx, tx));
+  EXPECT_EQ(full.net.packet_bits, shorthand.net.packet_bits);
+}
+
+TEST(Trial, PropagationModelFollowsSpec) {
+  ScenarioSpec spec;
+  const geo::Vec2 a{0.0, 0.0};
+  const geo::Vec2 far{500.0, 0.0};
+  const double free_space =
+      propagation_model(spec, 1)->power_gain(a, far).value();
+  EXPECT_DOUBLE_EQ(free_space,
+                   radio::FreeSpacePropagation().power_gain(a, far).value());
+  spec.dual_slope_breakpoint_m = 100.0;
+  const double two_ray =
+      propagation_model(spec, 1)->power_gain(a, far).value();
+  EXPECT_LT(two_ray, free_space);  // 1/r^4 beyond the breakpoint
+  spec.dual_slope_breakpoint_m = 0.0;
+  spec.shadowing_db = 6.0;
+  // Shadowing is keyed by the trial seed: two seeds shadow a pair apart.
+  EXPECT_NE(propagation_model(spec, 1)->power_gain(a, far).value(),
+            propagation_model(spec, 2)->power_gain(a, far).value());
+}
+
+TEST(Trial, RunTrialIsTrialRun) {
+  ScenarioSpec spec = small_spec();
+  spec.mac = MacKind::kAloha;
+  const TrialResult a = run_trial(spec, 42);
+  Trial trial(spec, 42);
+  EXPECT_TRUE(a == trial.run());
+  EXPECT_GT(a.type3_losses, 0u);  // ALOHA contends even on a small disc
+  EXPECT_TRUE(trial.connected());
+  EXPECT_GT(trial.tables().stats().trees, 0u);
+  EXPECT_EQ(trial.auditor(), nullptr);
+  EXPECT_THROW((void)trial.run(), ContractViolation);  // MACs are consumed
+}
+
+TEST(Trial, ObserverAttachedBeforeRunSeesTheWholeTrial) {
+  ScenarioSpec spec = small_spec();
+  spec.audit = true;
+  Trial trial(spec, 7);
+  sim::TraceRecorder trace;
+  trial.simulator().add_observer(&trace);
+  const TrialResult r = trial.run();
+  ASSERT_NE(trial.auditor(), nullptr);
+  EXPECT_TRUE(trial.auditor()->ok());
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+  // Every unicast hop attempt keyed up a transmitter the trace saw.
+  EXPECT_GT(r.hop_attempts, 0u);
+  EXPECT_GE(trace.transmissions().size(), r.hop_attempts);
+}
+
+TEST(Trial, RefusesStationCountsAboveTheDenseGuard) {
+  ScenarioSpec spec = small_spec();
+  spec.stations = radio::kDenseMatrixGuardM + 1;
+  EXPECT_THROW((void)make_scenario(spec, 1), ContractViolation);
+}
+
+}  // namespace
+}  // namespace drn::runner

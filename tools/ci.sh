@@ -97,7 +97,7 @@ for run in runs:
     assert run["events"] >= doc["target_events"], run
     assert run["events_per_s"] > 0, run
 engines = {run["engine"] for run in runs}
-assert engines == {"dense", "compensated", "nearfar"}, engines
+assert engines == {"compensated", "nearfar"}, engines
 print(f"bench smoke OK: {len(runs)} runs, engines {sorted(engines)}")
 PY
 else

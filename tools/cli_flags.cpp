@@ -1,0 +1,160 @@
+#include "cli_flags.hpp"
+
+#include <iostream>
+
+#include "radio/interference_engine.hpp"
+
+namespace drn::cli {
+
+bool tokenize(int argc, char** argv, Flags& flags, bool& help) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string key = argv[i];
+    if (key == "--help" || key == "-h") {
+      help = true;
+      return true;
+    }
+    if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
+      std::cerr << "bad argument: " << key << " (try --help)\n";
+      return false;
+    }
+    flags[key.substr(2)] = argv[++i];
+  }
+  return true;
+}
+
+void take(Flags& flags, const char* name, std::string& out) {
+  if (auto it = flags.find(name); it != flags.end()) {
+    out = it->second;
+    flags.erase(it);
+  }
+}
+
+void take(Flags& flags, const char* name, double& out) {
+  if (auto it = flags.find(name); it != flags.end()) {
+    out = std::stod(it->second);
+    flags.erase(it);
+  }
+}
+
+bool take_switch(Flags& flags, const char* name, bool& out) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  if (it->second != "0" && it->second != "1") {
+    std::cerr << "bad --" << name << " value: " << it->second
+              << " (want 0 or 1)\n";
+    return false;
+  }
+  out = it->second == "1";
+  flags.erase(it);
+  return true;
+}
+
+bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s) {
+  if (auto it = flags.find("engine"); it != flags.end()) {
+    const auto kind = radio::parse_engine(it->second);
+    if (!kind) {
+      std::cerr << "unknown --engine " << it->second << " (try --help)\n";
+      return false;
+    }
+    spec.engine = *kind;
+    flags.erase(it);
+  }
+  take(flags, "cutoff", spec.engine_cutoff_m);
+  take(flags, "cell", spec.engine_cell_m);
+  auto& dyn = spec.dynamics;
+  // A jammer knob without jammers is a mistake, not a no-op; remember
+  // whether one was given before the defaults absorb it.
+  const bool jammer_knobs = flags.count("jammer-period") > 0 ||
+                            flags.count("jammer-duty") > 0 ||
+                            flags.count("jammer-power") > 0;
+  take(flags, "churn", dyn.churn_rate_per_s);
+  take(flags, "churn-downtime", dyn.mean_downtime_s);
+  take(flags, "mobility", dyn.mobility_speed_mps);
+  take(flags, "mobility-step", dyn.mobility_step_s);
+  take(flags, "drift", dyn.drift_ppm_per_s);
+  take(flags, "drift-step", dyn.drift_step_s);
+  take(flags, "jammers", dyn.jammer.count);
+  take(flags, "jammer-period", dyn.jammer.period_s);
+  take(flags, "jammer-duty", dyn.jammer.duty);
+  take(flags, "jammer-power", dyn.jammer.power_w);
+  if (dyn.jammer.count == 0 && jammer_knobs) {
+    std::cerr << "--jammer-* tune the jammers; combine them with "
+                 "--jammers N\n";
+    return false;
+  }
+  take(flags, "beacon", beacon_s);
+  return take_switch(flags, "audit", spec.audit);
+}
+
+bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
+                   bool scheme_runs, std::size_t max_stations) {
+  auto& dyn = spec.dynamics;
+  const bool nearfar = spec.engine == radio::InterferenceEngineKind::kNearFar;
+  if ((spec.engine_cutoff_m > 0.0 || spec.engine_cell_m > 0.0) && !nearfar) {
+    std::cerr << "--cutoff/--cell tune the near/far engine; "
+                 "combine them with --engine nearfar\n";
+    return false;
+  }
+  if (dyn.churn_rate_per_s < 0.0 || dyn.mobility_speed_mps < 0.0 ||
+      dyn.drift_ppm_per_s < 0.0) {
+    std::cerr << "--churn/--mobility/--drift rates must be >= 0\n";
+    return false;
+  }
+  if (dyn.churn_enabled() && dyn.mean_downtime_s <= 0.0) {
+    std::cerr << "--churn-downtime must be > 0 when --churn is on\n";
+    return false;
+  }
+  if (dyn.mobility_enabled() && dyn.mobility_step_s <= 0.0) {
+    std::cerr << "--mobility-step must be > 0 when --mobility is on\n";
+    return false;
+  }
+  if (dyn.drift_enabled() && dyn.drift_step_s <= 0.0) {
+    std::cerr << "--drift-step must be > 0 when --drift is on\n";
+    return false;
+  }
+  if (dyn.jammer.count > 0 &&
+      (dyn.jammer.period_s <= 0.0 || dyn.jammer.duty <= 0.0 ||
+       dyn.jammer.duty > 1.0 || dyn.jammer.power_w <= 0.0)) {
+    std::cerr << "--jammer-period/--jammer-power must be > 0 and "
+                 "--jammer-duty in (0, 1]\n";
+    return false;
+  }
+  if (beacon_s < 0.0) {
+    std::cerr << "--beacon must be >= 0\n";
+    return false;
+  }
+  // Jammers join the simulator's matrix too, unless the near/far engine
+  // serves the gains lazily.
+  const std::size_t matrix_m =
+      max_stations + (nearfar ? 0 : dyn.jammer.count);
+  if (matrix_m > radio::kDenseMatrixGuardM) {
+    std::cerr << matrix_m << " stations"
+              << (matrix_m > max_stations ? " (jammers included)" : "")
+              << " exceed the " << radio::kDenseMatrixGuardM
+              << "-station limit: trial setup builds a dense M x M gain "
+                 "matrix. The sparse setup pipeline (ROADMAP.md item 3) is "
+                 "the way past it.\n";
+    return false;
+  }
+  // Under churn or drift the scheme needs maintenance beacons to evict
+  // ghosts, re-adopt returnees and re-fit drifting clocks.
+  if (scheme_runs &&
+      (dyn.churn_enabled() || dyn.drift_enabled() || beacon_s > 0.0)) {
+    auto& net = spec.net;
+    net.beacon_interval_s = beacon_s > 0.0 ? beacon_s : 0.5;
+    if (dyn.churn_enabled()) {
+      net.neighbor_timeout_s = 12.0 * net.beacon_interval_s;
+      net.readopt_neighbors = true;
+    }
+  }
+  return true;
+}
+
+bool all_consumed(const Flags& flags) {
+  if (flags.empty()) return true;
+  std::cerr << "unknown option: --" << flags.begin()->first
+            << " (try --help)\n";
+  return false;
+}
+
+}  // namespace drn::cli

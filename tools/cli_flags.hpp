@@ -1,0 +1,104 @@
+// Command-line plumbing shared by drn_sim and drn_sweep: the "--key value"
+// tokenizer, typed readers, and the flags both tools accept — interference
+// engine (--engine/--cutoff/--cell), network dynamics (--churn ...
+// --jammer-power), maintenance beacons (--beacon) and --audit — with one
+// validator for all of them. Every reader removes the flag it consumed, so
+// whatever is left over is an unknown option.
+//
+// Readers return false after printing why on stderr; a malformed number
+// throws std::invalid_argument / std::out_of_range from std::stod, which
+// run_cli reports as a usage error.
+#pragma once
+
+#include <concepts>
+#include <cstddef>
+#include <exception>
+#include <iostream>
+#include <map>
+#include <string>
+
+#include "runner/scenario.hpp"
+
+namespace drn::cli {
+
+/// --help lines for the ten dynamics flags and --beacon.
+inline constexpr const char* kDynamicsHelp =
+    R"(  --churn RATE          station crash rate, crashes/s  (default 0 = off)
+  --churn-downtime S    mean downtime before rejoin    (default 5)
+  --mobility MPS        random-waypoint speed          (default 0 = off)
+  --mobility-step S     position update interval       (default 0.5)
+  --drift PPMPS         clock slope half-width, ppm/s  (default 0 = off)
+  --drift-step S        rate-step interval             (default 1)
+  --jammers N           duty-cycled noise stations     (default 0)
+  --jammer-period S     jammer burst period            (default 0.5)
+  --jammer-duty F       fraction of period radiating   (default 0.2)
+  --jammer-power W      jammer burst power             (default 1e-3)
+  --beacon S            scheme maintenance-beacon interval; 0 = auto
+                        (0.5 s when churn or drift is on)
+)";
+
+/// "--key value" pairs, keyed without the leading dashes.
+using Flags = std::map<std::string, std::string>;
+
+/// Splits argv into `flags`; sets `help` on --help / -h. False on a token
+/// that is not "--key value".
+bool tokenize(int argc, char** argv, Flags& flags, bool& help);
+
+/// Moves flag `name`, if given, into `out`.
+void take(Flags& flags, const char* name, std::string& out);
+void take(Flags& flags, const char* name, double& out);
+template <std::unsigned_integral Count>
+void take(Flags& flags, const char* name, Count& out) {
+  if (auto it = flags.find(name); it != flags.end()) {
+    out = static_cast<Count>(std::stoull(it->second));
+    flags.erase(it);
+  }
+}
+
+/// A 0|1 switch: anything else is rejected.
+bool take_switch(Flags& flags, const char* name, bool& out);
+
+/// Consumes the shared flags into `spec`; --beacon lands in `beacon_s`
+/// (0 = auto). False on an unknown engine name or a bad --audit value.
+bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s);
+
+/// Validates the shared values once every flag is read, then applies the
+/// auto-beacon rule: when the scheme runs and churn or drift is on (or
+/// --beacon was given), its stations beacon every `beacon_s` (0.5 s on
+/// auto) and, under churn, time out silent neighbours after 12 intervals
+/// and re-adopt returnees. `max_stations` is the largest station count the
+/// command will run; setup builds a dense M x M gain matrix, so counts
+/// above radio::kDenseMatrixGuardM are refused here rather than deep inside
+/// a trial.
+bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
+                   bool scheme_runs, std::size_t max_stations);
+
+/// False, naming the first leftover flag, unless every flag was consumed.
+bool all_consumed(const Flags& flags);
+
+/// A CLI's whole main(): `parse` fills the options (exit 2 on a usage error
+/// or a malformed number), --help prints `help`, and `run` does the work
+/// (exit 1 with the message on an exception).
+template <typename Options>
+int run_cli(int argc, char** argv, bool (*parse)(int, char**, Options&),
+            void (*help)(), int (*run)(const Options&)) {
+  Options opt;
+  try {
+    if (!parse(argc, argv, opt)) return 2;
+  } catch (const std::exception&) {
+    std::cerr << "bad numeric argument (try --help)\n";
+    return 2;
+  }
+  if (opt.help) {
+    help();
+    return 0;
+  }
+  try {
+    return run(opt);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
+}
+
+}  // namespace drn::cli

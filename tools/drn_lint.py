@@ -20,9 +20,11 @@ depends on, none of which clang-tidy checks:
                   through return values and exceptions, only CLIs print.
   dense-matrix    no PropagationMatrix::from_placement in library code under
                   src/ outside radio/propagation_matrix.* and
-                  radio/interference_engine.*: the O(M^2) matrix only enters
-                  library code via the guarded make_dense_gains route (or the
-                  near/far engine, which never builds it).
+                  radio/interference_engine.*, nor in the CLIs under tools/:
+                  the O(M^2) matrix only enters via the guarded
+                  make_dense_gains route (or the near/far engine, which never
+                  builds it), and a CLI gets its trial from runner::Trial
+                  rather than growing its own setup.
   position-state  no positions_ member access in library code under src/
                   outside dynamics/mobility.*, geo/grid_index.* and
                   radio/interference_engine.*: station position state has
@@ -123,7 +125,9 @@ FLOAT_EQ = re.compile(
 # against <=, >=, ->, templates are handled by requiring a bare [=!]= above.
 
 DENSE_MATRIX = re.compile(r"\bfrom_placement\s*\(")
-# The only library files allowed to touch the O(M^2) dense-matrix build.
+# Where the rule applies, and the only library files there allowed to touch
+# the O(M^2) dense-matrix build.
+DENSE_MATRIX_ROOTS = ("src", "tools")
 DENSE_MATRIX_EXEMPT = ("propagation_matrix", "interference_engine")
 
 POSITION_STATE = re.compile(r"\bpositions_\b")
@@ -300,7 +304,7 @@ def lint_file(path: pathlib.Path, repo: pathlib.Path,
         ):
             report(lineno, "iostream-lib", "<iostream> in library code")
         if (
-            in_library
+            rel.parts[0] in DENSE_MATRIX_ROOTS
             and path.stem not in DENSE_MATRIX_EXEMPT
             and DENSE_MATRIX.search(code)
             and not allowed(raw, "dense-matrix")
@@ -308,9 +312,9 @@ def lint_file(path: pathlib.Path, repo: pathlib.Path,
             report(
                 lineno,
                 "dense-matrix",
-                "from_placement builds the O(M^2) matrix; library code "
-                "must go through radio::make_dense_gains (guarded) or the "
-                "near/far engine",
+                "from_placement builds the O(M^2) matrix; library and CLI "
+                "code must go through radio::make_dense_gains (guarded), the "
+                "near/far engine, or runner::Trial",
             )
         if (
             in_library

@@ -325,6 +325,35 @@ class LayerBoundary(LintFixture):
         self.assertEqual(f, [])
 
 
+class DenseMatrix(LintFixture):
+    BUILD = "auto g = PropagationMatrix::from_placement(p, model);\n"
+
+    def test_fires_in_library_code(self) -> None:
+        f = self.lint("src/runner/a.cpp", self.BUILD)
+        self.assertIn("dense-matrix", self.rules(f))
+
+    def test_fires_in_a_cli(self) -> None:
+        # A CLI must not grow its own setup next to runner::Trial.
+        f = self.lint("tools/drn_new_cli.cpp", self.BUILD)
+        self.assertIn("dense-matrix", self.rules(f))
+
+    def test_quiet_in_sanctioned_radio_files(self) -> None:
+        for stem in ("propagation_matrix", "interference_engine"):
+            f = self.lint(f"src/radio/{stem}.cpp", self.BUILD)
+            self.assertEqual(f, [], stem)
+
+    def test_quiet_on_guarded_route_in_a_cli(self) -> None:
+        f = self.lint(
+            "tools/drn_new_cli.cpp",
+            "auto g = radio::make_dense_gains(p, model);\n",
+        )
+        self.assertEqual(f, [])
+
+    def test_quiet_in_benches(self) -> None:
+        f = self.lint("bench/a.cpp", self.BUILD)
+        self.assertNotIn("dense-matrix", self.rules(f))
+
+
 class ExistingRulesStillFire(LintFixture):
     def test_std_rng(self) -> None:
         f = self.lint("src/sim/a.cpp", "std::mt19937 gen;\n")

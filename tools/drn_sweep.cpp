@@ -15,14 +15,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "radio/interference_engine.hpp"
+#include "cli_flags.hpp"
 #include "runner/sweep.hpp"
 
 namespace {
@@ -35,9 +35,6 @@ struct Options {
   std::string json_path;  // empty = stdout
   bool progress = true;
   bool help = false;
-  /// Scheme maintenance-beacon interval; 0 = auto (0.5 s when churn or
-  /// drift is on).
-  double beacon_s = 0.0;
 };
 
 void print_help() {
@@ -69,26 +66,14 @@ workload
   --drain S             extra drain time            (default 60)
 
 interference engine
-  --engine NAME         dense|compensated|nearfar applied to every trial
+  --engine NAME         compensated|nearfar applied to every trial
                         (default compensated; see drn_sim --help)
   --cutoff METERS       nearfar only: exact-summation radius (default 0 =
                         twice the trial's region radius, i.e. near-exact)
   --cell METERS         nearfar only: grid cell side (default 0 = cutoff/4)
 
 network dynamics (applied to every trial; all off by default)
-  --churn RATE          station crash rate, crashes/s  (default 0 = off)
-  --churn-downtime S    mean downtime before rejoin    (default 5)
-  --mobility MPS        random-waypoint speed          (default 0 = off)
-  --mobility-step S     position update interval       (default 0.5)
-  --drift PPMPS         clock slope half-width, ppm/s  (default 0 = off)
-  --drift-step S        rate-step interval             (default 1)
-  --jammers N           duty-cycled noise stations     (default 0)
-  --jammer-period S     jammer burst period            (default 0.5)
-  --jammer-duty F       fraction of period radiating   (default 0.2)
-  --jammer-power W      jammer burst power             (default 1e-3)
-  --beacon S            scheme maintenance-beacon interval; 0 = auto
-                        (0.5 s when churn or drift is on)
-
+)" << cli::kDynamicsHelp << R"(
 execution
   --jobs N              worker threads (0 = all hardware threads; default 1)
   --progress 0|1        progress ticks on stderr    (default 1)
@@ -100,6 +85,25 @@ execution
 The results JSON (schema drn-sweep-v3) is byte-identical for any --jobs
 value. Timing {"jobs","trials","wall_s","trials_per_s"} prints to stderr.
 )";
+}
+
+/// Parses each piece of a comma-separated list with `parse_one`, which
+/// returns an optional; nullopt if any piece fails.
+template <typename T, typename ParseOne>
+std::optional<std::vector<T>> parse_list(const std::string& text,
+                                         ParseOne parse_one) {
+  std::vector<T> out;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const auto comma = text.find(',', pos);
+    const auto value = parse_one(text.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos));
+    if (!value) return std::nullopt;
+    out.push_back(*value);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
 }
 
 /// Parses an axis: "a,b,c" | "lo:hi:xF" | "lo:hi:+S" | single value.
@@ -125,16 +129,10 @@ std::optional<std::vector<double>> parse_axis(const std::string& text) {
       }
       if (kind != 'x' && kind != '+') return std::nullopt;
     } else {
-      std::size_t pos = 0;
-      while (pos <= text.size()) {
-        const auto comma = text.find(',', pos);
-        const auto piece = text.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (piece.empty()) return std::nullopt;
-        out.push_back(std::stod(piece));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      return parse_list<double>(text, [](const std::string& piece) {
+        return piece.empty() ? std::nullopt
+                             : std::optional<double>(std::stod(piece));
+      });
     }
   } catch (const std::exception&) {
     return std::nullopt;
@@ -157,211 +155,61 @@ std::optional<std::vector<std::size_t>> parse_count_axis(
 
 std::optional<std::vector<runner::MacKind>> parse_mac_list(
     const std::string& text) {
-  std::vector<runner::MacKind> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto comma = text.find(',', pos);
-    const auto piece = text.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const auto mac = runner::parse_mac(piece);
-    if (!mac) return std::nullopt;
-    out.push_back(*mac);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (out.empty()) return std::nullopt;
-  return out;
+  return parse_list<runner::MacKind>(text, runner::parse_mac);
 }
 
 bool parse(int argc, char** argv, Options& opt) {
-  std::map<std::string, std::string> kv;
-  for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key == "--help" || key == "-h") {
-      opt.help = true;
-      return true;
-    }
-    if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
-      std::cerr << "bad argument: " << key << " (try --help)\n";
+  cli::Flags kv;
+  if (!cli::tokenize(argc, argv, kv, opt.help)) return false;
+  if (opt.help) return true;
+  // An axis flag, if given, must parse in full.
+  const auto axis = [&](const char* name, const auto& parse_axis_text,
+                        auto& out) {
+    const auto it = kv.find(name);
+    if (it == kv.end()) return true;
+    auto values = parse_axis_text(it->second);
+    if (!values) {
+      std::cerr << "bad --" << name << " value: " << it->second
+                << " (try --help)\n";
       return false;
     }
-    kv[key.substr(2)] = argv[++i];
-  }
-  auto fail = [](const std::string& name, const std::string& v) {
-    std::cerr << "bad --" << name << " value: " << v << " (try --help)\n";
-    return false;
+    out = std::move(*values);
+    kv.erase(it);
+    return true;
   };
-  if (auto it = kv.find("stations"); it != kv.end()) {
-    auto axis = parse_count_axis(it->second);
-    if (!axis) return fail("stations", it->second);
-    opt.spec.stations = std::move(*axis);
-    kv.erase(it);
-  }
-  if (auto it = kv.find("region"); it != kv.end()) {
-    auto axis = parse_axis(it->second);
-    if (!axis) return fail("region", it->second);
-    opt.spec.region_m = std::move(*axis);
-    kv.erase(it);
-  }
-  if (auto it = kv.find("mac"); it != kv.end()) {
-    auto macs = parse_mac_list(it->second);
-    if (!macs) return fail("mac", it->second);
-    opt.spec.macs = std::move(*macs);
-    kv.erase(it);
-  }
-  if (auto it = kv.find("rate"); it != kv.end()) {
-    auto axis = parse_axis(it->second);
-    if (!axis) return fail("rate", it->second);
-    opt.spec.rates_pps = std::move(*axis);
-    kv.erase(it);
-  }
-  try {
-    if (auto it = kv.find("seeds"); it != kv.end()) {
-      opt.spec.seeds = std::stoull(it->second);
-      kv.erase(it);
-    }
-    if (auto it = kv.find("seed"); it != kv.end()) {
-      opt.spec.master_seed = std::stoull(it->second);
-      kv.erase(it);
-    }
-    if (auto it = kv.find("duration"); it != kv.end()) {
-      opt.spec.duration_s = std::stod(it->second);
-      kv.erase(it);
-    }
-    if (auto it = kv.find("drain"); it != kv.end()) {
-      opt.spec.drain_s = std::stod(it->second);
-      kv.erase(it);
-    }
-    if (auto it = kv.find("jobs"); it != kv.end()) {
-      opt.jobs = static_cast<unsigned>(std::stoul(it->second));
-      kv.erase(it);
-    }
-    if (auto it = kv.find("paired"); it != kv.end()) {
-      opt.spec.paired_seeds = it->second != "0";
-      kv.erase(it);
-    }
-    if (auto it = kv.find("progress"); it != kv.end()) {
-      opt.progress = it->second != "0";
-      kv.erase(it);
-    }
-    if (auto it = kv.find("engine"); it != kv.end()) {
-      const auto kind = drn::radio::parse_engine(it->second);
-      if (!kind) {
-        std::cerr << "unknown --engine " << it->second << " (try --help)\n";
-        return false;
-      }
-      opt.spec.base.engine = *kind;
-      kv.erase(it);
-    }
-    if (auto it = kv.find("cutoff"); it != kv.end()) {
-      opt.spec.base.engine_cutoff_m = std::stod(it->second);
-      kv.erase(it);
-    }
-    if (auto it = kv.find("cell"); it != kv.end()) {
-      opt.spec.base.engine_cell_m = std::stod(it->second);
-      kv.erase(it);
-    }
-    const bool jammer_knobs = kv.count("jammer-period") > 0 ||
-                              kv.count("jammer-duty") > 0 ||
-                              kv.count("jammer-power") > 0;
-    auto num = [&](const char* name, double& out) {
-      if (auto it = kv.find(name); it != kv.end()) {
-        out = std::stod(it->second);
-        kv.erase(it);
-      }
-    };
-    auto& dyn = opt.spec.base.dynamics;
-    num("churn", dyn.churn_rate_per_s);
-    num("churn-downtime", dyn.mean_downtime_s);
-    num("mobility", dyn.mobility_speed_mps);
-    num("mobility-step", dyn.mobility_step_s);
-    num("drift", dyn.drift_ppm_per_s);
-    num("drift-step", dyn.drift_step_s);
-    if (auto it = kv.find("jammers"); it != kv.end()) {
-      dyn.jammer.count = std::stoull(it->second);
-      kv.erase(it);
-    }
-    num("jammer-period", dyn.jammer.period_s);
-    num("jammer-duty", dyn.jammer.duty);
-    num("jammer-power", dyn.jammer.power_w);
-    num("beacon", opt.beacon_s);
-    if (dyn.churn_rate_per_s < 0.0 || dyn.mobility_speed_mps < 0.0 ||
-        dyn.drift_ppm_per_s < 0.0) {
-      std::cerr << "--churn/--mobility/--drift rates must be >= 0\n";
-      return false;
-    }
-    if (dyn.churn_enabled() && dyn.mean_downtime_s <= 0.0) {
-      std::cerr << "--churn-downtime must be > 0 when --churn is on\n";
-      return false;
-    }
-    if (dyn.mobility_enabled() && dyn.mobility_step_s <= 0.0) {
-      std::cerr << "--mobility-step must be > 0 when --mobility is on\n";
-      return false;
-    }
-    if (dyn.drift_enabled() && dyn.drift_step_s <= 0.0) {
-      std::cerr << "--drift-step must be > 0 when --drift is on\n";
-      return false;
-    }
-    if (dyn.jammer.count == 0 && jammer_knobs) {
-      std::cerr << "--jammer-* tune the jammers; combine them with "
-                   "--jammers N\n";
-      return false;
-    }
-    if (dyn.jammer.count > 0 &&
-        (dyn.jammer.period_s <= 0.0 || dyn.jammer.duty <= 0.0 ||
-         dyn.jammer.duty > 1.0 || dyn.jammer.power_w <= 0.0)) {
-      std::cerr << "--jammer-period/--jammer-power must be > 0 and "
-                   "--jammer-duty in (0, 1]\n";
-      return false;
-    }
-    if (auto it = kv.find("audit"); it != kv.end()) {
-      if (it->second != "0" && it->second != "1") {
-        std::cerr << "bad --audit value: " << it->second
-                  << " (want 0 or 1)\n";
-        return false;
-      }
-      opt.spec.base.audit = it->second == "1";
-      kv.erase(it);
-    }
-  } catch (const std::exception&) {
-    std::cerr << "bad numeric argument (try --help)\n";
+  if (!axis("stations", parse_count_axis, opt.spec.stations) ||
+      !axis("region", parse_axis, opt.spec.region_m) ||
+      !axis("mac", parse_mac_list, opt.spec.macs) ||
+      !axis("rate", parse_axis, opt.spec.rates_pps))
     return false;
+  cli::take(kv, "seeds", opt.spec.seeds);
+  cli::take(kv, "seed", opt.spec.master_seed);
+  cli::take(kv, "duration", opt.spec.duration_s);
+  cli::take(kv, "drain", opt.spec.drain_s);
+  cli::take(kv, "jobs", opt.jobs);
+  if (auto it = kv.find("paired"); it != kv.end()) {
+    opt.spec.paired_seeds = it->second != "0";
+    kv.erase(it);
   }
+  if (auto it = kv.find("progress"); it != kv.end()) {
+    opt.progress = it->second != "0";
+    kv.erase(it);
+  }
+  double beacon_s = 0.0;
+  if (!cli::take_shared(kv, opt.spec.base, beacon_s)) return false;
+  cli::take(kv, "json", opt.json_path);
+  if (!cli::all_consumed(kv)) return false;
   if (opt.spec.seeds == 0) {
     std::cerr << "--seeds must be >= 1\n";
     return false;
   }
-  if ((opt.spec.base.engine_cutoff_m > 0.0 ||
-       opt.spec.base.engine_cell_m > 0.0) &&
-      opt.spec.base.engine != drn::radio::InterferenceEngineKind::kNearFar) {
-    std::cerr << "--cutoff/--cell tune the near/far engine; "
-                 "combine them with --engine nearfar\n";
-    return false;
-  }
-  if (auto it = kv.find("json"); it != kv.end()) {
-    opt.json_path = it->second;
-    kv.erase(it);
-  }
-  if (!kv.empty()) {
-    std::cerr << "unknown option: --" << kv.begin()->first << " (try --help)\n";
-    return false;
-  }
-  // Under churn or drift the scheme needs maintenance beacons to evict
-  // ghosts, re-adopt returnees and re-fit drifting clocks.
-  const auto& dyn = opt.spec.base.dynamics;
+  const auto& macs = opt.spec.macs;
   const bool scheme_in_sweep =
-      std::find(opt.spec.macs.begin(), opt.spec.macs.end(),
-                runner::MacKind::kScheme) != opt.spec.macs.end();
-  if (scheme_in_sweep &&
-      (dyn.churn_enabled() || dyn.drift_enabled() || opt.beacon_s > 0.0)) {
-    auto& net = opt.spec.base.net;
-    net.beacon_interval_s = opt.beacon_s > 0.0 ? opt.beacon_s : 0.5;
-    if (dyn.churn_enabled()) {
-      net.neighbor_timeout_s = 12.0 * net.beacon_interval_s;
-      net.readopt_neighbors = true;
-    }
-  }
-  return true;
+      std::find(macs.begin(), macs.end(), runner::MacKind::kScheme) !=
+      macs.end();
+  return cli::finish_shared(
+      opt.spec.base, beacon_s, scheme_in_sweep,
+      *std::max_element(opt.spec.stations.begin(), opt.spec.stations.end()));
 }
 
 int run(const Options& opt) {
@@ -405,16 +253,5 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse(argc, argv, opt)) return 2;
-  if (opt.help) {
-    print_help();
-    return 0;
-  }
-  try {
-    return run(opt);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 1;
-  }
+  return drn::cli::run_cli<Options>(argc, argv, parse, print_help, run);
 }
