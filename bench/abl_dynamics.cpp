@@ -69,8 +69,8 @@ runner::SweepSpec sweep_for(const BenchConfig& c, double churn_rate) {
   sw.seeds = c.seeds;
   sw.master_seed = c.master_seed;
   sw.paired_seeds = true;
-  sw.duration_s = c.duration_s;
-  sw.drain_s = c.drain_s;
+  sw.base.duration_s = c.duration_s;
+  sw.base.drain_s = c.drain_s;
   sw.base.stations = c.stations;
   sw.base.region_m = c.region_m;
   sw.base.dynamics.churn_rate_per_s = churn_rate;

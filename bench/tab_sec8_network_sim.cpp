@@ -46,8 +46,8 @@ void network_run(std::size_t stations, double region, double rate,
   spec.seeds = 1;
   spec.master_seed = seed;
   spec.paired_seeds = true;  // all four MACs on the identical placement
-  spec.duration_s = duration;
-  spec.drain_s = 120.0;
+  spec.base.duration_s = duration;
+  spec.base.drain_s = 120.0;
 
   const auto result =
       runner::run_sweep(spec, runner::ThreadPool::hardware_jobs());

@@ -1,8 +1,5 @@
 #include "core/discovery.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/expects.hpp"
 #include "radio/units.hpp"
 #include "sim/simulator.hpp"
@@ -43,7 +40,9 @@ void DiscoveryStation::on_timer(sim::MacContext& ctx, std::uint64_t cookie) {
   beacon.destination = kBroadcast;
   beacon.size_bits = config_.beacon_bits;
   beacon.sender_local_s = clock_.local(Seconds{ctx.now()}).value();
-  ctx.transmit(beacon, kBroadcast, config_.beacon_power_w, ctx.now());
+  // Air the beacon at the rate its receivers correct the stamp by.
+  ctx.transmit(beacon, kBroadcast, config_.beacon_power_w, ctx.now(),
+               config_.data_rate_bps);
 }
 
 void DiscoveryStation::on_enqueue(sim::MacContext& ctx, const sim::Packet& pkt,
@@ -96,23 +95,7 @@ ScheduledNetwork discover_and_build(const radio::PropagationMatrix& gains,
                                     const DiscoveryConfig& discovery_config,
                                     Rng& rng) {
   const std::size_t m = gains.size();
-
-  ScheduledNetwork net{
-      Schedule(net_config.schedule_seed, net_config.slot_s,
-               net_config.receive_fraction),
-      {},
-      std::vector<std::vector<StationId>>(m),
-      {},
-      net_config.packet_fraction * net_config.slot_s,
-      0.0,
-      (units::Watts{net_config.target_received_w} / criterion.required_snr())
-          .value()};
-  net.packet_bits = criterion.data_rate_bps() * net.packet_airtime_s;
-
-  net.clocks.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
-    net.clocks.push_back(StationClock::random(
-        rng, Seconds{net_config.max_clock_offset_s}, net_config.max_drift_ppm));
+  std::vector<StationClock> clocks = draw_clocks(m, net_config, rng);
 
   // Run the discovery phase under the real physics.
   sim::SimulatorConfig sim_cfg{criterion};
@@ -120,57 +103,20 @@ ScheduledNetwork discover_and_build(const radio::PropagationMatrix& gains,
   sim::Simulator sim(gains, sim_cfg);
   std::vector<DiscoveryStation*> stations(m);
   for (StationId s = 0; s < m; ++s) {
-    auto mac = std::make_unique<DiscoveryStation>(discovery_config,
-                                                  net.clocks[s]);
+    auto mac = std::make_unique<DiscoveryStation>(discovery_config, clocks[s]);
     stations[s] = mac.get();
     sim.set_mac(s, std::move(mac));
   }
   sim.run_until(discovery_config.duration_s + 1.0);
 
-  // Assemble the scheduled network from the measurements.
-  const PowerControl power(net_config.target_received_w,
-                           net_config.max_power_w);
-  const double min_gain =
-      std::max(net_config.min_neighbor_gain,
-               net_config.target_received_w / net_config.max_power_w);
-
+  // Keep the neighbours whose target power is reachable within the limit.
+  const double min_gain = net_config.target_received_w / net_config.max_power_w;
   std::vector<NeighborTable> tables;
   tables.reserve(m);
-  std::vector<double> worst_power(m, 0.0);
-  for (StationId s = 0; s < m; ++s) {
-    tables.push_back(stations[s]->build_neighbor_table(min_gain));
-    for (const auto& n : tables.back().all()) {
-      net.neighbors[s].push_back(n.id);
-      worst_power[s] =
-          std::max(worst_power[s], power.transmit_power_w(n.gain));
-    }
-  }
-
-  net.macs.reserve(m);
-  for (StationId s = 0; s < m; ++s) {
-    NeighborTable table;
-    for (const auto& n : tables[s].all()) {
-      Neighbor copy = n;
-      copy.respect_receive_windows =
-          net_config.respect_third_party_windows &&
-          interferes_significantly(copy.gain, worst_power[s],
-                                   net.interference_budget_w,
-                                   net_config.significance_fraction);
-      table.add(copy);
-    }
-    ScheduledStationConfig sc{net.schedule,
-                              net.clocks[s],
-                              net.packet_airtime_s,
-                              net_config.guard_fraction * net_config.slot_s,
-                              power,
-                              /*horizon_slots=*/20000.0,
-                              net_config.max_queue,
-                              net.interference_budget_w,
-                              net_config.significance_fraction};
-    net.macs.push_back(
-        std::make_unique<ScheduledStation>(sc, std::move(table)));
-  }
-  return net;
+  for (const DiscoveryStation* station : stations)
+    tables.push_back(station->build_neighbor_table(min_gain));
+  return assemble_scheduled_network(std::move(clocks), std::move(tables),
+                                    criterion, net_config);
 }
 
 }  // namespace drn::core

@@ -37,9 +37,10 @@ struct DiscoveryConfig {
   /// Known, network-wide beacon transmit power (how receivers turn received
   /// power into a gain estimate).
   double beacon_power_w = 1.0e-4;
-  /// Beacon length in bits (at the design rate).
+  /// Beacon length in bits.
   double beacon_bits = 500.0;
-  /// The design data rate (needed to correct clock stamps for airtime).
+  /// The rate beacons air at; receivers correct clock stamps by the airtime
+  /// at this same rate.
   double data_rate_bps = 1.0e6;
   /// Std-dev of the receiver's gain-measurement error, dB (0 = perfect).
   double gain_noise_db = 0.5;
@@ -86,12 +87,12 @@ class DiscoveryStation final : public sim::MacProtocol {
   std::map<StationId, NeighborObservation> observations_;
 };
 
-/// Runs a full discovery phase for `gains` (fresh random clocks, one
-/// DiscoveryStation per station), then assembles the scheduled-access
-/// network from the measurements alone: neighbour tables, power control,
-/// respect flags and schedules, exactly as build_scheduled_network does from
-/// ground truth. The returned neighbour lists may be a subset of the true
-/// ones (beacons lost to collisions or below the reach threshold).
+/// Runs a full discovery phase for `gains` (draw_clocks, one
+/// DiscoveryStation per station), keeps each station's heard neighbours
+/// whose target power is reachable within the limit, and hands those tables
+/// to assemble_scheduled_network — the assembly build_scheduled_network
+/// feeds from ground truth. The returned neighbour lists may be a subset of
+/// the true ones (beacons lost to collisions or below the reach threshold).
 [[nodiscard]] ScheduledNetwork discover_and_build(
     const radio::PropagationMatrix& gains,
     const radio::ReceptionCriterion& criterion,

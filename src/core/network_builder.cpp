@@ -7,10 +7,39 @@
 
 namespace drn::core {
 
-ScheduledNetwork build_scheduled_network(
-    const radio::PropagationMatrix& gains,
+namespace {
+
+/// Seed of the schedule hash, the same at every station (Section 7.1).
+constexpr std::uint64_t kScheduleSeed = 0x5ced5ced;
+/// Clock offsets are uniform over [0, this): about 11.6 days, so slots are
+/// unaligned across stations (Section 7.1).
+constexpr double kMaxClockOffsetS = 1.0e6;
+/// Ground-truth rendezvous: every pair exchanges this many clock readings,
+/// evenly spread over this span, ending one slot before the run starts.
+constexpr std::size_t kRendezvousCount = 4;
+constexpr double kRendezvousSpanS = 120.0;
+/// Section 7.3: interference above this share of a neighbour's budget is
+/// significant (the paper's 1 dB rise). Sets the respect flags here and each
+/// station's per-transmission test.
+constexpr double kSignificanceFraction = 0.25;
+
+}  // namespace
+
+std::vector<StationClock> draw_clocks(std::size_t count,
+                                      const ScheduledNetworkConfig& config,
+                                      Rng& rng) {
+  std::vector<StationClock> clocks;
+  clocks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    clocks.push_back(StationClock::random(rng, Seconds{kMaxClockOffsetS},
+                                          config.max_drift_ppm));
+  return clocks;
+}
+
+ScheduledNetwork assemble_scheduled_network(
+    std::vector<StationClock> clocks, std::vector<NeighborTable> tables,
     const radio::ReceptionCriterion& criterion,
-    const ScheduledNetworkConfig& config, Rng& rng) {
+    const ScheduledNetworkConfig& config) {
   DRN_EXPECTS(config.slot_s > 0.0);
   DRN_EXPECTS(config.receive_fraction > 0.0 && config.receive_fraction < 1.0);
   DRN_EXPECTS(config.packet_fraction > 0.0);
@@ -18,12 +47,12 @@ ScheduledNetwork build_scheduled_network(
   DRN_EXPECTS(config.packet_fraction + 2.0 * config.guard_fraction <= 1.0);
   DRN_EXPECTS(config.target_received_w > 0.0);
   DRN_EXPECTS(config.max_power_w > 0.0);
-  DRN_EXPECTS(config.rendezvous_count >= 1);
+  DRN_EXPECTS(tables.size() == clocks.size());
 
-  const std::size_t m = gains.size();
+  const std::size_t m = clocks.size();
   ScheduledNetwork net{
-      Schedule(config.schedule_seed, config.slot_s, config.receive_fraction),
-      {},
+      Schedule(kScheduleSeed, config.slot_s, config.receive_fraction),
+      std::move(clocks),
       std::vector<std::vector<StationId>>(m),
       {},
       config.packet_fraction * config.slot_s,
@@ -32,68 +61,24 @@ ScheduledNetwork build_scheduled_network(
           .value()};
   net.packet_bits = criterion.data_rate_bps() * net.packet_airtime_s;
 
-  // Clocks: independent random offsets (Section 7.1) and quartz drift.
-  net.clocks.reserve(m);
-  for (std::size_t i = 0; i < m; ++i)
-    net.clocks.push_back(
-        StationClock::random(rng, Seconds{config.max_clock_offset_s},
-                             config.max_drift_ppm));
-
   const PowerControl power(config.target_received_w, config.max_power_w);
-
-  // Neighbour selection: the addressee must be reachable within the power
-  // limit (and above any explicit gain floor).
-  auto is_neighbor = [&](StationId a, StationId b) {
-    const double g = gains.gain(a, b);
-    return power.reachable(g) && g >= config.min_neighbor_gain;
-  };
-
-  // Worst-case power each station may radiate: enough to reach its weakest
-  // neighbour. Used for the Section-7.3 significance test.
-  std::vector<double> worst_power(m, 0.0);
-  for (StationId i = 0; i < m; ++i) {
-    for (StationId j = 0; j < m; ++j) {
-      if (i == j || !is_neighbor(i, j)) continue;
-      net.neighbors[i].push_back(j);
-      worst_power[i] =
-          std::max(worst_power[i], power.transmit_power_w(gains.gain(i, j)));
-    }
-  }
-
-  // Rendezvous schedule shared by every pair (relative global times < 0, i.e.
-  // before the simulation starts).
-  std::vector<double> rendezvous_times;
-  rendezvous_times.reserve(static_cast<std::size_t>(config.rendezvous_count));
-  for (int k = 0; k < config.rendezvous_count; ++k) {
-    const double frac = config.rendezvous_count == 1
-                            ? 1.0
-                            : static_cast<double>(k) /
-                                  static_cast<double>(config.rendezvous_count - 1);
-    rendezvous_times.push_back(-config.rendezvous_span_s * (1.0 - frac) -
-                               config.slot_s);
-  }
-
   net.macs.reserve(m);
   for (StationId i = 0; i < m; ++i) {
-    NeighborTable table;
-    for (StationId j : net.neighbors[i]) {
-      Neighbor nb;
-      nb.id = j;
-      nb.gain = gains.gain(i, j);
-      if (config.exact_clock_models) {
-        nb.clock = ClockModel::exact(net.clocks[i], net.clocks[j]);
-      } else {
-        const auto samples =
-            rendezvous(net.clocks[i], net.clocks[j], rendezvous_times,
-                       config.rendezvous_noise_s, rng);
-        nb.clock = ClockModel::fit(samples);
-      }
-      nb.respect_receive_windows =
+    NeighborTable& table = tables[i];
+    // Worst-case power this station may radiate: enough to reach its
+    // weakest neighbour. Used for the Section-7.3 significance test.
+    double worst_power = 0.0;
+    for (const Neighbor& n : table.all()) {
+      net.neighbors[i].push_back(n.id);
+      worst_power = std::max(worst_power, power.transmit_power_w(n.gain));
+    }
+    for (std::uint32_t k = 0; k < table.size(); ++k) {
+      Neighbor& n = table.at_position(k);
+      n.respect_receive_windows =
           config.respect_third_party_windows &&
-          interferes_significantly(nb.gain, worst_power[i],
+          interferes_significantly(n.gain, worst_power,
                                    net.interference_budget_w,
-                                   config.significance_fraction);
-      table.add(nb);
+                                   kSignificanceFraction);
     }
 
     ScheduledStationConfig sc{net.schedule,
@@ -104,7 +89,7 @@ ScheduledNetwork build_scheduled_network(
                               /*horizon_slots=*/20000.0,
                               config.max_queue,
                               /*interference_budget_w=*/net.interference_budget_w,
-                              config.significance_fraction};
+                              kSignificanceFraction};
     if (config.beacon_interval_s > 0.0) {
       sc.data_rate_bps = criterion.data_rate_bps();
       sc.beacon_interval_s = config.beacon_interval_s;
@@ -115,6 +100,48 @@ ScheduledNetwork build_scheduled_network(
     net.macs.push_back(std::make_unique<ScheduledStation>(sc, std::move(table)));
   }
   return net;
+}
+
+ScheduledNetwork build_scheduled_network(
+    const radio::PropagationMatrix& gains,
+    const radio::ReceptionCriterion& criterion,
+    const ScheduledNetworkConfig& config, Rng& rng) {
+  const std::size_t m = gains.size();
+  std::vector<StationClock> clocks = draw_clocks(m, config, rng);
+
+  // Rendezvous schedule shared by every pair (relative global times < 0, i.e.
+  // before the simulation starts).
+  std::vector<double> rendezvous_times;
+  rendezvous_times.reserve(kRendezvousCount);
+  for (std::size_t k = 0; k < kRendezvousCount; ++k) {
+    const double frac =
+        static_cast<double>(k) / static_cast<double>(kRendezvousCount - 1);
+    rendezvous_times.push_back(-kRendezvousSpanS * (1.0 - frac) -
+                               config.slot_s);
+  }
+
+  // Neighbours: every station whose target power is reachable within the
+  // limit, in id order — the order the rendezvous draws are taken in.
+  const PowerControl power(config.target_received_w, config.max_power_w);
+  std::vector<NeighborTable> tables(m);
+  for (StationId i = 0; i < m; ++i) {
+    for (StationId j = 0; j < m; ++j) {
+      const double g = gains.gain(i, j);
+      if (i == j || !power.reachable(g)) continue;
+      Neighbor nb;
+      nb.id = j;
+      nb.gain = g;
+      nb.clock = config.exact_clock_models
+                     ? ClockModel::exact(clocks[i], clocks[j])
+                     : ClockModel::fit(rendezvous(clocks[i], clocks[j],
+                                                  rendezvous_times,
+                                                  config.rendezvous_noise_s,
+                                                  rng));
+      tables[i].add(nb);
+    }
+  }
+  return assemble_scheduled_network(std::move(clocks), std::move(tables),
+                                    criterion, config);
 }
 
 }  // namespace drn::core

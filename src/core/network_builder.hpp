@@ -1,8 +1,11 @@
-// Convenience assembly of a complete scheduled-access network: clocks,
-// rendezvous-fitted clock models, neighbour tables with Section-7.3 respect
-// flags, power control, and one ScheduledStation MAC per station — everything
-// Sections 6-7 say a self-organising deployment derives locally from the
-// observable propagation matrix.
+// Assembly of a complete scheduled-access network: clocks, rendezvous-fitted
+// clock models, neighbour tables with Section-7.3 respect flags, power
+// control, and one ScheduledStation MAC per station — everything Sections 6-7
+// say a self-organising deployment derives locally from the observable
+// propagation matrix. The neighbour tables come from one of two sources:
+// ground truth (build_scheduled_network, below) or beacons heard over the air
+// (discover_and_build, discovery.hpp); assemble_scheduled_network turns
+// either into the same running network.
 #pragma once
 
 #include <memory>
@@ -10,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "core/clock.hpp"
+#include "core/neighbor_table.hpp"
 #include "core/power_control.hpp"
 #include "core/schedule.hpp"
 #include "core/scheduled_station.hpp"
@@ -21,7 +25,6 @@ namespace drn::core {
 
 struct ScheduledNetworkConfig {
   /// Network-wide schedule parameters (Section 7.1-7.2).
-  std::uint64_t schedule_seed = 0x5ced5ced;
   double slot_s = 0.01;
   double receive_fraction = 0.3;
   /// Packet airtime as a fraction of a slot (Section 7.2: one quarter).
@@ -29,28 +32,21 @@ struct ScheduledNetworkConfig {
   /// Guard as a fraction of a slot, absorbing clock-model error.
   double guard_fraction = 0.02;
 
-  /// Clock initialisation (Section 7.1) and rendezvous modelling (Section 7).
-  double max_clock_offset_s = 1.0e6;
+  /// Clock drift (Section 7.1) and rendezvous modelling (Section 7).
   double max_drift_ppm = 20.0;
   /// If true, neighbours know each other's clocks exactly (genie rendezvous);
   /// otherwise models are least-squares fits over noisy exchanges.
   bool exact_clock_models = false;
-  int rendezvous_count = 4;
-  double rendezvous_span_s = 120.0;
   double rendezvous_noise_s = 1.0e-6;
 
   /// Power control (Section 6.1): deliver this power to every addressee.
+  /// Stations are neighbours iff the target power is reachable.
   double target_received_w = 1.0e-9;
   double max_power_w = 1.0;
 
-  /// Stations are neighbours iff the target power is reachable AND the gain
-  /// is at least this floor (0 = reachability alone decides).
-  double min_neighbor_gain = 0.0;
-
   /// Section 7.3: avoid receive windows of third parties whose interference
-  /// budget we would consume more than `significance_fraction` of.
+  /// budget we would consume a significant share of.
   bool respect_third_party_windows = true;
-  double significance_fraction = 0.25;
 
   std::size_t max_queue = 4096;
 
@@ -79,8 +75,28 @@ struct ScheduledNetwork {
   double interference_budget_w = 0.0;
 };
 
-/// Builds the full network state for `gains` under `criterion`.
-/// Deterministic given `rng`'s state.
+/// Fresh clocks for `count` stations (Section 7.1): independent random
+/// offsets (slots are unaligned) and quartz drift within
+/// config.max_drift_ppm. Both builders draw these first from their `rng`.
+[[nodiscard]] std::vector<StationClock> draw_clocks(
+    std::size_t count, const ScheduledNetworkConfig& config, Rng& rng);
+
+/// Turns one neighbour table per station into a running network: the
+/// network-wide schedule, packet airtime and size at the criterion's rate,
+/// interference budget, neighbour id lists, Section-7.3 respect flags
+/// (judged against each station's worst-case power, overwriting any the
+/// tables carry) and one ScheduledStation per station configured from
+/// `config`. The tables may come from ground truth or from the air; this is
+/// the one place either becomes a network.
+[[nodiscard]] ScheduledNetwork assemble_scheduled_network(
+    std::vector<StationClock> clocks, std::vector<NeighborTable> tables,
+    const radio::ReceptionCriterion& criterion,
+    const ScheduledNetworkConfig& config);
+
+/// Builds the full network state for `gains` under `criterion` from ground
+/// truth: draw_clocks, then each station's reachable neighbours in id order
+/// with their true gains and rendezvous-fitted clock models, then
+/// assemble_scheduled_network. Deterministic given `rng`'s state.
 [[nodiscard]] ScheduledNetwork build_scheduled_network(
     const radio::PropagationMatrix& gains,
     const radio::ReceptionCriterion& criterion,

@@ -194,6 +194,9 @@ Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
     nf.cell = radio::Meters{spec.engine_cell_m};
     sim_.emplace(radio::make_nearfar_engine(placement_, model, nf), sim_cfg);
   } else if (dyn.jammer.count > 0) {
+    // The engine gets its own (M+J)² matrix and nothing reads the M² one
+    // again: free it first so the two never coexist.
+    { const radio::PropagationMatrix released = std::move(scenario_.gains); }
     sim_.emplace(radio::make_dense_gains(placement_, *model), sim_cfg);
   } else {
     // The simulator's engine keeps its own matrix; nothing below reads

@@ -41,8 +41,6 @@ ScenarioSpec trial_scenario(const SweepSpec& spec,
   s.region_m = trial.point.region_m;
   s.mac = trial.point.mac;
   s.rate_pps = trial.point.rate_pps;
-  s.duration_s = spec.duration_s;
-  s.drain_s = spec.drain_s;
   return s;
 }
 
@@ -133,8 +131,8 @@ void write_results_json(std::ostream& os, const SweepSpec& spec,
   w.key("engine").value(radio::engine_name(spec.base.engine));
   w.key("engine_cutoff_m").value(spec.base.engine_cutoff_m);
   w.key("engine_cell_m").value(spec.base.engine_cell_m);
-  w.key("duration_s").value(spec.duration_s);
-  w.key("drain_s").value(spec.drain_s);
+  w.key("duration_s").value(spec.base.duration_s);
+  w.key("drain_s").value(spec.base.drain_s);
   w.key("stations").begin_array();
   for (std::size_t m : spec.stations) w.value(m);
   w.end_array();

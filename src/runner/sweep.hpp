@@ -37,9 +37,8 @@ struct SweepSpec {
   /// placements/traffic — the classic paired variance-reduction technique
   /// and how the paper's Section 8 table is meant to be read.
   bool paired_seeds = false;
-  double duration_s = 2.0;
-  double drain_s = 60.0;
-  /// Base spec for fields not swept (net config, radio design point, ...).
+  /// Base spec for fields not swept (traffic window and drain, net config,
+  /// radio design point, ...).
   ScenarioSpec base;
 
   [[nodiscard]] std::size_t trial_count() const {

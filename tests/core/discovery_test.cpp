@@ -167,6 +167,71 @@ TEST(Discovery, DiscoveredNetworkCarriesTrafficCollisionFree) {
   EXPECT_EQ(sim.metrics().losses(sim::LossType::kType3), 0u);
 }
 
+TEST(Discovery, DiscoveredStationsCarryTheNetworkConfig) {
+  // A discovered network is configured like a ground-truth one: the beacon
+  // block, neighbour timeout and re-adoption reach every station.
+  Rng rng(31);
+  const auto placement = geo::uniform_disc(8, 300.0, rng);
+  const radio::FreeSpacePropagation model;
+  const auto gains = radio::PropagationMatrix::from_placement(placement, model);
+
+  ScheduledNetworkConfig net_cfg;
+  net_cfg.target_received_w = 1.0e-9;
+  net_cfg.max_power_w = 1.6e-4;
+  net_cfg.beacon_interval_s = 0.5;
+  net_cfg.beacon_bits = 400.0;
+  net_cfg.neighbor_timeout_s = 3.0;
+  net_cfg.readopt_neighbors = true;
+  Rng build_rng(32);
+  const auto net = discover_and_build(gains, criterion(), net_cfg,
+                                      discovery_config(), build_rng);
+
+  ASSERT_EQ(net.macs.size(), 8u);
+  for (const auto& mac : net.macs) {
+    const ScheduledStationConfig& sc = mac->config();
+    EXPECT_EQ(sc.beacon_interval_s, net_cfg.beacon_interval_s);
+    EXPECT_EQ(sc.beacon_bits, net_cfg.beacon_bits);
+    EXPECT_EQ(sc.neighbor_timeout_s, net_cfg.neighbor_timeout_s);
+    EXPECT_TRUE(sc.readopt_neighbors);
+    EXPECT_EQ(sc.data_rate_bps, criterion().data_rate_bps());
+  }
+}
+
+TEST(Discovery, ClockModelsHoldWhenDiscoveryRateDiffersFromDesignRate) {
+  // Beacons air at a quarter of the criterion's rate. Receivers correct each
+  // stamp by the airtime at the rate the beacon actually aired at, so the
+  // fitted models track the true clock relation to within the guard.
+  Rng rng(51);
+  const auto placement = geo::uniform_disc(8, 300.0, rng);
+  const radio::FreeSpacePropagation model;
+  const auto gains = radio::PropagationMatrix::from_placement(placement, model);
+
+  ScheduledNetworkConfig net_cfg;
+  net_cfg.target_received_w = 1.0e-9;
+  net_cfg.max_power_w = 1.6e-4;
+  DiscoveryConfig disc = discovery_config();
+  disc.data_rate_bps = 2.5e5;
+  ASSERT_NE(disc.data_rate_bps, criterion().data_rate_bps());
+  Rng build_rng(52);
+  const auto net =
+      discover_and_build(gains, criterion(), net_cfg, disc, build_rng);
+
+  const double guard_s = net_cfg.guard_fraction * net_cfg.slot_s;
+  std::size_t links = 0;
+  for (StationId a = 0; a < net.macs.size(); ++a) {
+    for (const Neighbor& n : net.macs[a]->neighbors().all()) {
+      const ClockModel truth =
+          ClockModel::exact(net.clocks[a], net.clocks[n.id]);
+      for (const double t : {0.0, 5.0, 30.0}) {
+        const double mine = net.clocks[a].local(Seconds{t}).value();
+        EXPECT_NEAR(n.clock.map(mine), truth.map(mine), guard_s);
+      }
+      ++links;
+    }
+  }
+  EXPECT_GT(links, 0u);
+}
+
 TEST(Discovery, DenseNetworkSurvivesBeaconContention) {
   // 30 stations beaconing into the same disc: some beacons collide (they
   // are unscheduled), but enough get through that neighbourhoods are still

@@ -19,8 +19,8 @@ SweepSpec tiny_spec() {
   spec.rates_pps = {50.0};
   spec.seeds = 2;
   spec.master_seed = 11;
-  spec.duration_s = 0.3;
-  spec.drain_s = 5.0;
+  spec.base.duration_s = 0.3;
+  spec.base.drain_s = 5.0;
   spec.base.net.max_power_w = 1.0e-3;  // keep the tiny discs connected
   return spec;
 }

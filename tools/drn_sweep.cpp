@@ -184,8 +184,8 @@ bool parse(int argc, char** argv, Options& opt) {
     return false;
   cli::take(kv, "seeds", opt.spec.seeds);
   cli::take(kv, "seed", opt.spec.master_seed);
-  cli::take(kv, "duration", opt.spec.duration_s);
-  cli::take(kv, "drain", opt.spec.drain_s);
+  cli::take(kv, "duration", opt.spec.base.duration_s);
+  cli::take(kv, "drain", opt.spec.base.drain_s);
   cli::take(kv, "jobs", opt.jobs);
   if (auto it = kv.find("paired"); it != kv.end()) {
     opt.spec.paired_seeds = it->second != "0";
