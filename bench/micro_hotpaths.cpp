@@ -1,7 +1,7 @@
 // Engineering microbenchmarks (google-benchmark) for the hot paths: the
 // schedule hash, window search, neighbour lookup, SINR event processing,
-// event queue churn, and routing (every tree, and a trial's lazily built
-// share of them).
+// the compensated engine's interference walks, event queue churn, and
+// routing (every tree, and a trial's lazily built share of them).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 
 #include "core/access.hpp"
 #include "core/neighbor_table.hpp"
+#include "radio/interference_engine.hpp"
 #include "radio/propagation.hpp"
 #include "runner/scenario.hpp"
 #include "sim/event_queue.hpp"
@@ -188,6 +189,49 @@ void BM_SimulatorEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvent)->Arg(25)->Arg(50)->Unit(benchmark::kMillisecond);
 
+/// One transmission's life against N open receptions on a 1000-station
+/// matrix: start (a walk over every open reception), open and close its own
+/// reception, end (a second walk). The visitors do what the medium's do at
+/// their cheapest: read the reception's interference once per visit.
+void BM_CompensatedEngineWalk(benchmark::State& state) {
+  constexpr std::size_t kStations = 1000;
+  const auto open = static_cast<std::size_t>(state.range(0));
+  drn::Rng rng(9);
+  const auto placement = drn::geo::uniform_disc(kStations, 5000.0, rng);
+  const drn::radio::PowerLawPropagation model(3.0);
+  auto engine = drn::radio::make_compensated_engine(
+      drn::radio::make_dense_gains(placement, model));
+  const auto station = [&] {
+    return static_cast<StationId>(rng.uniform_index(kStations));
+  };
+  std::uint64_t next_id = 1;
+  for (std::size_t i = 0; i < open; ++i) {
+    const std::uint64_t id = next_id++;
+    engine->transmit_started(id, station(), drn::radio::Watts{1.0}, nullptr,
+                             nullptr);
+    (void)engine->open_reception(id, station(), nullptr);
+  }
+  double seen = 0.0;
+  const drn::radio::InterferenceEngine::SenderVisitor at_sender =
+      [&](drn::radio::ReceptionHandle h) {
+        seen += engine->interference(h).value();
+      };
+  const drn::radio::InterferenceEngine::AffectedVisitor affected =
+      [&](drn::radio::ReceptionHandle h, drn::radio::Watts) {
+        seen += engine->interference(h).value();
+      };
+  for (auto _ : state) {
+    const std::uint64_t id = next_id++;
+    engine->transmit_started(id, station(), drn::radio::Watts{1.0},
+                             at_sender, affected);
+    engine->close_reception(engine->open_reception(id, station(), nullptr));
+    engine->transmit_ended(id, affected);
+  }
+  benchmark::DoNotOptimize(seen);
+  state.SetLabel("open=" + std::to_string(open));
+}
+BENCHMARK(BM_CompensatedEngineWalk)->Arg(16)->Arg(64)->Arg(256);
+
 drn::routing::Graph routing_graph(std::size_t stations) {
   drn::Rng rng(7);
   const auto placement = drn::geo::uniform_disc(stations, 1000.0, rng);
@@ -230,7 +274,12 @@ void BM_RoutingUniformPairs(benchmark::State& state) {
   }
   state.SetLabel("stations=" + std::to_string(stations));
 }
-BENCHMARK(BM_RoutingUniformPairs)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoutingUniformPairs)
+    ->Arg(100)
+    ->Arg(300)
+    ->Arg(1000)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -16,64 +16,8 @@ namespace {
 /// kRecomputePeriod operations.
 constexpr std::uint32_t kRecomputePeriod = 64;
 
-struct ActiveTx {
-  StationId from = kNoStation;
-  double power_w = 0.0;
-};
-
-/// Flat sorted-by-id set of active transmissions for the matrix engine. The
-/// hot loops walk the whole set once per opened reception, so locality beats
-/// asymptotics: iteration is one contiguous ascending-id scan — the exact
-/// order the previous std::map produced, so every plain and compensated sum
-/// accumulates in the same order and stays bit-identical — and the simulator
-/// assigns ids monotonically, so insert is an amortized push_back and erase
-/// a short memmove over the handful of concurrent transmissions.
-class ActiveSet {
- public:
-  struct Entry {
-    std::uint64_t id;
-    ActiveTx tx;
-  };
-
-  void insert(std::uint64_t id, ActiveTx tx) {
-    const auto it = lower_bound(id);
-    DRN_EXPECTS(it == entries_.end() || it->id != id);
-    entries_.insert(it, Entry{id, tx});
-  }
-
-  ActiveTx extract(std::uint64_t id) {
-    const auto it = lower_bound(id);
-    DRN_EXPECTS(it != entries_.end() && it->id == id);
-    const ActiveTx tx = it->tx;
-    entries_.erase(it);
-    return tx;
-  }
-
-  [[nodiscard]] bool contains(std::uint64_t id) const {
-    const auto it = lower_bound(id);
-    return it != entries_.end() && it->id == id;
-  }
-
-  [[nodiscard]] auto begin() const { return entries_.begin(); }
-  [[nodiscard]] auto end() const { return entries_.end(); }
-
- private:
-  [[nodiscard]] std::vector<Entry>::const_iterator lower_bound(
-      std::uint64_t id) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), id,
-        [](const Entry& e, std::uint64_t v) { return e.id < v; });
-  }
-  [[nodiscard]] std::vector<Entry>::iterator lower_bound(std::uint64_t id) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), id,
-        [](const Entry& e, std::uint64_t v) { return e.id < v; });
-  }
-
-  std::vector<Entry> entries_;
-};
-
-/// Reception slot bookkeeping shared by the matrix and near/far engines.
+/// Reception slot bookkeeping for the near/far engine: slots indexed by
+/// handle, freed slots reused last-in first-out.
 template <typename Slot>
 class SlotTable {
  public:
@@ -122,6 +66,20 @@ class SlotTable {
 
 // ---------------------------------------------------------------------------
 // Compensated engine: Neumaier sums + periodic exact recomputation.
+//
+// Everything a walk reads is laid out as parallel arrays. Active
+// transmissions are id-sorted (id, from, power). Open receptions are packed
+// into live slots only (handle, tx_id, rx, sum, ops), swap-removed on close
+// with a handle -> slot map, so a walk never steps over a closed reception.
+// Gains are read through PropagationMatrix::row() pointers.
+//
+// Slot order is free: a visit touches only its own slot and the client's
+// record for its own handle. That also lets a walk run in two passes, the
+// first updating every slot's sum and the second notifying the visitors, so
+// the first pass's gain loads overlap instead of each waiting behind an
+// opaque visitor call. Each slot's arithmetic order is fixed: the Neumaier
+// adds in event order, and every kRecomputePeriod-th op an exact rebuild
+// summed in ascending tx-id order.
 
 class CompensatedEngine final : public InterferenceEngine {
  public:
@@ -140,73 +98,125 @@ class CompensatedEngine final : public InterferenceEngine {
                         const SenderVisitor& at_sender,
                         const AffectedVisitor& affected) override {
     const double power_w = power.value();
-    active_.insert(tx_id, ActiveTx{from, power_w});
+    insert_active(tx_id, from, power_w);
     // By symmetry row(from)[rx] == gain(rx, from): the walk over open
     // receptions reads one contiguous row instead of striding a column.
     const double* from_row = gains_.row(from);
-    slots_.for_each_live([&](ReceptionHandle h, Slot& s) {
-      if (s.rx == from) {
-        if (at_sender) at_sender(h);
-        return;
+    const std::size_t n = slot_rx_.size();
+    walk_watts_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slot_rx_[i] == from) continue;
+      const double watts = from_row[slot_rx_[i]] * power_w;
+      slot_sum_[i].add(watts);
+      bump(i);
+      walk_watts_[i] = watts;
+    }
+    if (!at_sender && !affected) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slot_rx_[i] == from) {
+        if (at_sender) at_sender(slot_handle_[i]);
+      } else if (affected) {
+        affected(slot_handle_[i], Watts{walk_watts_[i]});
       }
-      const double watts = from_row[s.rx] * power_w;
-      s.sum.add(watts);
-      bump(s);
-      if (affected) affected(h, Watts{watts});
-    });
+    }
   }
 
   void transmit_ended(std::uint64_t tx_id,
                       const AffectedVisitor& affected) override {
-    const ActiveTx tx = active_.extract(tx_id);
-    const double* from_row = gains_.row(tx.from);
-    slots_.for_each_live([&](ReceptionHandle h, Slot& s) {
-      if (s.tx_id == tx_id || s.rx == tx.from) return;
-      const double watts = from_row[s.rx] * tx.power_w;
-      s.sum.add(-watts);
-      bump(s);
-      if (affected) affected(h, Watts{watts});
-    });
+    const auto k = find_active(tx_id);
+    const StationId from = active_from_[k];
+    const double power_w = active_power_[k];
+    erase_active(k);
+    const double* from_row = gains_.row(from);
+    const std::size_t n = slot_rx_.size();
+    walk_watts_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slot_tx_[i] == tx_id || slot_rx_[i] == from) continue;
+      const double watts = from_row[slot_rx_[i]] * power_w;
+      slot_sum_[i].add(-watts);
+      bump(i);
+      walk_watts_[i] = watts;
+    }
+    if (!affected) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (slot_tx_[i] == tx_id || slot_rx_[i] == from) continue;
+      affected(slot_handle_[i], Watts{walk_watts_[i]});
+    }
   }
 
   [[nodiscard]] ReceptionHandle open_reception(
       std::uint64_t tx_id, StationId rx,
       const ContributionVisitor& contribution) override {
-    DRN_EXPECTS(active_.contains(tx_id));
-    const ReceptionHandle h = slots_.alloc();
-    Slot& s = slots_.at(h);
-    s.tx_id = tx_id;
-    s.rx = rx;
-    for (const auto& [id, other] : active_) {
-      if (id == tx_id || other.from == rx) continue;
-      const double watts = gains_.gain(rx, other.from) * other.power_w;
-      s.sum.add(watts);
-      if (contribution) contribution(id, Watts{watts});
+    (void)find_active(tx_id);  // must be on the air
+    const double* rx_row = gains_.row(rx);
+    CompensatedSum sum;
+    for (std::size_t k = 0; k < active_id_.size(); ++k) {
+      const StationId from = active_from_[k];
+      if (active_id_[k] == tx_id || from == rx) continue;
+      const double watts = rx_row[from] * active_power_[k];
+      sum.add(watts);
+      if (contribution) contribution(active_id_[k], Watts{watts});
     }
+
+    ReceptionHandle h = kInvalidReception;
+    if (!free_.empty()) {
+      h = free_.back();
+      free_.pop_back();
+    } else {
+      h = static_cast<ReceptionHandle>(slot_of_.size());
+      slot_of_.push_back(kNoSlot);
+    }
+    slot_of_[h] = static_cast<std::uint32_t>(slot_rx_.size());
+    slot_handle_.push_back(h);
+    slot_tx_.push_back(tx_id);
+    slot_rx_.push_back(rx);
+    slot_sum_.push_back(sum);
+    slot_ops_.push_back(0);
     return h;
   }
 
-  void close_reception(ReceptionHandle h) override { slots_.release(h); }
+  void close_reception(ReceptionHandle h) override {
+    const std::uint32_t i = slot(h);
+    const std::size_t last = slot_rx_.size() - 1;
+    if (i != last) {
+      slot_handle_[i] = slot_handle_[last];
+      slot_tx_[i] = slot_tx_[last];
+      slot_rx_[i] = slot_rx_[last];
+      slot_sum_[i] = slot_sum_[last];
+      slot_ops_[i] = slot_ops_[last];
+      slot_of_[slot_handle_[i]] = i;
+    }
+    slot_handle_.pop_back();
+    slot_tx_.pop_back();
+    slot_rx_.pop_back();
+    slot_sum_.pop_back();
+    slot_ops_.pop_back();
+    slot_of_[h] = kNoSlot;
+    free_.push_back(h);
+  }
+
   [[nodiscard]] std::size_t open_receptions() const override {
-    return slots_.live_count();
+    return slot_rx_.size();
   }
 
   [[nodiscard]] Watts interference(ReceptionHandle h) const override {
     // max(0, ·): a fully-compensated sum of removals can still leave a
     // residue of a few ulps below zero; physical interference cannot.
-    return Watts{thermal_w_ + std::max(0.0, slots_.at(h).sum.value())};
+    return Watts{thermal_w_ + std::max(0.0, slot_sum_[slot(h)].value())};
   }
 
   [[nodiscard]] Watts recomputed_interference(
       ReceptionHandle h) const override {
-    const Slot& s = slots_.at(h);
-    return Watts{thermal_w_ + std::max(0.0, exact_sum(s).value())};
+    const std::uint32_t i = slot(h);
+    return Watts{thermal_w_ +
+                 std::max(0.0, exact_sum(slot_tx_[i], slot_rx_[i]).value())};
   }
 
   [[nodiscard]] Watts power_at(StationId st) const override {
+    const double* st_row = gains_.row(st);
     CompensatedSum sum;
-    for (const auto& [id, tx] : active_)
-      sum.add(gains_.gain(st, tx.from) * tx.power_w);
+    for (std::size_t k = 0; k < active_id_.size(); ++k)
+      sum.add(st_row[active_from_[k]] * active_power_[k]);
     return Watts{thermal_w_ + std::max(0.0, sum.value())};
   }
 
@@ -225,9 +235,8 @@ class CompensatedEngine final : public InterferenceEngine {
     DRN_EXPECTS(model_ != nullptr);  // enable_mobility() first
     // RF-idle precondition: no compensated sum may hold a contribution that
     // was added through the station's old gains.
-    for (const auto& [id, tx] : active_) DRN_EXPECTS(tx.from != s);
-    slots_.for_each_live(
-        [&](ReceptionHandle, Slot& slot) { DRN_EXPECTS(slot.rx != s); });
+    for (const StationId from : active_from_) DRN_EXPECTS(from != s);
+    for (const StationId rx : slot_rx_) DRN_EXPECTS(rx != s);
     placement_[s] = position;
     for (StationId other = 0; other < gains_.size(); ++other) {
       if (other == s) continue;
@@ -238,33 +247,75 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
  private:
-  struct Slot {
-    std::uint64_t tx_id = 0;
-    StationId rx = kNoStation;
-    CompensatedSum sum;  // excludes thermal
-    std::uint32_t ops = 0;
-    bool live = false;
-  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  [[nodiscard]] CompensatedSum exact_sum(const Slot& s) const {
+  /// Position of tx_id in the active arrays; it must be on the air.
+  [[nodiscard]] std::size_t find_active(std::uint64_t tx_id) const {
+    const auto it =
+        std::lower_bound(active_id_.begin(), active_id_.end(), tx_id);
+    DRN_EXPECTS(it != active_id_.end() && *it == tx_id);
+    return static_cast<std::size_t>(it - active_id_.begin());
+  }
+
+  /// The simulator assigns ids monotonically, so this is almost always an
+  /// append.
+  void insert_active(std::uint64_t tx_id, StationId from, double power_w) {
+    const auto it =
+        std::lower_bound(active_id_.begin(), active_id_.end(), tx_id);
+    DRN_EXPECTS(it == active_id_.end() || *it != tx_id);
+    const auto k = it - active_id_.begin();
+    active_id_.insert(it, tx_id);
+    active_from_.insert(active_from_.begin() + k, from);
+    active_power_.insert(active_power_.begin() + k, power_w);
+  }
+
+  void erase_active(std::size_t k) {
+    const auto d = static_cast<std::ptrdiff_t>(k);
+    active_id_.erase(active_id_.begin() + d);
+    active_from_.erase(active_from_.begin() + d);
+    active_power_.erase(active_power_.begin() + d);
+  }
+
+  [[nodiscard]] std::uint32_t slot(ReceptionHandle h) const {
+    DRN_EXPECTS(h < slot_of_.size() && slot_of_[h] != kNoSlot);
+    return slot_of_[h];
+  }
+
+  /// The interference of a reception of tx_id at rx summed afresh over the
+  /// active set, in ascending tx-id order.
+  [[nodiscard]] CompensatedSum exact_sum(std::uint64_t tx_id,
+                                         StationId rx) const {
+    const double* rx_row = gains_.row(rx);
     CompensatedSum sum;
-    for (const auto& [id, other] : active_) {
-      if (id == s.tx_id || other.from == s.rx) continue;
-      sum.add(gains_.gain(s.rx, other.from) * other.power_w);
+    for (std::size_t k = 0; k < active_id_.size(); ++k) {
+      const StationId from = active_from_[k];
+      if (active_id_[k] == tx_id || from == rx) continue;
+      sum.add(rx_row[from] * active_power_[k]);
     }
     return sum;
   }
 
-  void bump(Slot& s) {
-    if (++s.ops >= kRecomputePeriod) {
-      s.sum = exact_sum(s);
-      s.ops = 0;
+  void bump(std::size_t i) {
+    if (++slot_ops_[i] >= kRecomputePeriod) {
+      slot_sum_[i] = exact_sum(slot_tx_[i], slot_rx_[i]);
+      slot_ops_[i] = 0;
     }
   }
 
   PropagationMatrix gains_;
-  ActiveSet active_;
-  SlotTable<Slot> slots_;
+  // Active transmissions, ascending id.
+  std::vector<std::uint64_t> active_id_;
+  std::vector<StationId> active_from_;
+  std::vector<double> active_power_;
+  // Open receptions, one live slot each, in no particular order.
+  std::vector<ReceptionHandle> slot_handle_;
+  std::vector<std::uint64_t> slot_tx_;
+  std::vector<StationId> slot_rx_;
+  std::vector<CompensatedSum> slot_sum_;  // excludes thermal
+  std::vector<std::uint32_t> slot_ops_;
+  std::vector<std::uint32_t> slot_of_;  // handle -> slot, kNoSlot if closed
+  std::vector<ReceptionHandle> free_;   // closed handles, reused LIFO
+  std::vector<double> walk_watts_;      // per-slot delta of the current walk
   geo::Placement placement_;                        // mobility only
   std::shared_ptr<const PropagationModel> model_;   // mobility only
   double self_gain_ = 1.0;

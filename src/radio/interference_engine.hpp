@@ -81,7 +81,10 @@ enum class InterferenceEngineKind {
 std::optional<InterferenceEngineKind> parse_engine(std::string_view text);
 const char* engine_name(InterferenceEngineKind kind);
 
-/// Opaque id of one in-flight reception inside an engine.
+/// Opaque id of one in-flight reception inside an engine. Handles are dense
+/// small integers: an engine reuses closed handles before issuing new ones,
+/// so the largest handle stays below the most receptions ever open at once,
+/// and a client may index its own per-reception records by handle.
 using ReceptionHandle = std::uint32_t;
 inline constexpr ReceptionHandle kInvalidReception = ~ReceptionHandle{0};
 

@@ -58,7 +58,9 @@ std::vector<StationId> extract_path(const PathTree& tree,
 class RoutingTables::Lazy {
  public:
   explicit Lazy(const Graph& graph)
-      : first_(graph.size() + 1), trees_(graph.size()) {
+      : first_(graph.size() + 1),
+        trees_(graph.size()),
+        slot_(graph.size(), kNotQueued) {
     for (StationId s = 0; s < graph.size(); ++s) {
       for (const Edge& e : graph.edges(s)) arcs_.push_back({e.to, e.cost});
       first_[s + 1] = arcs_.size();
@@ -84,7 +86,8 @@ class RoutingTables::Lazy {
   [[nodiscard]] std::size_t memory_bytes() const {
     std::size_t bytes = first_.capacity() * sizeof(std::size_t) +
                         arcs_.capacity() * sizeof(Arc) +
-                        trees_.capacity() * sizeof(std::unique_ptr<Tree>);
+                        trees_.capacity() * sizeof(std::unique_ptr<Tree>) +
+                        slot_.capacity() * sizeof(std::uint32_t);
     for (const auto& t : trees_) {
       if (!t) continue;
       bytes += sizeof(Tree) + t->cost.capacity() * sizeof(double) +
@@ -100,9 +103,16 @@ class RoutingTables::Lazy {
     double cost;
   };
 
+  static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
+
   /// Dijkstra rooted at one destination, paused between queries. `frontier`
-  /// is the binary min-heap std::priority_queue would hold, stale entries
-  /// included, so resuming performs exactly shortest_paths' steps.
+  /// is a 4-ary min-heap with one (cost, station) item per reached,
+  /// unsettled station; a relaxation lowers the station's item in place
+  /// (decrease-key) instead of pushing a second one. Items are distinct, so
+  /// the heap pops exactly the item shortest_paths' heap pops next that is
+  /// not stale: the stations settle in the same order with the same costs
+  /// and parents, and every pause point is the same. Freed when the tree
+  /// completes.
   struct Tree {
     std::vector<double> cost;
     std::vector<StationId> parent;
@@ -114,46 +124,97 @@ class RoutingTables::Lazy {
   /// below it is final (and one never reached once the frontier is empty
   /// stays unreachable).
   const Tree& final_entry(StationId at, StationId dst) {
-    std::unique_ptr<Tree>& slot = trees_[dst];
-    if (!slot) {
-      slot = std::make_unique<Tree>();
-      slot->cost.assign(size(), kInf);
-      slot->parent.assign(size(), kNoStation);
-      slot->cost[dst] = 0.0;
-      slot->frontier.emplace_back(0.0, dst);
+    std::unique_ptr<Tree>& tree = trees_[dst];
+    if (!tree) {
+      tree = std::make_unique<Tree>();
+      tree->cost.assign(size(), kInf);
+      tree->parent.assign(size(), kNoStation);
+      tree->cost[dst] = 0.0;
+      tree->frontier.emplace_back(0.0, dst);
       ++stats_.trees;
     }
-    Tree& t = *slot;
-    while (!t.frontier.empty() && t.frontier.front().first < t.cost[at])
+    Tree& t = *tree;
+    const auto pending = [&] {
+      return !t.frontier.empty() && t.frontier.front().first < t.cost[at];
+    };
+    if (!pending()) return t;
+    // Only the running tree needs heap positions: index its frontier into
+    // the shared slot_ array for the run, and clear it again at the pause.
+    // That costs O(frontier) per resume instead of O(M) per paused tree.
+    for (std::size_t i = 0; i < t.frontier.size(); ++i)
+      slot_[t.frontier[i].second] = static_cast<std::uint32_t>(i);
+    do {
       step(t);
+    } while (pending());
+    for (const HeapItem& item : t.frontier) slot_[item.second] = kNotQueued;
     return t;
   }
 
-  /// One pop of shortest_paths' loop.
+  /// One settling pop of shortest_paths' loop.
   void step(Tree& t) {
-    std::pop_heap(t.frontier.begin(), t.frontier.end(), std::greater<>{});
-    const auto [cost, at] = t.frontier.back();
+    const auto [cost, at] = t.frontier.front();
+    slot_[at] = kNotQueued;
+    const HeapItem last = t.frontier.back();
     t.frontier.pop_back();
-    if (cost <= t.cost[at]) {  // not a stale entry
-      ++stats_.settled;
-      for (std::size_t i = first_[at]; i < first_[at + 1]; ++i) {
-        const Arc& e = arcs_[i];
-        const double candidate = cost + e.cost;
-        if (candidate < t.cost[e.to]) {
-          t.cost[e.to] = candidate;
-          t.parent[e.to] = at;
-          t.frontier.emplace_back(candidate, e.to);
-          std::push_heap(t.frontier.begin(), t.frontier.end(),
-                         std::greater<>{});
+    if (!t.frontier.empty()) sift_down(t, last);
+    ++stats_.settled;
+    for (std::size_t i = first_[at]; i < first_[at + 1]; ++i) {
+      const Arc& e = arcs_[i];
+      const double candidate = cost + e.cost;
+      if (candidate < t.cost[e.to]) {
+        t.cost[e.to] = candidate;
+        t.parent[e.to] = at;
+        std::uint32_t pos = slot_[e.to];
+        if (pos == kNotQueued) {
+          pos = static_cast<std::uint32_t>(t.frontier.size());
+          t.frontier.emplace_back();
         }
+        sift_up(t, pos, HeapItem{candidate, e.to});
       }
     }
-    if (t.frontier.empty()) t.frontier.shrink_to_fit();  // tree complete
+    if (t.frontier.empty()) t.frontier = {};  // tree complete
+  }
+
+  /// Places `item` at heap position `pos` (a hole) and moves it up.
+  void sift_up(Tree& t, std::uint32_t pos, HeapItem item) {
+    while (pos > 0) {
+      const std::uint32_t up = (pos - 1) / 4;
+      if (!(item < t.frontier[up])) break;
+      place(t, pos, t.frontier[up]);
+      pos = up;
+    }
+    place(t, pos, item);
+  }
+
+  /// Places `item` at the root (a hole) and moves it down.
+  void sift_down(Tree& t, HeapItem item) {
+    const std::size_t n = t.frontier.size();
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t first = 4 * pos + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t end = std::min(first + 4, n);
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (t.frontier[c] < t.frontier[best]) best = c;
+      if (!(t.frontier[best] < item)) break;
+      place(t, pos, t.frontier[best]);
+      pos = best;
+    }
+    place(t, pos, item);
+  }
+
+  void place(Tree& t, std::size_t pos, HeapItem item) {
+    t.frontier[pos] = item;
+    slot_[item.second] = static_cast<std::uint32_t>(pos);
   }
 
   std::vector<std::size_t> first_;  // arcs of s: [first_[s], first_[s + 1])
   std::vector<Arc> arcs_;
   std::vector<std::unique_ptr<Tree>> trees_;  // by destination
+  // Heap position of each station in the frontier of the tree being run,
+  // kNotQueued otherwise (all of it between runs).
+  std::vector<std::uint32_t> slot_;
   Stats stats_;
 };
 

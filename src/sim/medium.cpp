@@ -126,14 +126,15 @@ void RadioMedium::fail_reception(Reception& r, const ActiveTx& cause) {
   if (r.failure == LossType::kNone) r.failure = classify(cause, r.rx);
 }
 
-double RadioMedium::effective_sinr(const Reception& r) const {
-  const double interference = engine_->interference(r.handle).value();
-  if (config_.multiuser_subtract_k == 0 || r.contributions.empty())
+double RadioMedium::effective_sinr(radio::ReceptionHandle h,
+                                   const Reception& r) const {
+  const double interference = engine_->interference(h).value();
+  if (config_.multiuser_subtract_k == 0 || contributions_[h].empty())
     return r.signal_w / interference;
   // Subtract the k strongest interfering contributions (idealised multiuser
   // detection: the receiver reconstructs and cancels them).
   const double cancelled =
-      r.contributions
+      contributions_[h]
           .sum_top(static_cast<std::size_t>(config_.multiuser_subtract_k))
           .value();
   const double residual =
@@ -141,28 +142,36 @@ double RadioMedium::effective_sinr(const Reception& r) const {
   return r.signal_w / residual;
 }
 
-void RadioMedium::note_interference_change(Reception& r,
+void RadioMedium::note_interference_change(radio::ReceptionHandle h,
                                            const ActiveTx& cause) {
-  const double sinr = effective_sinr(r);
+  Reception& r = reception_at(h);
+  const double sinr = effective_sinr(h, r);
   r.min_sinr = std::min(r.min_sinr, sinr);
   if (r.failure == LossType::kNone && sinr < r.required_snr)
     fail_reception(r, cause);
 }
 
 void RadioMedium::open_reception(std::uint64_t tx_id, const ActiveTx& tx,
-                                 StationId rx,
-                                 std::vector<Reception>& records) {
+                                 StationId rx) {
   Reception r;
   r.rx = rx;
   r.signal_w = engine_->gain(rx, tx.from) * tx.power_w;
   r.required_snr = tx.required_snr;
+  const bool track = config_.multiuser_subtract_k > 0;
+  ContributionSet contributions;
   radio::InterferenceEngine::ContributionVisitor on_contribution;
-  if (config_.multiuser_subtract_k > 0) {
-    on_contribution = [&r](std::uint64_t id, radio::Watts watts) {
-      r.contributions.add(id, watts);
+  if (track) {
+    on_contribution = [&contributions](std::uint64_t id, radio::Watts watts) {
+      contributions.add(id, watts);
     };
   }
-  r.handle = engine_->open_reception(tx_id, rx, on_contribution);
+  const radio::ReceptionHandle h =
+      engine_->open_reception(tx_id, rx, on_contribution);
+  if (records_.size() <= h) records_.resize(h + 1);
+  if (track) {
+    if (contributions_.size() <= h) contributions_.resize(h + 1);
+    contributions_[h] = std::move(contributions);
+  }
 
   if (!client_.station_up(rx)) {
     // The receiver is down (churn): the record still exists — conservation
@@ -178,7 +187,7 @@ void RadioMedium::open_reception(std::uint64_t tx_id, const ActiveTx& tx,
     ++reception_count_[rx];
   }
 
-  r.min_sinr = effective_sinr(r);
+  r.min_sinr = effective_sinr(h, r);
   if (r.failure == LossType::kNone && r.min_sinr < r.required_snr) {
     // Below threshold from the first instant: attribute the loss to an
     // already-active transmission addressed to the same receiver (Type 2) if
@@ -190,18 +199,37 @@ void RadioMedium::open_reception(std::uint64_t tx_id, const ActiveTx& tx,
     r.failure = others > 0 ? LossType::kType2 : LossType::kType1;
   }
 
-  // The vector was reserved by the caller, so push_back never reallocates
-  // and the back-pointer registered here stays valid until close.
-  DRN_EXPECTS(records.size() < records.capacity());
-  records.push_back(std::move(r));
+  records_[h] = r;
   ++open_rx_count_[rx];
-  const radio::ReceptionHandle h = records.back().handle;
-  if (by_handle_.size() <= h) by_handle_.resize(h + 1, nullptr);
-  by_handle_[h] = &records.back();
+  rx_lists_[tx.rx_list].push_back(h);
+}
+
+std::uint32_t RadioMedium::acquire_rx_list() {
+  if (free_rx_lists_.empty()) {
+    rx_lists_.emplace_back();
+    return static_cast<std::uint32_t>(rx_lists_.size() - 1);
+  }
+  const std::uint32_t list = free_rx_lists_.back();
+  free_rx_lists_.pop_back();
+  return list;
+}
+
+template <typename F>
+void RadioMedium::close_receptions(const ActiveTx& tx, F&& on_closed) {
+  std::vector<radio::ReceptionHandle>& handles = rx_lists_[tx.rx_list];
+  for (const radio::ReceptionHandle h : handles) {
+    engine_->close_reception(h);
+    Reception& r = records_[h];
+    if (r.occupies_channel) --reception_count_[r.rx];
+    --open_rx_count_[r.rx];
+    on_closed(r);
+  }
+  handles.clear();
+  free_rx_lists_.push_back(tx.rx_list);
 }
 
 void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
-  const ActiveTx& tx = active_.insert(tx_id, scheduled_.extract(tx_id));
+  ActiveTx& tx = active_.insert(tx_id, scheduled_.extract(tx_id));
   const bool noise = tx.to == kNoStation;
   if (tx.to < station_count()) ++addressed_count_[tx.to];
 
@@ -228,37 +256,44 @@ void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
     for (SimObserver* o : observers_) o->on_transmit_start(ev);
   }
 
-  const bool track = config_.multiuser_subtract_k > 0;
-
   // The new signal raises the interference of every in-flight reception it
   // reaches and kills any reception in progress at the (now radiating)
   // sender itself; the engine walks them and notifies us per reception.
-  engine_->transmit_started(
-      tx_id, tx.from, radio::Watts{tx.power_w},
+  // Both untracked visitors capture 16 bytes, within std::function's small
+  // buffer, so a transmit start allocates nothing for them.
+  const radio::InterferenceEngine::SenderVisitor at_sender =
       [this, &tx](radio::ReceptionHandle h) {
         fail_reception(reception_at(h), tx);  // Type 3: own transmitter up
-      },
-      [this, &tx, tx_id, track](radio::ReceptionHandle h, radio::Watts watts) {
-        Reception& r = reception_at(h);
-        if (track) r.contributions.add(tx_id, watts);
-        note_interference_change(r, tx);
-      });
+      };
+  if (config_.multiuser_subtract_k > 0) {
+    engine_->transmit_started(
+        tx_id, tx.from, radio::Watts{tx.power_w}, at_sender,
+        [this, &tx, tx_id](radio::ReceptionHandle h, radio::Watts watts) {
+          contributions_[h].add(tx_id, watts);
+          note_interference_change(h, tx);
+        });
+  } else {
+    engine_->transmit_started(
+        tx_id, tx.from, radio::Watts{tx.power_w}, at_sender,
+        [this, &tx](radio::ReceptionHandle h, radio::Watts /*watts*/) {
+          note_interference_change(h, tx);
+        });
+  }
 
   // A noise burst carries nothing: it interferes (above) but opens no
   // reception.
   if (noise) return;
 
   // Open the reception record(s).
-  auto& records = receptions_[tx_id];
+  tx.rx_list = acquire_rx_list();
   if (tx.to == kBroadcast) {
-    records.reserve(station_count() - 1);
+    rx_lists_[tx.rx_list].reserve(station_count() - 1);
     for (StationId rx = 0; rx < station_count(); ++rx) {
       if (rx == tx.from) continue;
-      open_reception(tx_id, tx, rx, records);
+      open_reception(tx_id, tx, rx);
     }
   } else {
-    records.reserve(1);
-    open_reception(tx_id, tx, tx.to, records);
+    open_reception(tx_id, tx, tx.to);
   }
 }
 
@@ -276,7 +311,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   if (config_.multiuser_subtract_k > 0) {
     on_affected = [this, tx_id](radio::ReceptionHandle h,
                                 radio::Watts /*watts*/) {
-      reception_at(h).contributions.erase(tx_id);
+      contributions_[h].erase(tx_id);
     };
   }
   engine_->transmit_ended(tx_id, on_affected);
@@ -287,14 +322,8 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
     return;
   }
 
-  auto rnode = receptions_.extract(tx_id);
-  DRN_EXPECTS(!rnode.empty());
   bool any_delivered = false;
-  for (Reception& r : rnode.mapped()) {
-    engine_->close_reception(r.handle);
-    by_handle_[r.handle] = nullptr;
-    if (r.occupies_channel) --reception_count_[r.rx];
-    --open_rx_count_[r.rx];
+  close_receptions(tx, [&](const Reception& r) {
     const bool delivered = r.failure == LossType::kNone;
     any_delivered |= delivered;
 
@@ -315,7 +344,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
         metrics_.record_broadcast_reception();
         client_.on_decoded_broadcast(tx.packet, tx.from, r.rx, r.signal_w);
       }
-      continue;
+      return;
     }
 
     if (delivered) {
@@ -325,7 +354,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
     } else {
       metrics_.record_hop_loss(r.failure);
     }
-  }
+  });
 
   client_.on_transmit_complete(tx.from, tx.packet, tx.to, any_delivered);
 }
@@ -364,20 +393,14 @@ void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
   if (config_.multiuser_subtract_k > 0) {
     on_affected = [this, tx_id](radio::ReceptionHandle h,
                                 radio::Watts /*watts*/) {
-      reception_at(h).contributions.erase(tx_id);
+      contributions_[h].erase(tx_id);
     };
   }
   engine_->transmit_ended(tx_id, on_affected);
 
   if (tx.to == kNoStation) return;  // noise: no reception records
 
-  auto rnode = receptions_.extract(tx_id);
-  DRN_EXPECTS(!rnode.empty());
-  for (Reception& r : rnode.mapped()) {
-    engine_->close_reception(r.handle);
-    by_handle_[r.handle] = nullptr;
-    if (r.occupies_channel) --reception_count_[r.rx];
-    --open_rx_count_[r.rx];
+  close_receptions(tx, [&](Reception& r) {
     // A truncated packet is undecodable regardless of its SINR so far.
     if (r.failure == LossType::kNone) r.failure = LossType::kAborted;
 
@@ -394,7 +417,7 @@ void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
     }
 
     if (tx.to != kBroadcast) metrics_.record_hop_loss(r.failure);
-  }
+  });
   // No completion upcall: the sender's MAC is being torn down right now.
 }
 
@@ -422,9 +445,10 @@ void RadioMedium::abort_receptions_at(StationId station) {
   // open (the engine keeps accounting the interference they see, and
   // conservation still expects their outcomes at the transmissions' ends)
   // but can no longer deliver — even if the station rejoins first.
-  for (auto& [id, records] : receptions_) {
-    (void)id;
-    for (Reception& r : records) {
+  for (const auto& e : active_) {
+    if (e.tx.rx_list == kNoList) continue;
+    for (const radio::ReceptionHandle h : rx_lists_[e.tx.rx_list]) {
+      Reception& r = records_[h];
       if (r.rx == station && r.failure == LossType::kNone)
         r.failure = LossType::kAborted;
     }

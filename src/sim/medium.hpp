@@ -3,10 +3,10 @@
 //
 //   * transmission records: scheduled (booked but not yet radiating) and
 //     active (in flight), in flat id-sorted sets;
-//   * reception records: despreading-channel admission (Section 5), the
-//     running worst-SINR test against Eq. 3-6 thresholds, the Section 5
-//     loss taxonomy (Type 1/2/3), and idealised multiuser subtraction
-//     (footnote 2) through a bounded ContributionSet;
+//   * reception records, stored at their engine handles: despreading-channel
+//     admission (Section 5), the running worst-SINR test against Eq. 3-6
+//     thresholds, the Section 5 loss taxonomy (Type 1/2/3), and idealised
+//     multiuser subtraction (footnote 2) through a bounded ContributionSet;
 //   * all interaction with the pluggable InterferenceEngine
 //     (radio/interference_engine): start/end notifications, per-reception
 //     interference queries, mobility-driven gain recomputation.
@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -192,6 +191,8 @@ class RadioMedium {
   }
 
  private:
+  static constexpr std::uint32_t kNoList = ~std::uint32_t{0};
+
   struct ActiveTx {
     Packet packet;
     StationId from = kNoStation;
@@ -202,18 +203,21 @@ class RadioMedium {
     double end_s = 0.0;
     double rate_bps = 0.0;
     double required_snr = 0.0;  // Eq. 4 threshold at this rate
+    /// Its reception records, as an index into rx_lists_ (set when it goes
+    /// on the air; kNoList while scheduled and for noise bursts).
+    std::uint32_t rx_list = kNoList;
     /// Queue entries for this transmission, cancellable while pending: both
     /// while scheduled, the end alone once in flight (aborts cut it short).
     EventHandle start_ev;
     EventHandle end_ev;
   };
 
-  /// Flat id-sorted set of transmission records — the same container
-  /// discipline the interference engines' ActiveSet uses. Iteration is one
-  /// contiguous ascending-id scan (the exact order the previous std::map
-  /// produced, so every downstream draw stays bit-identical); tx ids are
-  /// assigned monotonically, so insert is an amortized push_back and erase a
-  /// short memmove over the handful of concurrent transmissions.
+  /// Flat id-sorted set of transmission records, the layout the compensated
+  /// engine's active arrays use too. Iteration is one contiguous
+  /// ascending-id scan (the exact order the previous std::map produced, so
+  /// every downstream draw stays bit-identical); tx ids are assigned
+  /// monotonically, so insert is an amortized push_back and erase a short
+  /// memmove over the handful of concurrent transmissions.
   class TxSet {
    public:
     struct Entry {
@@ -257,19 +261,15 @@ class RadioMedium {
     std::vector<Entry> entries_;
   };
 
+  /// One reception record, stored at its engine handle (the engine's
+  /// interference(handle) is thermal + all other active transmissions).
   struct Reception {
     StationId rx = kNoStation;
-    double signal_w = 0.0;
-    /// Engine-side interference state for this reception (the engine's
-    /// interference(handle) is thermal + all other active transmissions).
-    radio::ReceptionHandle handle = radio::kInvalidReception;
-    double min_sinr = 0.0;  // worst (effective) SINR seen so far
-    double required_snr = 0.0;
     LossType failure = LossType::kNone;
     bool occupies_channel = false;  // holds one of rx's despreading channels
-    /// Per-interferer contributions, kept only when multiuser detection is
-    /// on (needed to subtract the strongest k).
-    ContributionSet contributions;
+    double signal_w = 0.0;
+    double min_sinr = 0.0;  // worst (effective) SINR seen so far
+    double required_snr = 0.0;
   };
 
   /// Cuts short a transmission already on the air (its sender is being torn
@@ -283,17 +283,18 @@ class RadioMedium {
   void schedule_tx_events(std::uint64_t tx_id, ActiveTx& tx);
 
   /// Opens the reception record for `tx` at receiver `rx` (admission rules:
-  /// not transmitting, free despreading channel, initial SINR) and registers
-  /// its engine handle in by_handle_.
-  void open_reception(std::uint64_t tx_id, const ActiveTx& tx, StationId rx,
-                      std::vector<Reception>& records);
+  /// not transmitting, free despreading channel, initial SINR), stores it at
+  /// its engine handle and appends the handle to `tx`'s reception list.
+  void open_reception(std::uint64_t tx_id, const ActiveTx& tx, StationId rx);
 
-  /// Effective SINR of a reception after optional multiuser subtraction.
-  [[nodiscard]] double effective_sinr(const Reception& r) const;
+  /// Effective SINR of reception `h` after optional multiuser subtraction.
+  [[nodiscard]] double effective_sinr(radio::ReceptionHandle h,
+                                      const Reception& r) const;
 
-  /// Re-tests a reception against its threshold after an interference
+  /// Re-tests reception `h` against its threshold after an interference
   /// change and folds the result into min_sinr.
-  void note_interference_change(Reception& r, const ActiveTx& cause);
+  void note_interference_change(radio::ReceptionHandle h,
+                                const ActiveTx& cause);
 
   /// Marks `r` failed (first failure wins) with the taxonomy type implied by
   /// the interfering transmission `cause`.
@@ -304,9 +305,16 @@ class RadioMedium {
                                          StationId rx);
 
   [[nodiscard]] Reception& reception_at(radio::ReceptionHandle h) {
-    DRN_EXPECTS(h < by_handle_.size() && by_handle_[h] != nullptr);
-    return *by_handle_[h];
+    DRN_EXPECTS(h < records_.size());
+    return records_[h];
   }
+
+  /// Takes a pooled reception list for a transmission going on the air.
+  [[nodiscard]] std::uint32_t acquire_rx_list();
+  /// Closes every record on `tx`'s reception list in the engine, visiting
+  /// them in open order, and returns the list to the pool.
+  template <typename F>
+  void close_receptions(const ActiveTx& tx, F&& on_closed);
 
   std::unique_ptr<radio::InterferenceEngine> engine_;
   const SimulatorConfig& config_;  // facade-owned, finalized
@@ -319,11 +327,17 @@ class RadioMedium {
   // Pending (scheduled but not started) + in-flight transmissions.
   TxSet scheduled_;
   TxSet active_;
-  // In-flight receptions, keyed by tx_id (one per receiver for broadcasts).
-  // Vectors are reserved before records are appended so the back-pointers
-  // in by_handle_ stay valid for a record's whole lifetime.
-  std::map<std::uint64_t, std::vector<Reception>> receptions_;
-  std::vector<Reception*> by_handle_;     // engine handle -> live record
+  // In-flight reception records, indexed by engine handle (handles are
+  // dense small integers; see radio/interference_engine.hpp).
+  std::vector<Reception> records_;
+  // Per-interferer contributions by engine handle, kept only when multiuser
+  // detection is on (needed to subtract the strongest k).
+  std::vector<ContributionSet> contributions_;
+  // Each transmission's reception handles in open order (one per receiver
+  // for broadcasts), pooled so a steady stream of transmissions reuses the
+  // same few vectors instead of allocating.
+  std::vector<std::vector<radio::ReceptionHandle>> rx_lists_;
+  std::vector<std::uint32_t> free_rx_lists_;
   std::vector<int> transmitting_count_;   // per station
   std::vector<int> reception_count_;      // per station (despreading channels)
   // Per station: in-flight unicast transmissions addressed TO it. Lets the

@@ -1,7 +1,8 @@
 // Tests for the pluggable interference engines: name parsing, compensated /
 // nearfar agreement on shared scenarios, the near/far far-field
-// approximation bound, and the drift regression the compensated engine
-// exists to fix.
+// approximation bound, the drift regression the compensated engine exists to
+// fix, and a bit-for-bit differential of the compensated engine against a
+// reference transcription of its earlier slot layout.
 #include "radio/interference_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -341,6 +342,318 @@ TEST(InterferenceDrift, NearFarEngineStaysExactUnderChurn) {
   nearfar->set_thermal_noise(Watts{1.0e-15});
   const double worst = churn_and_measure(*nearfar, 10000, 16);
   EXPECT_LE(worst, 1.0e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the compensated engine against a reference transcription of
+// its earlier layout (an id-sorted active list, and one slot per handle ever
+// allocated, walked in ascending handle order with a live flag). Both must
+// produce bit-identical interference, recomputed interference and carrier
+// sense, and the same (handle, watts) visits per call; only the order of
+// the visits may differ.
+
+class ReferenceCompensatedEngine final : public InterferenceEngine {
+ public:
+  explicit ReferenceCompensatedEngine(PropagationMatrix gains)
+      : gains_(std::move(gains)) {}
+
+  [[nodiscard]] std::size_t station_count() const override {
+    return gains_.size();
+  }
+  [[nodiscard]] const char* name() const override { return "reference"; }
+  [[nodiscard]] double gain(StationId rx, StationId tx) const override {
+    return gains_.gain(rx, tx);
+  }
+
+  void transmit_started(std::uint64_t tx_id, StationId from, Watts power,
+                        const SenderVisitor& at_sender,
+                        const AffectedVisitor& affected) override {
+    const auto it = std::lower_bound(
+        active_.begin(), active_.end(), tx_id,
+        [](const Tx& t, std::uint64_t id) { return t.id < id; });
+    active_.insert(it, Tx{tx_id, from, power.value()});
+    for (ReceptionHandle h = 0; h < slots_.size(); ++h) {
+      Slot& s = slots_[h];
+      if (!s.live) continue;
+      if (s.rx == from) {
+        if (at_sender) at_sender(h);
+        continue;
+      }
+      const double watts = gains_.gain(s.rx, from) * power.value();
+      s.sum.add(watts);
+      bump(s);
+      if (affected) affected(h, Watts{watts});
+    }
+  }
+
+  void transmit_ended(std::uint64_t tx_id,
+                      const AffectedVisitor& affected) override {
+    const auto it = std::find_if(active_.begin(), active_.end(),
+                                 [&](const Tx& t) { return t.id == tx_id; });
+    DRN_EXPECTS(it != active_.end());
+    const Tx tx = *it;
+    active_.erase(it);
+    for (ReceptionHandle h = 0; h < slots_.size(); ++h) {
+      Slot& s = slots_[h];
+      if (!s.live || s.tx_id == tx_id || s.rx == tx.from) continue;
+      const double watts = gains_.gain(s.rx, tx.from) * tx.power_w;
+      s.sum.add(-watts);
+      bump(s);
+      if (affected) affected(h, Watts{watts});
+    }
+  }
+
+  [[nodiscard]] ReceptionHandle open_reception(
+      std::uint64_t tx_id, StationId rx,
+      const ContributionVisitor& contribution) override {
+    ReceptionHandle h = 0;
+    if (!free_.empty()) {
+      h = free_.back();
+      free_.pop_back();
+    } else {
+      h = static_cast<ReceptionHandle>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& s = slots_[h];
+    s = Slot{};
+    s.live = true;
+    s.tx_id = tx_id;
+    s.rx = rx;
+    for (const Tx& other : active_) {
+      if (other.id == tx_id || other.from == rx) continue;
+      const double watts = gains_.gain(rx, other.from) * other.power_w;
+      s.sum.add(watts);
+      if (contribution) contribution(other.id, Watts{watts});
+    }
+    return h;
+  }
+
+  void close_reception(ReceptionHandle h) override {
+    slots_.at(h).live = false;
+    free_.push_back(h);
+  }
+  [[nodiscard]] std::size_t open_receptions() const override {
+    return static_cast<std::size_t>(
+        std::count_if(slots_.begin(), slots_.end(),
+                      [](const Slot& s) { return s.live; }));
+  }
+  [[nodiscard]] Watts interference(ReceptionHandle h) const override {
+    return Watts{thermal_w_ + std::max(0.0, slots_.at(h).sum.value())};
+  }
+  [[nodiscard]] Watts recomputed_interference(
+      ReceptionHandle h) const override {
+    return Watts{thermal_w_ + std::max(0.0, exact_sum(slots_.at(h)).value())};
+  }
+  [[nodiscard]] Watts power_at(StationId st) const override {
+    CompensatedSum sum;
+    for (const Tx& tx : active_) sum.add(gains_.gain(st, tx.from) * tx.power_w);
+    return Watts{thermal_w_ + std::max(0.0, sum.value())};
+  }
+
+ private:
+  struct Tx {
+    std::uint64_t id;
+    StationId from;
+    double power_w;
+  };
+  struct Slot {
+    std::uint64_t tx_id = 0;
+    StationId rx = kNoStation;
+    CompensatedSum sum;
+    std::uint32_t ops = 0;
+    bool live = false;
+  };
+
+  [[nodiscard]] CompensatedSum exact_sum(const Slot& s) const {
+    CompensatedSum sum;
+    for (const Tx& other : active_) {
+      if (other.id == s.tx_id || other.from == s.rx) continue;
+      sum.add(gains_.gain(s.rx, other.from) * other.power_w);
+    }
+    return sum;
+  }
+  void bump(Slot& s) {
+    if (++s.ops >= 64) {
+      s.sum = exact_sum(s);
+      s.ops = 0;
+    }
+  }
+
+  PropagationMatrix gains_;
+  std::vector<Tx> active_;  // ascending id
+  std::vector<Slot> slots_;
+  std::vector<ReceptionHandle> free_;
+};
+
+/// Every visit one engine call made, sorted: the visit order is free.
+struct Visits {
+  std::vector<ReceptionHandle> sender;
+  std::vector<std::pair<ReceptionHandle, double>> affected;
+
+  [[nodiscard]] InterferenceEngine::SenderVisitor on_sender() {
+    return [this](ReceptionHandle h) { sender.push_back(h); };
+  }
+  [[nodiscard]] InterferenceEngine::AffectedVisitor on_affected() {
+    return [this](ReceptionHandle h, Watts w) {
+      affected.emplace_back(h, w.value());
+    };
+  }
+  void sort() {
+    std::sort(sender.begin(), sender.end());
+    std::sort(affected.begin(), affected.end());
+  }
+  bool operator==(const Visits&) const = default;
+};
+
+void expect_engines_agree(const InterferenceEngine& engine,
+                          const InterferenceEngine& reference,
+                          const std::vector<ReceptionHandle>& open,
+                          int step) {
+  ASSERT_EQ(engine.open_receptions(), reference.open_receptions())
+      << "step " << step;
+  for (const ReceptionHandle h : open) {
+    ASSERT_EQ(engine.interference(h).value(),
+              reference.interference(h).value())
+        << "step " << step << " handle " << h;
+    ASSERT_EQ(engine.recomputed_interference(h).value(),
+              reference.recomputed_interference(h).value())
+        << "step " << step << " handle " << h;
+  }
+  for (StationId s = 0; s < engine.station_count(); ++s)
+    ASSERT_EQ(engine.power_at(s).value(), reference.power_at(s).value())
+        << "step " << step << " station " << s;
+}
+
+TEST(InterferenceEngine, CompensatedMatchesReferenceLayoutBitForBit) {
+  constexpr std::size_t kStations = 24;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Workload w = make_workload(kStations, seed);
+    const auto engine = make_compensated_engine(w.gains);
+    ReferenceCompensatedEngine reference(w.gains);
+    Rng rng(seed + 100);
+    struct OnAir {
+      std::uint64_t id;
+      StationId from;
+    };
+    std::vector<OnAir> on_air;
+    std::vector<std::pair<ReceptionHandle, std::uint64_t>> open;
+    // Transmission 1 stays on the air throughout and its receptions close
+    // only rarely, so they live through many exact rebuilds.
+    on_air.push_back({1, 0});
+    engine->transmit_started(1, 0, Watts{1.0e-4}, nullptr, nullptr);
+    reference.transmit_started(1, 0, Watts{1.0e-4}, nullptr, nullptr);
+    std::uint64_t next_tx = 2;
+    std::size_t sender_visits = 0;
+    std::size_t reused = 0;
+    std::vector<bool> ever_used;
+    std::vector<int> updates;  // per handle, since it opened
+    int most_updates = 0;
+    const auto count = [&](const Visits& v) {
+      for (const auto& [h, watts] : v.affected)
+        most_updates = std::max(most_updates, ++updates[h]);
+    };
+    const auto open_handles = [&] {
+      std::vector<ReceptionHandle> hs;
+      for (const auto& [h, tx] : open) hs.push_back(h);
+      return hs;
+    };
+    const auto close = [&](std::size_t idx) {
+      engine->close_reception(open[idx].first);
+      reference.close_reception(open[idx].first);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(idx));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const auto choice = rng() % 100;
+      if (choice < 30 && on_air.size() < 12) {
+        const OnAir tx{next_tx++, static_cast<StationId>(rng() % kStations)};
+        // Powers over fourteen decades, so sums mix loud and faint terms.
+        const double power =
+            std::pow(10.0, -12.0 + 14.0 * static_cast<double>(rng() % 1000) /
+                                       1000.0);
+        Visits got;
+        Visits want;
+        engine->transmit_started(tx.id, tx.from, Watts{power},
+                                 got.on_sender(), got.on_affected());
+        reference.transmit_started(tx.id, tx.from, Watts{power},
+                                   want.on_sender(), want.on_affected());
+        got.sort();
+        want.sort();
+        ASSERT_EQ(got, want) << "start at step " << step;
+        sender_visits += got.sender.size();
+        count(got);
+        on_air.push_back(tx);
+      } else if (choice < 70 && !on_air.empty()) {
+        const OnAir& tx = on_air[rng() % on_air.size()];
+        // Every fourth reception sits at the transmission's own sender:
+        // the medium never opens one there, but the engine must still skip
+        // it symmetrically on start and end.
+        const auto rx = rng() % 4 == 0
+                            ? tx.from
+                            : static_cast<StationId>(rng() % kStations);
+        std::vector<std::pair<std::uint64_t, double>> got;
+        std::vector<std::pair<std::uint64_t, double>> want;
+        const bool track = rng() % 2 == 0;
+        const ReceptionHandle h = engine->open_reception(
+            tx.id, rx,
+            track ? InterferenceEngine::ContributionVisitor(
+                        [&](std::uint64_t id, Watts watts) {
+                          got.emplace_back(id, watts.value());
+                        })
+                  : nullptr);
+        const ReceptionHandle r = reference.open_reception(
+            tx.id, rx,
+            track ? InterferenceEngine::ContributionVisitor(
+                        [&](std::uint64_t id, Watts watts) {
+                          want.emplace_back(id, watts.value());
+                        })
+                  : nullptr);
+        ASSERT_EQ(h, r) << "open at step " << step;
+        EXPECT_EQ(got, want) << "contributions at step " << step;
+        if (h < ever_used.size()) {
+          ++reused;
+        } else {
+          ever_used.resize(h + 1);
+          updates.resize(h + 1);
+        }
+        updates[h] = 0;
+        open.emplace_back(h, tx.id);
+      } else if (choice < 85 && !open.empty()) {
+        const auto idx = rng() % open.size();
+        if (open[idx].second != 1 || rng() % 20 == 0) close(idx);
+      } else if (on_air.size() > 1) {
+        const auto idx = 1 + rng() % (on_air.size() - 1);
+        const std::uint64_t id = on_air[idx].id;
+        on_air.erase(on_air.begin() + static_cast<std::ptrdiff_t>(idx));
+        Visits got;
+        Visits want;
+        engine->transmit_ended(id, got.on_affected());
+        reference.transmit_ended(id, want.on_affected());
+        got.sort();
+        want.sort();
+        ASSERT_EQ(got, want) << "end at step " << step;
+        count(got);
+        // The medium closes a transmission's receptions at its end, in a
+        // random order here so swap-removal moves arbitrary slots.
+        std::vector<std::size_t> mine;
+        for (std::size_t i = 0; i < open.size(); ++i)
+          if (open[i].second == id) mine.push_back(i);
+        while (!mine.empty()) {
+          const auto pick = rng() % mine.size();
+          const std::size_t i = mine[pick];
+          close(i);
+          mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(pick));
+          for (std::size_t& j : mine)
+            if (j > i) --j;
+        }
+      }
+      expect_engines_agree(*engine, reference, open_handles(), step);
+      if (HasFatalFailure()) return;
+    }
+    // The script must have exercised what it claims to.
+    EXPECT_GT(sender_visits, 0u);
+    EXPECT_GT(reused, 100u);
+    EXPECT_GT(most_updates, 4 * 64);
+  }
 }
 
 }  // namespace

@@ -92,6 +92,24 @@ TEST(LazyRouting, MatchesEagerTablesUnderCostTies) {
       11);
 }
 
+TEST(LazyRouting, MatchesEagerTablesOnLatticeWithExactTies) {
+  // A 30 x 30 lattice with every edge costing 0.5: all path sums are exact
+  // multiples of 0.5, so many frontier items tie on cost and only the
+  // station id orders them, and the wide diamond-shaped frontiers make deep
+  // heaps. Decrease-key must settle stations in shortest_paths' order under
+  // queries interleaved across all 900 trees.
+  constexpr StationId kSide = 30;
+  Graph g(kSide * kSide);
+  for (StationId y = 0; y < kSide; ++y) {
+    for (StationId x = 0; x < kSide; ++x) {
+      const StationId s = y * kSide + x;
+      if (x + 1 < kSide) g.add_edge(s, s + 1, 0.5, 1.0);
+      if (y + 1 < kSide) g.add_edge(s, s + kSide, 0.5, 1.0);
+    }
+  }
+  expect_matches_oracle(g, 13);
+}
+
 TEST(LazyRouting, MatchesEagerTablesOnDisconnectedGraph) {
   Graph g(6);
   g.add_edge(0, 1, 1.0, 1.0);

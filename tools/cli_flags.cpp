@@ -132,8 +132,8 @@ bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
               << (matrix_m > max_stations ? " (jammers included)" : "")
               << " exceed the " << radio::kDenseMatrixGuardM
               << "-station limit: trial setup builds a dense M x M gain "
-                 "matrix. The sparse setup pipeline (ROADMAP.md item 3) is "
-                 "the way past it.\n";
+                 "matrix. The sparse setup pipeline (ROADMAP.md, "
+                 "\"Matrix-free setup\") is the way past it.\n";
     return false;
   }
   // Under churn or drift the scheme needs maintenance beacons to evict
