@@ -76,16 +76,14 @@ double run(bool adaptive, const drn::radio::PropagationMatrix& gains,
            Table::num(rates[static_cast<std::size_t>(i)] / 1.0e6, 2)});
     }
 
-    core::ScheduledStationConfig cfg{schedule,
-                                     clocks[tx],
-                                     kAirtime,
-                                     0.0002,
-                                     core::PowerControl::fixed(kPowerW),
-                                     20000.0,
-                                     8192,
-                                     0.0,
-                                     0.25,
-                                     criterion.data_rate_bps()};
+    core::ScheduledStationConfig cfg{
+        .schedule = schedule,
+        .clock = clocks[tx],
+        .packet_airtime_s = kAirtime,
+        .guard_s = 0.0002,
+        .power = core::PowerControl::fixed(kPowerW),
+        .max_queue = 8192,
+        .data_rate_bps = criterion.data_rate_bps()};
     core::Neighbor n;
     n.id = rx;
     n.gain = gains.gain(rx, tx);

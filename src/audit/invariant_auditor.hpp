@@ -12,8 +12,7 @@
 // from the Tx/Rx event stream alone, sharing no state or code path with the
 // physics it audits. It is O(active transmissions) per event and prunes its
 // history, so it can ride along on full-length sweeps. Wire it up with
-// Simulator::add_observer — a later Simulator::set_observer call (a trace,
-// say) only manages its own slot and cannot detach the auditor — run, then
+// Simulator::add_observer (observers are never detached), run, then
 // finalize() and cross_check() against sim::Metrics; ok() reports the
 // verdict and report() the evidence.
 #pragma once

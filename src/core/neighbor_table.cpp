@@ -72,14 +72,11 @@ bool NeighborTable::erase(StationId id) {
 }
 
 bool interferes_significantly(double gain_to_neighbor, double power_w,
-                              double interference_budget_w,
-                              double significance_fraction) {
+                              double interference_budget_w) {
   DRN_EXPECTS(gain_to_neighbor > 0.0);
   DRN_EXPECTS(power_w > 0.0);
   DRN_EXPECTS(interference_budget_w > 0.0);
-  DRN_EXPECTS(significance_fraction > 0.0);
-  return gain_to_neighbor * power_w >
-         significance_fraction * interference_budget_w;
+  return gain_to_neighbor * power_w > 0.25 * interference_budget_w;
 }
 
 }  // namespace drn::core

@@ -123,12 +123,11 @@ class NeighborTable {
 
 /// Section 7.3's significance rule: must a transmission at `power_w` from us
 /// be kept out of a neighbour's receive windows? True iff the power we would
-/// deliver to it exceeds `significance_fraction` of its tolerated
-/// interference budget (budget = expected received signal / required SNR; the
-/// paper's 1 dB threshold corresponds to a fraction of about 1/4).
+/// deliver to it exceeds a quarter of its tolerated interference budget
+/// (budget = expected received signal / required SNR; a quarter is the
+/// paper's 1 dB threshold).
 [[nodiscard]] bool interferes_significantly(double gain_to_neighbor,
                                             double power_w,
-                                            double interference_budget_w,
-                                            double significance_fraction = 0.25);
+                                            double interference_budget_w);
 
 }  // namespace drn::core

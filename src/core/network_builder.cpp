@@ -18,10 +18,6 @@ constexpr double kMaxClockOffsetS = 1.0e6;
 /// evenly spread over this span, ending one slot before the run starts.
 constexpr std::size_t kRendezvousCount = 4;
 constexpr double kRendezvousSpanS = 120.0;
-/// Section 7.3: interference above this share of a neighbour's budget is
-/// significant (the paper's 1 dB rise). Sets the respect flags here and each
-/// station's per-transmission test.
-constexpr double kSignificanceFraction = 0.25;
 
 }  // namespace
 
@@ -77,19 +73,17 @@ ScheduledNetwork assemble_scheduled_network(
       n.respect_receive_windows =
           config.respect_third_party_windows &&
           interferes_significantly(n.gain, worst_power,
-                                   net.interference_budget_w,
-                                   kSignificanceFraction);
+                                   net.interference_budget_w);
     }
 
-    ScheduledStationConfig sc{net.schedule,
-                              net.clocks[i],
-                              net.packet_airtime_s,
-                              config.guard_fraction * config.slot_s,
-                              power,
-                              /*horizon_slots=*/20000.0,
-                              config.max_queue,
-                              /*interference_budget_w=*/net.interference_budget_w,
-                              kSignificanceFraction};
+    ScheduledStationConfig sc{
+        .schedule = net.schedule,
+        .clock = net.clocks[i],
+        .packet_airtime_s = net.packet_airtime_s,
+        .guard_s = config.guard_fraction * config.slot_s,
+        .power = power,
+        .max_queue = config.max_queue,
+        .interference_budget_w = net.interference_budget_w};
     if (config.beacon_interval_s > 0.0) {
       sc.data_rate_bps = criterion.data_rate_bps();
       sc.beacon_interval_s = config.beacon_interval_s;

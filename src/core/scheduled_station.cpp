@@ -15,6 +15,9 @@ namespace {
 /// despite local<->global round-trips (1 ns against millisecond slots).
 constexpr double kTimeEpsilonS = 1e-9;
 
+/// Window search horizon, in slots.
+constexpr double kHorizonSlots = 20000.0;
+
 /// Timer cookie for the beacon-due wakeup (plan cookies count up from 1, so
 /// the max value can never collide).
 constexpr std::uint64_t kBeaconWakeCookie =
@@ -27,7 +30,6 @@ ScheduledStation::ScheduledStation(ScheduledStationConfig config,
     : config_(std::move(config)), neighbors_(std::move(neighbors)) {
   DRN_EXPECTS(config_.packet_airtime_s > 0.0);
   DRN_EXPECTS(config_.guard_s >= 0.0);
-  DRN_EXPECTS(config_.horizon_slots > 0.0);
   DRN_EXPECTS(config_.max_queue > 0);
   // A schedule only works if a packet plus guards fits inside one slot; the
   // paper uses quarter-slot packets precisely to make fitting easy.
@@ -98,8 +100,7 @@ std::optional<double> ScheduledStation::find_start(
     if (!m.respect_receive_windows || m.id == neighbor) continue;
     if (config_.interference_budget_w > 0.0 &&
         !interferes_significantly(m.gain, power_w,
-                                  config_.interference_budget_w,
-                                  config_.significance_fraction)) {
+                                  config_.interference_budget_w)) {
       continue;
     }
     constraints.push_back(WindowConstraint{&config_.schedule, m.clock,
@@ -111,7 +112,7 @@ std::optional<double> ScheduledStation::find_start(
   request.earliest_local = Seconds{earliest_local_s};
   request.duration = Seconds{duration_s * config_.clock.rate()};
   request.horizon =
-      Seconds{config_.horizon_slots * config_.schedule.slot_duration_s()};
+      Seconds{kHorizonSlots * config_.schedule.slot_duration_s()};
   const auto start = find_transmission_start(request, constraints);
   if (!start) return std::nullopt;
   return start->value();
@@ -135,7 +136,7 @@ std::optional<double> ScheduledStation::find_beacon_start(
   request.earliest_local = Seconds{earliest_local_s};
   request.duration = Seconds{beacon_airtime_s() * config_.clock.rate()};
   request.horizon =
-      Seconds{config_.horizon_slots * config_.schedule.slot_duration_s()};
+      Seconds{kHorizonSlots * config_.schedule.slot_duration_s()};
   const auto start = find_transmission_start(request, constraints);
   if (!start) return std::nullopt;
   return start->value();

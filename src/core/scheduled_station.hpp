@@ -48,19 +48,16 @@ struct ScheduledStationConfig {
   double guard_s = 0.0;
   /// Power policy toward addressees.
   PowerControl power = PowerControl::fixed(1.0);
-  /// Window search horizon, in slots.
-  double horizon_slots = 20000.0;
   /// Per-neighbour queue capacity; beyond it packets are dropped.
   std::size_t max_queue = 4096;
   /// Section 7.3: the interference a receiver tolerates (its expected signal
   /// over the required SINR), watts. When > 0, a planned transmission avoids
   /// the receive windows of any respect-flagged third party to which it
-  /// would deliver more than `significance_fraction` of this budget — judged
-  /// by THIS transmission's power, so low-power hops to close neighbours
-  /// avoid almost no one. When 0, the respect flag alone decides
-  /// (worst-case, maximally conservative).
+  /// would deliver a significant share of this budget
+  /// (interferes_significantly) — judged by THIS transmission's power, so
+  /// low-power hops to close neighbours avoid almost no one. When 0, the
+  /// respect flag alone decides (worst-case, maximally conservative).
   double interference_budget_w = 0.0;
-  double significance_fraction = 0.25;
   /// The design data rate, used to compute per-packet airtimes (with
   /// Neighbor::rate_bps overriding per link). 0 = every packet occupies
   /// exactly packet_airtime_s (the fixed-size base design).

@@ -16,62 +16,98 @@ namespace {
 /// kRecomputePeriod operations.
 constexpr std::uint32_t kRecomputePeriod = 64;
 
-/// Reception slot bookkeeping for the near/far engine: slots indexed by
-/// handle, freed slots reused last-in first-out.
-template <typename Slot>
-class SlotTable {
- public:
-  ReceptionHandle alloc() {
-    if (!free_.empty()) {
-      const ReceptionHandle h = free_.back();
-      free_.pop_back();
-      slots_[h] = Slot{};
-      slots_[h].live = true;
-      return h;
-    }
-    slots_.emplace_back();
-    slots_.back().live = true;
-    return static_cast<ReceptionHandle>(slots_.size() - 1);
+/// Active transmissions as parallel arrays in ascending id order.
+struct ActiveSet {
+  std::vector<std::uint64_t> id;
+  std::vector<StationId> from;
+  std::vector<double> power_w;
+
+  /// Position of tx_id; it must be on the air.
+  [[nodiscard]] std::size_t find(std::uint64_t tx_id) const {
+    const auto it = std::lower_bound(id.begin(), id.end(), tx_id);
+    DRN_EXPECTS(it != id.end() && *it == tx_id);
+    return static_cast<std::size_t>(it - id.begin());
   }
 
-  void release(ReceptionHandle h) {
-    slots_[h].live = false;
+  /// Ids are assigned in booking order and most transmissions start in
+  /// that order, so this is almost always an append.
+  void insert(std::uint64_t tx_id, StationId tx_from, double tx_power_w) {
+    const auto it = std::lower_bound(id.begin(), id.end(), tx_id);
+    DRN_EXPECTS(it == id.end() || *it != tx_id);
+    const auto k = it - id.begin();
+    id.insert(it, tx_id);
+    from.insert(from.begin() + k, tx_from);
+    power_w.insert(power_w.begin() + k, tx_power_w);
+  }
+
+  void erase(std::size_t k) {
+    const auto d = static_cast<std::ptrdiff_t>(k);
+    id.erase(id.begin() + d);
+    from.erase(from.begin() + d);
+    power_w.erase(power_w.begin() + d);
+  }
+};
+
+/// Open receptions packed into dense slots 0..size()-1, with a handle ->
+/// slot map. open() binds a handle (closed handles are reused last-in
+/// first-out) to the next slot; close() swap-removes, moving the last slot
+/// into the closed one in the owner's per-slot arrays too, so a walk over
+/// the slots never steps over a closed reception.
+class LiveSlots {
+ public:
+  [[nodiscard]] std::size_t size() const { return handle_.size(); }
+  [[nodiscard]] ReceptionHandle handle(std::size_t i) const {
+    return handle_[i];
+  }
+  [[nodiscard]] std::uint32_t slot(ReceptionHandle h) const {
+    DRN_EXPECTS(h < slot_of_.size() && slot_of_[h] != kNoSlot);
+    return slot_of_[h];
+  }
+
+  /// Binds a handle to slot size(); the owner then appends the slot's data.
+  ReceptionHandle open() {
+    ReceptionHandle h = kInvalidReception;
+    if (!free_.empty()) {
+      h = free_.back();
+      free_.pop_back();
+    } else {
+      h = static_cast<ReceptionHandle>(slot_of_.size());
+      slot_of_.push_back(kNoSlot);
+    }
+    slot_of_[h] = static_cast<std::uint32_t>(handle_.size());
+    handle_.push_back(h);
+    return h;
+  }
+
+  /// Unbinds h and swap-removes its slot from each of the owner's arrays.
+  template <typename... Arrays>
+  void close(ReceptionHandle h, Arrays&... arrays) {
+    const std::uint32_t i = slot(h);
+    const std::size_t last = handle_.size() - 1;
+    if (i != last) {
+      handle_[i] = handle_[last];
+      slot_of_[handle_[i]] = i;
+      ((arrays[i] = arrays[last]), ...);
+    }
+    handle_.pop_back();
+    (arrays.pop_back(), ...);
+    slot_of_[h] = kNoSlot;
     free_.push_back(h);
   }
 
-  Slot& at(ReceptionHandle h) {
-    DRN_EXPECTS(h < slots_.size() && slots_[h].live);
-    return slots_[h];
-  }
-  const Slot& at(ReceptionHandle h) const {
-    DRN_EXPECTS(h < slots_.size() && slots_[h].live);
-    return slots_[h];
-  }
-
-  [[nodiscard]] std::size_t live_count() const {
-    return slots_.size() - free_.size();
-  }
-
-  /// Visits live slots in ascending handle order (deterministic).
-  template <typename F>
-  void for_each_live(F&& visit) {
-    for (ReceptionHandle h = 0; h < slots_.size(); ++h)
-      if (slots_[h].live) visit(h, slots_[h]);
-  }
-
  private:
-  std::vector<Slot> slots_;
-  std::vector<ReceptionHandle> free_;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<ReceptionHandle> handle_;  // slot -> handle
+  std::vector<std::uint32_t> slot_of_;   // handle -> slot, kNoSlot if closed
+  std::vector<ReceptionHandle> free_;    // closed handles, reused LIFO
 };
 
 // ---------------------------------------------------------------------------
 // Compensated engine: Neumaier sums + periodic exact recomputation.
 //
-// Everything a walk reads is laid out as parallel arrays. Active
-// transmissions are id-sorted (id, from, power). Open receptions are packed
-// into live slots only (handle, tx_id, rx, sum, ops), swap-removed on close
-// with a handle -> slot map, so a walk never steps over a closed reception.
-// Gains are read through PropagationMatrix::row() pointers.
+// Everything a walk reads is laid out as parallel arrays: the ActiveSet and
+// one array per field of the live slots (tx_id, rx, sum, ops). Gains are
+// read through PropagationMatrix::row() pointers.
 //
 // Slot order is free: a visit touches only its own slot and the client's
 // record for its own handle. That also lets a walk run in two passes, the
@@ -98,7 +134,7 @@ class CompensatedEngine final : public InterferenceEngine {
                         const SenderVisitor& at_sender,
                         const AffectedVisitor& affected) override {
     const double power_w = power.value();
-    insert_active(tx_id, from, power_w);
+    active_.insert(tx_id, from, power_w);
     // By symmetry row(from)[rx] == gain(rx, from): the walk over open
     // receptions reads one contiguous row instead of striding a column.
     const double* from_row = gains_.row(from);
@@ -114,19 +150,19 @@ class CompensatedEngine final : public InterferenceEngine {
     if (!at_sender && !affected) return;
     for (std::size_t i = 0; i < n; ++i) {
       if (slot_rx_[i] == from) {
-        if (at_sender) at_sender(slot_handle_[i]);
+        if (at_sender) at_sender(live_.handle(i));
       } else if (affected) {
-        affected(slot_handle_[i], Watts{walk_watts_[i]});
+        affected(live_.handle(i), Watts{walk_watts_[i]});
       }
     }
   }
 
   void transmit_ended(std::uint64_t tx_id,
                       const AffectedVisitor& affected) override {
-    const auto k = find_active(tx_id);
-    const StationId from = active_from_[k];
-    const double power_w = active_power_[k];
-    erase_active(k);
+    const auto k = active_.find(tx_id);
+    const StationId from = active_.from[k];
+    const double power_w = active_.power_w[k];
+    active_.erase(k);
     const double* from_row = gains_.row(from);
     const std::size_t n = slot_rx_.size();
     walk_watts_.resize(n);
@@ -140,34 +176,25 @@ class CompensatedEngine final : public InterferenceEngine {
     if (!affected) return;
     for (std::size_t i = 0; i < n; ++i) {
       if (slot_tx_[i] == tx_id || slot_rx_[i] == from) continue;
-      affected(slot_handle_[i], Watts{walk_watts_[i]});
+      affected(live_.handle(i), Watts{walk_watts_[i]});
     }
   }
 
   [[nodiscard]] ReceptionHandle open_reception(
       std::uint64_t tx_id, StationId rx,
       const ContributionVisitor& contribution) override {
-    (void)find_active(tx_id);  // must be on the air
+    (void)active_.find(tx_id);  // must be on the air
     const double* rx_row = gains_.row(rx);
     CompensatedSum sum;
-    for (std::size_t k = 0; k < active_id_.size(); ++k) {
-      const StationId from = active_from_[k];
-      if (active_id_[k] == tx_id || from == rx) continue;
-      const double watts = rx_row[from] * active_power_[k];
+    for (std::size_t k = 0; k < active_.id.size(); ++k) {
+      const StationId from = active_.from[k];
+      if (active_.id[k] == tx_id || from == rx) continue;
+      const double watts = rx_row[from] * active_.power_w[k];
       sum.add(watts);
-      if (contribution) contribution(active_id_[k], Watts{watts});
+      if (contribution) contribution(active_.id[k], Watts{watts});
     }
 
-    ReceptionHandle h = kInvalidReception;
-    if (!free_.empty()) {
-      h = free_.back();
-      free_.pop_back();
-    } else {
-      h = static_cast<ReceptionHandle>(slot_of_.size());
-      slot_of_.push_back(kNoSlot);
-    }
-    slot_of_[h] = static_cast<std::uint32_t>(slot_rx_.size());
-    slot_handle_.push_back(h);
+    const ReceptionHandle h = live_.open();
     slot_tx_.push_back(tx_id);
     slot_rx_.push_back(rx);
     slot_sum_.push_back(sum);
@@ -176,38 +203,22 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
   void close_reception(ReceptionHandle h) override {
-    const std::uint32_t i = slot(h);
-    const std::size_t last = slot_rx_.size() - 1;
-    if (i != last) {
-      slot_handle_[i] = slot_handle_[last];
-      slot_tx_[i] = slot_tx_[last];
-      slot_rx_[i] = slot_rx_[last];
-      slot_sum_[i] = slot_sum_[last];
-      slot_ops_[i] = slot_ops_[last];
-      slot_of_[slot_handle_[i]] = i;
-    }
-    slot_handle_.pop_back();
-    slot_tx_.pop_back();
-    slot_rx_.pop_back();
-    slot_sum_.pop_back();
-    slot_ops_.pop_back();
-    slot_of_[h] = kNoSlot;
-    free_.push_back(h);
+    live_.close(h, slot_tx_, slot_rx_, slot_sum_, slot_ops_);
   }
 
   [[nodiscard]] std::size_t open_receptions() const override {
-    return slot_rx_.size();
+    return live_.size();
   }
 
   [[nodiscard]] Watts interference(ReceptionHandle h) const override {
     // max(0, ·): a fully-compensated sum of removals can still leave a
     // residue of a few ulps below zero; physical interference cannot.
-    return Watts{thermal_w_ + std::max(0.0, slot_sum_[slot(h)].value())};
+    return Watts{thermal_w_ + std::max(0.0, slot_sum_[live_.slot(h)].value())};
   }
 
   [[nodiscard]] Watts recomputed_interference(
       ReceptionHandle h) const override {
-    const std::uint32_t i = slot(h);
+    const std::uint32_t i = live_.slot(h);
     return Watts{thermal_w_ +
                  std::max(0.0, exact_sum(slot_tx_[i], slot_rx_[i]).value())};
   }
@@ -215,8 +226,8 @@ class CompensatedEngine final : public InterferenceEngine {
   [[nodiscard]] Watts power_at(StationId st) const override {
     const double* st_row = gains_.row(st);
     CompensatedSum sum;
-    for (std::size_t k = 0; k < active_id_.size(); ++k)
-      sum.add(st_row[active_from_[k]] * active_power_[k]);
+    for (std::size_t k = 0; k < active_.id.size(); ++k)
+      sum.add(st_row[active_.from[k]] * active_.power_w[k]);
     return Watts{thermal_w_ + std::max(0.0, sum.value())};
   }
 
@@ -235,7 +246,7 @@ class CompensatedEngine final : public InterferenceEngine {
     DRN_EXPECTS(model_ != nullptr);  // enable_mobility() first
     // RF-idle precondition: no compensated sum may hold a contribution that
     // was added through the station's old gains.
-    for (const StationId from : active_from_) DRN_EXPECTS(from != s);
+    for (const StationId from : active_.from) DRN_EXPECTS(from != s);
     for (const StationId rx : slot_rx_) DRN_EXPECTS(rx != s);
     placement_[s] = position;
     for (StationId other = 0; other < gains_.size(); ++other) {
@@ -247,50 +258,16 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
-  /// Position of tx_id in the active arrays; it must be on the air.
-  [[nodiscard]] std::size_t find_active(std::uint64_t tx_id) const {
-    const auto it =
-        std::lower_bound(active_id_.begin(), active_id_.end(), tx_id);
-    DRN_EXPECTS(it != active_id_.end() && *it == tx_id);
-    return static_cast<std::size_t>(it - active_id_.begin());
-  }
-
-  /// The simulator assigns ids monotonically, so this is almost always an
-  /// append.
-  void insert_active(std::uint64_t tx_id, StationId from, double power_w) {
-    const auto it =
-        std::lower_bound(active_id_.begin(), active_id_.end(), tx_id);
-    DRN_EXPECTS(it == active_id_.end() || *it != tx_id);
-    const auto k = it - active_id_.begin();
-    active_id_.insert(it, tx_id);
-    active_from_.insert(active_from_.begin() + k, from);
-    active_power_.insert(active_power_.begin() + k, power_w);
-  }
-
-  void erase_active(std::size_t k) {
-    const auto d = static_cast<std::ptrdiff_t>(k);
-    active_id_.erase(active_id_.begin() + d);
-    active_from_.erase(active_from_.begin() + d);
-    active_power_.erase(active_power_.begin() + d);
-  }
-
-  [[nodiscard]] std::uint32_t slot(ReceptionHandle h) const {
-    DRN_EXPECTS(h < slot_of_.size() && slot_of_[h] != kNoSlot);
-    return slot_of_[h];
-  }
-
   /// The interference of a reception of tx_id at rx summed afresh over the
   /// active set, in ascending tx-id order.
   [[nodiscard]] CompensatedSum exact_sum(std::uint64_t tx_id,
                                          StationId rx) const {
     const double* rx_row = gains_.row(rx);
     CompensatedSum sum;
-    for (std::size_t k = 0; k < active_id_.size(); ++k) {
-      const StationId from = active_from_[k];
-      if (active_id_[k] == tx_id || from == rx) continue;
-      sum.add(rx_row[from] * active_power_[k]);
+    for (std::size_t k = 0; k < active_.id.size(); ++k) {
+      const StationId from = active_.from[k];
+      if (active_.id[k] == tx_id || from == rx) continue;
+      sum.add(rx_row[from] * active_.power_w[k]);
     }
     return sum;
   }
@@ -303,19 +280,14 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
   PropagationMatrix gains_;
-  // Active transmissions, ascending id.
-  std::vector<std::uint64_t> active_id_;
-  std::vector<StationId> active_from_;
-  std::vector<double> active_power_;
+  ActiveSet active_;
   // Open receptions, one live slot each, in no particular order.
-  std::vector<ReceptionHandle> slot_handle_;
+  LiveSlots live_;
   std::vector<std::uint64_t> slot_tx_;
   std::vector<StationId> slot_rx_;
   std::vector<CompensatedSum> slot_sum_;  // excludes thermal
   std::vector<std::uint32_t> slot_ops_;
-  std::vector<std::uint32_t> slot_of_;  // handle -> slot, kNoSlot if closed
-  std::vector<ReceptionHandle> free_;   // closed handles, reused LIFO
-  std::vector<double> walk_watts_;      // per-slot delta of the current walk
+  std::vector<double> walk_watts_;  // per-slot delta of the current walk
   geo::Placement placement_;                        // mobility only
   std::shared_ptr<const PropagationModel> model_;   // mobility only
   double self_gain_ = 1.0;
@@ -323,6 +295,17 @@ class CompensatedEngine final : public InterferenceEngine {
 
 // ---------------------------------------------------------------------------
 // Near/far engine: exact near field over a spatial grid, aggregated far din.
+//
+// In-flight state is the same ActiveSet and LiveSlots as above, plus one map
+// per cell role: transmit cells (the ids radiating there, in start order,
+// and their summed power) and receive cells (the far-field din shared by the
+// receptions there). A transmission's cell is grid_.cell_of(from): a station
+// cannot move while it radiates. Every CompensatedSum gets its adds in a
+// fixed order: open-time near sums and power_at's near part row-major over
+// cells, then in start order within a cell; far-din rebuilds and exact
+// near-field rebuilds in ascending id; transmit-cell loads and far dins in
+// event order, reset exactly when a cell empties or a din loses its last
+// contributor.
 
 class NearFarEngine final : public InterferenceEngine {
  public:
@@ -356,30 +339,27 @@ class NearFarEngine final : public InterferenceEngine {
                         const AffectedVisitor& affected) override {
     const double power_w = power.value();
     const std::int32_t cell = grid_.cell_of(from);
-    active_.emplace(tx_id, Tx{from, power_w, cell});
-    tx_ids_by_cell_[cell].push_back(tx_id);
-    auto& load = tx_cells_[cell];
-    load.power_w.add(power_w);
-    ++load.count;
+    active_.insert(tx_id, from, power_w);
+    TxCell& tx_cell = tx_cells_[cell];
+    tx_cell.ids.push_back(tx_id);
+    tx_cell.power_w.add(power_w);
 
     // Far field: fold the new signal into the din of every occupied
-    // receiver cell beyond the cutoff, then notify its receptions.
+    // receiver cell beyond the cutoff, then notify its receptions (none is
+    // at the sender: its own cell is near).
     for (auto& [rx_cell, far] : far_) {
       if (grid_.chebyshev(cell, rx_cell) <= range_) continue;
       const double watts = power_w * cell_gain(cell, rx_cell);
       far.din_w.add(watts);
       ++far.contributors;
-      for (const ReceptionHandle h : far.handles) {
-        const Slot& s = slots_.at(h);
-        if (s.rx == from) continue;  // cannot happen (own cell is near)
-        if (affected) affected(h, Watts{watts});
-      }
+      if (affected)
+        for (const ReceptionHandle h : far.handles) affected(h, Watts{watts});
     }
 
     // Near field: exact per-pair update of receptions in cells within range.
-    for_each_occupied(far_, cell, [&](std::int32_t, FarField& far) {
+    for_each_occupied(far_, cell, [&](FarField& far) {
       for (const ReceptionHandle h : far.handles) {
-        Slot& s = slots_.at(h);
+        Slot& s = slot_at(h);
         if (s.rx == from) {
           if (at_sender) at_sender(h);
           continue;
@@ -395,42 +375,43 @@ class NearFarEngine final : public InterferenceEngine {
 
   void transmit_ended(std::uint64_t tx_id,
                       const AffectedVisitor& affected) override {
-    const auto node = active_.extract(tx_id);
-    DRN_EXPECTS(!node.empty());
-    const Tx tx = node.mapped();
-    auto& ids = tx_ids_by_cell_[tx.cell];
+    const std::size_t k = active_.find(tx_id);
+    const StationId from = active_.from[k];
+    const double power_w = active_.power_w[k];
+    active_.erase(k);
+    const std::int32_t cell = grid_.cell_of(from);
+    const auto cit = tx_cells_.find(cell);
+    DRN_EXPECTS(cit != tx_cells_.end());
+    std::vector<std::uint64_t>& ids = cit->second.ids;
     const auto idit = std::find(ids.begin(), ids.end(), tx_id);
     DRN_EXPECTS(idit != ids.end());
     ids.erase(idit);
-    if (ids.empty()) tx_ids_by_cell_.erase(tx.cell);
-    const auto lit = tx_cells_.find(tx.cell);
-    DRN_EXPECTS(lit != tx_cells_.end());
-    if (--lit->second.count == 0) {
-      tx_cells_.erase(lit);  // exact reset: an idle cell carries no residue
+    if (ids.empty()) {
+      tx_cells_.erase(cit);  // exact reset: an idle cell carries no residue
     } else {
-      lit->second.power_w.add(-tx.power_w);
+      cit->second.power_w.add(-power_w);
     }
 
     for (auto& [rx_cell, far] : far_) {
-      if (grid_.chebyshev(tx.cell, rx_cell) <= range_) continue;
-      const double watts = tx.power_w * cell_gain(tx.cell, rx_cell);
+      if (grid_.chebyshev(cell, rx_cell) <= range_) continue;
+      const double watts = power_w * cell_gain(cell, rx_cell);
       if (--far.contributors == 0) {
         far.din_w.reset();  // exact reset at quiescence
       } else {
         far.din_w.add(-watts);
       }
       for (const ReceptionHandle h : far.handles) {
-        const Slot& s = slots_.at(h);
-        if (s.tx_id == tx_id || s.rx == tx.from) continue;
+        const Slot& s = slot_at(h);
+        if (s.tx_id == tx_id || s.rx == from) continue;
         if (affected) affected(h, Watts{watts});
       }
     }
 
-    for_each_occupied(far_, tx.cell, [&](std::int32_t, FarField& far) {
+    for_each_occupied(far_, cell, [&](FarField& far) {
       for (const ReceptionHandle h : far.handles) {
-        Slot& s = slots_.at(h);
-        if (s.tx_id == tx_id || s.rx == tx.from) continue;
-        const double watts = pair_gain(s.rx, tx.from) * tx.power_w;
+        Slot& s = slot_at(h);
+        if (s.tx_id == tx_id || s.rx == from) continue;
+        const double watts = pair_gain(s.rx, from) * power_w;
         s.near_w.add(-watts);
         bump(s);
         if (affected) affected(h, Watts{watts});
@@ -441,74 +422,66 @@ class NearFarEngine final : public InterferenceEngine {
   [[nodiscard]] ReceptionHandle open_reception(
       std::uint64_t tx_id, StationId rx,
       const ContributionVisitor& contribution) override {
-    const auto txit = active_.find(tx_id);
-    DRN_EXPECTS(txit != active_.end());
-    const ReceptionHandle h = slots_.alloc();
-    Slot& s = slots_.at(h);
+    const std::size_t k = active_.find(tx_id);
+    Slot s;
     s.tx_id = tx_id;
     s.rx = rx;
     s.rx_cell = grid_.cell_of(rx);
-    s.tx_from = txit->second.from;
-    s.tx_power_w = txit->second.power_w;
-    s.tx_cell = txit->second.cell;
+    s.tx_power_w = active_.power_w[k];
+    s.tx_cell = grid_.cell_of(active_.from[k]);
 
     // Near: exact sum over active transmissions in cells within range.
-    for_each_occupied(tx_ids_by_cell_, s.rx_cell,
-                      [&](std::int32_t, const std::vector<std::uint64_t>& ids) {
-      for (const std::uint64_t id : ids) {
+    for_each_occupied(tx_cells_, s.rx_cell, [&](const TxCell& tx_cell) {
+      for (const std::uint64_t id : tx_cell.ids) {
         if (id == tx_id) continue;
-        const Tx& other = active_.at(id);
-        if (other.from == rx) continue;
-        const double watts = pair_gain(rx, other.from) * other.power_w;
+        const std::size_t j = active_.find(id);
+        const StationId from = active_.from[j];
+        if (from == rx) continue;
+        const double watts = pair_gain(rx, from) * active_.power_w[j];
         s.near_w.add(watts);
         if (contribution) contribution(id, Watts{watts});
       }
     });
 
     // Far: share (or build) the din aggregate for this receiver cell.
-    auto& far = far_[s.rx_cell];
-    if (far.handles.empty()) {
-      far.din_w.reset();
-      far.contributors = 0;
-      for (const auto& [id, other] : active_) {
-        if (grid_.chebyshev(other.cell, s.rx_cell) <= range_) continue;
-        far.din_w.add(other.power_w * cell_gain(other.cell, s.rx_cell));
+    const ReceptionHandle h = live_.open();
+    FarField& far = far_[s.rx_cell];
+    if (far.handles.empty()) {  // a new entry (emptied ones are erased)
+      for_each_far(s.rx_cell, [&](std::size_t, double watts) {
+        far.din_w.add(watts);
         ++far.contributors;
-      }
+      });
     }
     far.handles.push_back(h);
     if (contribution) {
       // Per-interferer far contributions (multiuser detection wants every
-      // interferer): approximate by the same cell-centre gain the aggregate
-      // uses, in deterministic id order.
-      for (const auto& [id, other] : active_) {
-        if (id == tx_id || other.from == rx) continue;
-        if (grid_.chebyshev(other.cell, s.rx_cell) <= range_) continue;
-        contribution(id,
-                     Watts{other.power_w * cell_gain(other.cell, s.rx_cell)});
-      }
+      // interferer): the same cell-centre terms the aggregate sums.
+      for_each_far(s.rx_cell, [&](std::size_t j, double watts) {
+        if (active_.id[j] != tx_id && active_.from[j] != rx)
+          contribution(active_.id[j], Watts{watts});
+      });
     }
+    slots_.push_back(s);
     return h;
   }
 
   void close_reception(ReceptionHandle h) override {
-    const Slot& s = slots_.at(h);
-    const auto it = far_.find(s.rx_cell);
+    const auto it = far_.find(slot_at(h).rx_cell);
     DRN_EXPECTS(it != far_.end());
     auto& handles = it->second.handles;
     const auto hit = std::find(handles.begin(), handles.end(), h);
     DRN_EXPECTS(hit != handles.end());
     handles.erase(hit);
     if (handles.empty()) far_.erase(it);
-    slots_.release(h);
+    live_.close(h, slots_);
   }
 
   [[nodiscard]] std::size_t open_receptions() const override {
-    return slots_.live_count();
+    return live_.size();
   }
 
   [[nodiscard]] Watts interference(ReceptionHandle h) const override {
-    const Slot& s = slots_.at(h);
+    const Slot& s = slot_at(h);
     const auto it = far_.find(s.rx_cell);
     DRN_EXPECTS(it != far_.end());
     double far = std::max(0.0, it->second.din_w.value());
@@ -522,34 +495,27 @@ class NearFarEngine final : public InterferenceEngine {
 
   [[nodiscard]] Watts recomputed_interference(
       ReceptionHandle h) const override {
-    const Slot& s = slots_.at(h);
-    CompensatedSum near;
+    const Slot& s = slot_at(h);
     CompensatedSum far;
-    for (const auto& [id, other] : active_) {
-      if (id == s.tx_id || other.from == s.rx) continue;
-      if (grid_.chebyshev(other.cell, s.rx_cell) <= range_) {
-        near.add(pair_gain(s.rx, other.from) * other.power_w);
-      } else {
-        far.add(other.power_w * cell_gain(other.cell, s.rx_cell));
-      }
-    }
-    return Watts{thermal_w_ + std::max(0.0, near.value()) +
+    for_each_far(s.rx_cell, [&](std::size_t k, double watts) {
+      if (active_.id[k] != s.tx_id && active_.from[k] != s.rx) far.add(watts);
+    });
+    return Watts{thermal_w_ + std::max(0.0, near_sum(s).value()) +
                  std::max(0.0, far.value())};
   }
 
   [[nodiscard]] Watts power_at(StationId st) const override {
     const std::int32_t cell = grid_.cell_of(st);
     CompensatedSum sum;
-    for_each_occupied(tx_ids_by_cell_, cell,
-                      [&](std::int32_t, const std::vector<std::uint64_t>& ids) {
-      for (const std::uint64_t id : ids) {
-        const Tx& tx = active_.at(id);
-        sum.add(pair_gain(st, tx.from) * tx.power_w);
+    for_each_occupied(tx_cells_, cell, [&](const TxCell& tx_cell) {
+      for (const std::uint64_t id : tx_cell.ids) {
+        const std::size_t k = active_.find(id);
+        sum.add(pair_gain(st, active_.from[k]) * active_.power_w[k]);
       }
     });
-    for (const auto& [c, load] : tx_cells_) {
+    for (const auto& [c, tx_cell] : tx_cells_) {
       if (grid_.chebyshev(c, cell) <= range_) continue;
-      sum.add(std::max(0.0, load.power_w.value()) * cell_gain(c, cell));
+      sum.add(std::max(0.0, tx_cell.power_w.value()) * cell_gain(c, cell));
     }
     return Watts{thermal_w_ + std::max(0.0, sum.value())};
   }
@@ -569,30 +535,28 @@ class NearFarEngine final : public InterferenceEngine {
     // RF-idle precondition: the station contributes to no active near sum,
     // no cell load, and no far-field din, so only its future pairings see
     // the new position.
-    for (const auto& [id, tx] : active_) DRN_EXPECTS(tx.from != s);
-    slots_.for_each_live(
-        [&](ReceptionHandle, Slot& slot) { DRN_EXPECTS(slot.rx != s); });
+    for (const StationId from : active_.from) DRN_EXPECTS(from != s);
+    for (const Slot& slot : slots_) DRN_EXPECTS(slot.rx != s);
     placement_[s] = position;
     grid_.move_station(s, position);
   }
 
  private:
-  struct Tx {
-    StationId from = kNoStation;
-    double power_w = 0.0;
-    std::int32_t cell = 0;
-  };
-
   struct Slot {
     std::uint64_t tx_id = 0;
     StationId rx = kNoStation;
     std::int32_t rx_cell = 0;
-    StationId tx_from = kNoStation;
     double tx_power_w = 0.0;
     std::int32_t tx_cell = 0;
     CompensatedSum near_w;  // exact near field, thermal excluded
     std::uint32_t ops = 0;
-    bool live = false;
+  };
+
+  /// Per occupied transmit cell: the ids radiating there, in start order,
+  /// and their summed power.
+  struct TxCell {
+    std::vector<std::uint64_t> ids;
+    CompensatedSum power_w;
   };
 
   /// Per occupied receiver cell: the aggregated far-field din (Section 4's
@@ -601,11 +565,6 @@ class NearFarEngine final : public InterferenceEngine {
     CompensatedSum din_w;
     int contributors = 0;
     std::vector<ReceptionHandle> handles;  // event (insertion) order
-  };
-
-  struct CellLoad {
-    CompensatedSum power_w;
-    int count = 0;
   };
 
   /// Visits `map`'s entries whose cell key lies within Chebyshev range_ of
@@ -626,7 +585,7 @@ class NearFarEngine final : public InterferenceEngine {
       const std::int32_t row_hi = y * cols + x_hi;
       for (auto it = map.lower_bound(y * cols + x_lo);
            it != map.end() && it->first <= row_hi; ++it)
-        visit(it->first, it->second);
+        visit(it->second);
     }
   }
 
@@ -640,15 +599,41 @@ class NearFarEngine final : public InterferenceEngine {
         .value();
   }
 
+  [[nodiscard]] Slot& slot_at(ReceptionHandle h) {
+    return slots_[live_.slot(h)];
+  }
+  [[nodiscard]] const Slot& slot_at(ReceptionHandle h) const {
+    return slots_[live_.slot(h)];
+  }
+
+  /// Calls visit(k, watts) for every active transmission k beyond the cutoff
+  /// from `rx_cell`, in ascending tx-id order, with its power through the
+  /// cell-centre gain.
+  template <typename F>
+  void for_each_far(std::int32_t rx_cell, F&& visit) const {
+    for (std::size_t k = 0; k < active_.id.size(); ++k) {
+      const std::int32_t cell = grid_.cell_of(active_.from[k]);
+      if (grid_.chebyshev(cell, rx_cell) <= range_) continue;
+      visit(k, active_.power_w[k] * cell_gain(cell, rx_cell));
+    }
+  }
+
+  /// A reception's near field summed afresh over the active set, in
+  /// ascending tx-id order.
+  [[nodiscard]] CompensatedSum near_sum(const Slot& s) const {
+    CompensatedSum near;
+    for (std::size_t k = 0; k < active_.id.size(); ++k) {
+      const StationId from = active_.from[k];
+      if (active_.id[k] == s.tx_id || from == s.rx) continue;
+      if (grid_.chebyshev(grid_.cell_of(from), s.rx_cell) > range_) continue;
+      near.add(pair_gain(s.rx, from) * active_.power_w[k]);
+    }
+    return near;
+  }
+
   void bump(Slot& s) {
     if (++s.ops < kRecomputePeriod) return;
-    CompensatedSum near;
-    for (const auto& [id, other] : active_) {
-      if (id == s.tx_id || other.from == s.rx) continue;
-      if (grid_.chebyshev(other.cell, s.rx_cell) > range_) continue;
-      near.add(pair_gain(s.rx, other.from) * other.power_w);
-    }
-    s.near_w = near;
+    s.near_w = near_sum(s);
     s.ops = 0;
   }
 
@@ -657,11 +642,11 @@ class NearFarEngine final : public InterferenceEngine {
   NearFarConfig config_;
   geo::GridIndex grid_;
   int range_ = 1;
-  std::map<std::uint64_t, Tx> active_;
-  std::map<std::int32_t, std::vector<std::uint64_t>> tx_ids_by_cell_;
-  std::map<std::int32_t, CellLoad> tx_cells_;
+  ActiveSet active_;
+  std::map<std::int32_t, TxCell> tx_cells_;
   std::map<std::int32_t, FarField> far_;
-  SlotTable<Slot> slots_;
+  LiveSlots live_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace

@@ -39,6 +39,44 @@ void RadioMedium::schedule_data(StationId from, const Packet& pkt,
   DRN_EXPECTS(rate_bps >= 0.0);
   DRN_EXPECTS(start_s >= now_s);
   DRN_EXPECTS(pkt.size_bits > 0.0);
+
+  ActiveTx tx;
+  tx.packet = pkt;
+  tx.from = from;
+  tx.to = to;
+  tx.power_w = power_w;
+  tx.rate_bps =
+      rate_bps > 0.0 ? rate_bps : config_.criterion.data_rate_bps();
+  tx.start_s = serialized_start(from, start_s);
+  tx.end_s = tx.start_s + pkt.size_bits / tx.rate_bps;
+  tx.required_snr =
+      (config_.criterion.margin().to_linear() *
+       radio::snr_for_rate_fraction(tx.rate_bps /
+                                    config_.criterion.bandwidth_hz()))
+          .value();
+  book(tx);
+}
+
+void RadioMedium::schedule_noise(StationId from, double power_w,
+                                 double start_s, double duration_s,
+                                 double now_s) {
+  DRN_EXPECTS(power_w > 0.0);
+  DRN_EXPECTS(duration_s > 0.0);
+  DRN_EXPECTS(start_s >= now_s);
+
+  // Noise uses the one transmitter too, serialized like data.
+  ActiveTx tx;
+  tx.from = from;
+  tx.to = kNoStation;  // addressed to nobody: pure interference
+  tx.power_w = power_w;
+  tx.rate_bps = 0.0;
+  tx.start_s = serialized_start(from, start_s);
+  tx.end_s = tx.start_s + duration_s;
+  tx.required_snr = 0.0;
+  book(tx);
+}
+
+double RadioMedium::serialized_start(StationId from, double start_s) const {
   // One transmitter per station: transmissions must be serialized by the
   // MAC. A sub-nanosecond shortfall is floating-point noise from computing
   // the same instant two ways (e.g. 0.01*i vs a running sum of 0.01) and is
@@ -48,58 +86,14 @@ void RadioMedium::schedule_data(StationId from, const Packet& pkt,
     start_s = tx_busy_until_s_[from];
   }
   DRN_EXPECTS(start_s >= tx_busy_until_s_[from]);
-
-  ActiveTx tx;
-  tx.packet = pkt;
-  tx.from = from;
-  tx.to = to;
-  tx.power_w = power_w;
-  tx.rate_bps =
-      rate_bps > 0.0 ? rate_bps : config_.criterion.data_rate_bps();
-  tx.start_s = start_s;
-  tx.end_s = start_s + pkt.size_bits / tx.rate_bps;
-  tx.required_snr =
-      (config_.criterion.margin().to_linear() *
-       radio::snr_for_rate_fraction(tx.rate_bps /
-                                    config_.criterion.bandwidth_hz()))
-          .value();
-  tx_busy_until_s_[from] = tx.end_s;
-
-  const std::uint64_t id = next_tx_id_++;
-  ActiveTx& slot = scheduled_.insert(id, tx);
-  schedule_tx_events(id, slot);
+  return start_s;
 }
 
-void RadioMedium::schedule_noise(StationId from, double power_w,
-                                 double start_s, double duration_s,
-                                 double now_s) {
-  DRN_EXPECTS(power_w > 0.0);
-  DRN_EXPECTS(duration_s > 0.0);
-  DRN_EXPECTS(start_s >= now_s);
-  // Noise uses the one transmitter too; same serialization (and the same
-  // sub-nanosecond clamp) as data transmissions.
-  if (start_s < tx_busy_until_s_[from] &&
-      tx_busy_until_s_[from] - start_s < 1e-9) {
-    start_s = tx_busy_until_s_[from];
-  }
-  DRN_EXPECTS(start_s >= tx_busy_until_s_[from]);
+void RadioMedium::book(const ActiveTx& booked) {
+  tx_busy_until_s_[booked.from] = booked.end_s;
+  const std::uint64_t tx_id = next_tx_id_++;
+  ActiveTx& tx = scheduled_.insert(tx_id, booked);
 
-  ActiveTx tx;
-  tx.from = from;
-  tx.to = kNoStation;  // addressed to nobody: pure interference
-  tx.power_w = power_w;
-  tx.rate_bps = 0.0;
-  tx.start_s = start_s;
-  tx.end_s = start_s + duration_s;
-  tx.required_snr = 0.0;
-  tx_busy_until_s_[from] = tx.end_s;
-
-  const std::uint64_t id = next_tx_id_++;
-  ActiveTx& slot = scheduled_.insert(id, tx);
-  schedule_tx_events(id, slot);
-}
-
-void RadioMedium::schedule_tx_events(std::uint64_t tx_id, ActiveTx& tx) {
   Event start;
   start.time_s = tx.start_s;
   start.kind = EventKind::kTransmitStart;
@@ -228,6 +222,42 @@ void RadioMedium::close_receptions(const ActiveTx& tx, F&& on_closed) {
   free_rx_lists_.push_back(tx.rx_list);
 }
 
+TxEvent RadioMedium::tx_event(std::uint64_t tx_id, const ActiveTx& tx) {
+  return TxEvent{.tx_id = tx_id,
+                 .from = tx.from,
+                 .to = tx.to,
+                 .power_w = tx.power_w,
+                 .start_s = tx.start_s,
+                 .end_s = tx.end_s,
+                 .rate_bps = tx.rate_bps,
+                 .packet = tx.packet.id};
+}
+
+void RadioMedium::report_reception(std::uint64_t tx_id,
+                                   const Reception& r) const {
+  if (observers_.empty()) return;
+  const RxEvent ev{.tx_id = tx_id,
+                   .rx = r.rx,
+                   .delivered = r.failure == LossType::kNone,
+                   .loss = r.failure,
+                   .min_sinr = r.min_sinr,
+                   .required_snr = r.required_snr,
+                   .signal_w = r.signal_w};
+  for (SimObserver* o : observers_) o->on_reception_complete(ev);
+}
+
+void RadioMedium::end_in_engine(std::uint64_t tx_id) {
+  // The notification is only needed to retire tracked contributions.
+  radio::InterferenceEngine::AffectedVisitor on_affected;
+  if (config_.multiuser_subtract_k > 0) {
+    on_affected = [this, tx_id](radio::ReceptionHandle h,
+                                radio::Watts /*watts*/) {
+      contributions_[h].erase(tx_id);
+    };
+  }
+  engine_->transmit_ended(tx_id, on_affected);
+}
+
 void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
   ActiveTx& tx = active_.insert(tx_id, scheduled_.extract(tx_id));
   const bool noise = tx.to == kNoStation;
@@ -244,15 +274,7 @@ void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
   ++transmitting_count_[tx.from];
 
   if (!observers_.empty()) {
-    TxEvent ev;
-    ev.tx_id = tx_id;
-    ev.from = tx.from;
-    ev.to = tx.to;
-    ev.power_w = tx.power_w;
-    ev.start_s = tx.start_s;
-    ev.end_s = tx.end_s;
-    ev.rate_bps = tx.rate_bps;
-    ev.packet = tx.packet.id;
+    const TxEvent ev = tx_event(tx_id, tx);
     for (SimObserver* o : observers_) o->on_transmit_start(ev);
   }
 
@@ -305,16 +327,8 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   // The signal leaves the air: the engine lowers everyone else's
   // interference (receptions at the sender's own station never had this
   // contribution added — they die via Type 3 — and the engine skips them
-  // symmetrically). Interference only drops here, so min_sinr cannot move;
-  // the notification is only needed to retire tracked contributions.
-  radio::InterferenceEngine::AffectedVisitor on_affected;
-  if (config_.multiuser_subtract_k > 0) {
-    on_affected = [this, tx_id](radio::ReceptionHandle h,
-                                radio::Watts /*watts*/) {
-      contributions_[h].erase(tx_id);
-    };
-  }
-  engine_->transmit_ended(tx_id, on_affected);
+  // symmetrically). Interference only drops here, so min_sinr cannot move.
+  end_in_engine(tx_id);
 
   if (tx.to == kNoStation) {
     // Noise burst: nothing was receivable; just tell the emitter.
@@ -326,18 +340,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   close_receptions(tx, [&](const Reception& r) {
     const bool delivered = r.failure == LossType::kNone;
     any_delivered |= delivered;
-
-    if (!observers_.empty()) {
-      RxEvent ev;
-      ev.tx_id = tx_id;
-      ev.rx = r.rx;
-      ev.delivered = delivered;
-      ev.loss = r.failure;
-      ev.min_sinr = r.min_sinr;
-      ev.required_snr = r.required_snr;
-      ev.signal_w = r.signal_w;
-      for (SimObserver* o : observers_) o->on_reception_complete(ev);
-    }
+    report_reception(tx_id, r);
 
     if (tx.to == kBroadcast) {
       if (delivered) {
@@ -375,47 +378,20 @@ void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
   // Observers first (the auditor truncates its record of this transmission
   // to now before the aborted RxEvents below arrive).
   if (!observers_.empty()) {
-    TxEvent ev;
-    ev.tx_id = tx_id;
-    ev.from = tx.from;
-    ev.to = tx.to;
-    ev.power_w = tx.power_w;
-    ev.start_s = tx.start_s;
-    ev.end_s = tx.end_s;
-    ev.rate_bps = tx.rate_bps;
-    ev.packet = tx.packet.id;
+    const TxEvent ev = tx_event(tx_id, tx);
     for (SimObserver* o : observers_) o->on_transmit_aborted(ev, now_s);
   }
 
   // The signal leaves the air early; interference drops exactly as at a
   // normal end, through the same engine path (no ad-hoc subtraction).
-  radio::InterferenceEngine::AffectedVisitor on_affected;
-  if (config_.multiuser_subtract_k > 0) {
-    on_affected = [this, tx_id](radio::ReceptionHandle h,
-                                radio::Watts /*watts*/) {
-      contributions_[h].erase(tx_id);
-    };
-  }
-  engine_->transmit_ended(tx_id, on_affected);
+  end_in_engine(tx_id);
 
   if (tx.to == kNoStation) return;  // noise: no reception records
 
   close_receptions(tx, [&](Reception& r) {
     // A truncated packet is undecodable regardless of its SINR so far.
     if (r.failure == LossType::kNone) r.failure = LossType::kAborted;
-
-    if (!observers_.empty()) {
-      RxEvent ev;
-      ev.tx_id = tx_id;
-      ev.rx = r.rx;
-      ev.delivered = false;
-      ev.loss = r.failure;
-      ev.min_sinr = r.min_sinr;
-      ev.required_snr = r.required_snr;
-      ev.signal_w = r.signal_w;
-      for (SimObserver* o : observers_) o->on_reception_complete(ev);
-    }
-
+    report_reception(tx_id, r);
     if (tx.to != kBroadcast) metrics_.record_hop_loss(r.failure);
   });
   // No completion upcall: the sender's MAC is being torn down right now.

@@ -277,10 +277,26 @@ class RadioMedium {
   /// kAborted outcomes, and cancels its pending end event.
   void abort_transmission(std::uint64_t tx_id, double now_s);
 
-  /// Books the start/end queue entries for a freshly scheduled transmission
-  /// and stores their handles on the ActiveTx (shared tail of schedule_data
-  /// and schedule_noise).
-  void schedule_tx_events(std::uint64_t tx_id, ActiveTx& tx);
+  /// `start_s` checked against the station's one transmitter: a
+  /// sub-nanosecond overlap with its previous transmission is clamped away.
+  [[nodiscard]] double serialized_start(StationId from, double start_s) const;
+
+  /// Books a freshly built transmission (shared tail of schedule_data and
+  /// schedule_noise): marks the transmitter busy until its end, assigns the
+  /// next id, stores it as scheduled and queues its start/end events.
+  void book(const ActiveTx& booked);
+
+  /// The observer facts of `tx` going on the air.
+  [[nodiscard]] static TxEvent tx_event(std::uint64_t tx_id,
+                                        const ActiveTx& tx);
+
+  /// Tells the observers how reception `r` of tx_id ended.
+  void report_reception(std::uint64_t tx_id, const Reception& r) const;
+
+  /// Takes tx_id off the engine's air (normal end or abort); with multiuser
+  /// detection on, also retires its tracked contribution from every
+  /// reception it reached.
+  void end_in_engine(std::uint64_t tx_id);
 
   /// Opens the reception record for `tx` at receiver `rx` (admission rules:
   /// not transmitting, free despreading channel, initial SINR), stores it at

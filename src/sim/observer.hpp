@@ -4,9 +4,9 @@
 // schedule compliance against ground-truth clocks; tools use it for traces.
 //
 // All notifications originate in the physical layer (sim::RadioMedium) at
-// the instant the fact becomes true on the air. Install long-lived riders
-// (auditors, dynamics engines) with Simulator::add_observer; set_observer
-// manages a single replaceable slot for tools and never touches the rest.
+// the instant the fact becomes true on the air. Install observers
+// (auditors, dynamics engines, traces) with Simulator::add_observer; each
+// is notified in installation order.
 #pragma once
 
 #include <cstdint>

@@ -57,22 +57,6 @@ void Simulator::set_router(Router router) {
   network_.set_router(std::move(router));
 }
 
-void Simulator::set_observer(SimObserver* observer) {
-  if (owned_slot_ != kNoSlot) {
-    if (observer != nullptr) {
-      observers_[owned_slot_] = observer;  // replace only our own slot
-    } else {
-      observers_.erase(observers_.begin() +
-                       static_cast<std::ptrdiff_t>(owned_slot_));
-      owned_slot_ = kNoSlot;
-    }
-    return;
-  }
-  if (observer == nullptr) return;  // nothing owned, nothing to clear
-  owned_slot_ = observers_.size();
-  observers_.push_back(observer);
-}
-
 void Simulator::add_observer(SimObserver* observer) {
   DRN_EXPECTS(observer != nullptr);
   observers_.push_back(observer);

@@ -74,12 +74,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   /// Installs the next-hop chooser. Default: one-hop direct to destination.
   void set_router(Router router);
 
-  /// Installs a passive observer (not owned; null clears), replacing only
-  /// the observer this method itself installed earlier — observers added
-  /// via add_observer (auditors, dynamics engines, traces) are never
-  /// touched. See observer.hpp.
-  void set_observer(SimObserver* observer);
-
   /// Adds a passive observer alongside any already installed (not owned).
   /// Observers are notified in installation order.
   void add_observer(SimObserver* observer);
@@ -208,11 +202,8 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   double now_s_ = 0.0;
   std::uint64_t events_processed_ = 0;
 
-  // Observer slots, shared by reference with the medium. set_observer owns
-  // at most one slot (tracked by index); add_observer appends.
+  // Observers in installation order, shared by reference with the medium.
   std::vector<SimObserver*> observers_;
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::size_t owned_slot_ = kNoSlot;
 
   // The three layers (construction order matters: the medium adopts the
   // engine, the host needs the station count, the network needs the host).

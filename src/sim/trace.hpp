@@ -1,7 +1,6 @@
 // A recording observer: captures every transmission and reception outcome
 // for offline analysis, assertions, or CSV export. Plug into
-// Simulator::set_observer (which owns exactly one observer slot, so a trace
-// installed this way never evicts an auditor added via add_observer).
+// Simulator::add_observer, alongside any auditor.
 //
 // Memory can be bounded with a max_events cap: each stream keeps only the
 // newest max_events records (oldest dropped first) and counts what it shed,

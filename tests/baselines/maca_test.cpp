@@ -35,7 +35,7 @@ TEST(Maca, CleanHandshakeDeliversData) {
   m.set_gain(0, 1, radio::LinearGain{1.0});
   sim::Simulator sim(m, config());
   sim::TraceRecorder trace;
-  sim.set_observer(&trace);
+  sim.add_observer(&trace);
   sim.set_mac(0, std::make_unique<MacaMac>(MacaConfig{}));
   sim.set_mac(1, std::make_unique<MacaMac>(MacaConfig{}));
   sim.inject(0.0, packet(0, 1));

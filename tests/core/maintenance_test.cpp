@@ -52,17 +52,13 @@ std::unique_ptr<Pair> make_pair(double beacon_interval_s) {
     n.clock = ClockModel((theirs.local(Seconds{0.0}) - mine.local(Seconds{0.0})).value(), 1.0);
     NeighborTable table;
     table.add(n);
-    ScheduledStationConfig cfg{schedule,
-                               mine,
-                               kAirtime,
-                               /*guard_s=*/0.0002,
-                               PowerControl::fixed(1.0e-4),
-                               20000.0,
-                               4096,
-                               0.0,
-                               0.25,
-                               /*data_rate_bps=*/1.0e6,
-                               beacon_interval_s};
+    ScheduledStationConfig cfg{.schedule = schedule,
+                               .clock = mine,
+                               .packet_airtime_s = kAirtime,
+                               .guard_s = 0.0002,
+                               .power = PowerControl::fixed(1.0e-4),
+                               .data_rate_bps = 1.0e6,
+                               .beacon_interval_s = beacon_interval_s};
     return std::make_unique<ScheduledStation>(cfg, std::move(table));
   };
   auto s0 = make_station(0, pair->c0, pair->c1);
@@ -146,7 +142,7 @@ TEST(Maintenance, BeaconRespectsOwnScheduleWindows) {
   auto pair = make_pair(/*beacon_interval_s=*/0.3);
   const Schedule schedule(2021, kSlot, 0.3);
   Auditor auditor(schedule, pair->c0, pair->c1);
-  pair->sim->set_observer(&auditor);
+  pair->sim->add_observer(&auditor);
   pair->sim->inject(0.0, packet(0, 1));
   pair->sim->run_until(30.0);
   EXPECT_GT(auditor.beacons_, 50u);

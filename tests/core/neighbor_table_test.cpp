@@ -213,19 +213,12 @@ TEST(Significance, ScalesWithPower) {
   EXPECT_FALSE(interferes_significantly(0.01, 10.0, 1.0));
 }
 
-TEST(Significance, CustomFraction) {
-  EXPECT_TRUE(interferes_significantly(0.2, 1.0, 1.0, 0.1));
-  EXPECT_FALSE(interferes_significantly(0.2, 1.0, 1.0, 0.5));
-}
-
 TEST(Significance, Contracts) {
   EXPECT_THROW((void)interferes_significantly(0.0, 1.0, 1.0),
                ContractViolation);
   EXPECT_THROW((void)interferes_significantly(1.0, 0.0, 1.0),
                ContractViolation);
   EXPECT_THROW((void)interferes_significantly(1.0, 1.0, 0.0),
-               ContractViolation);
-  EXPECT_THROW((void)interferes_significantly(1.0, 1.0, 1.0, 0.0),
                ContractViolation);
 }
 

@@ -150,9 +150,8 @@ TEST(ScheduledStation, NoHeadOfLineBlocking) {
   NeighborTable t0;
   t0.add(neighbor_of(1, 1.0, c0, c1));
   t0.add(neighbor_of(2, 1.0, c0, c2));
-  auto cfg0 = station_config(schedule, c0);
-  cfg0.horizon_slots = 300;  // keep the doomed search cheap
-  sim.set_mac(0, std::make_unique<ScheduledStation>(cfg0, std::move(t0)));
+  sim.set_mac(0, std::make_unique<ScheduledStation>(
+                     station_config(schedule, c0), std::move(t0)));
   NeighborTable t1;
   t1.add(neighbor_of(0, 1.0, c1, c0));
   sim.set_mac(1, std::make_unique<ScheduledStation>(

@@ -37,11 +37,28 @@ sim::SimulatorConfig line_config(radio::InterferenceEngineKind kind) {
   return cfg;
 }
 
-std::unique_ptr<sim::Simulator> make_sim(radio::InterferenceEngineKind kind) {
+/// Near/far configurations for the 300 m line. A 2000 m cutoff puts every
+/// pair in the near field (exact sums). A 250 m cutoff over 24 m cells gives
+/// a near range of 11 cells while neighbouring stations sit 12 and 13 cells
+/// apart, so every pair, the reception's own signal included, is in the far
+/// field. (The default cutoff / 4 cells would leave them 4 and 5 cells
+/// apart, within the near range of 5.)
+radio::NearFarConfig all_near() {
+  radio::NearFarConfig nf;
+  nf.cutoff = radio::Meters{2000.0};
+  return nf;
+}
+radio::NearFarConfig all_far() {
+  radio::NearFarConfig nf;
+  nf.cutoff = radio::Meters{250.0};
+  nf.cell = radio::Meters{24.0};
+  return nf;
+}
+
+std::unique_ptr<sim::Simulator> make_sim(radio::InterferenceEngineKind kind,
+                                         radio::NearFarConfig nf = all_near()) {
   const auto placement = line3();
   if (kind == radio::InterferenceEngineKind::kNearFar) {
-    radio::NearFarConfig nf;
-    nf.cutoff = radio::Meters{2000.0};  // everything is near-field: exact sums
     return std::make_unique<sim::Simulator>(
         radio::make_nearfar_engine(
             placement, std::make_shared<radio::FreeSpacePropagation>(), nf),
@@ -56,8 +73,9 @@ std::unique_ptr<sim::Simulator> make_sim(radio::InterferenceEngineKind kind) {
 /// interfering transmission is aborted mid-air by deactivation. The scoped
 /// audit cross-checks every reception's incremental interference against a
 /// from-scratch recomputation at each event — a stale contribution fails it.
-void run_abort_under_reception(radio::InterferenceEngineKind kind) {
-  auto sim = make_sim(kind);
+void run_abort_under_reception(radio::InterferenceEngineKind kind,
+                               radio::NearFarConfig nf = all_near()) {
+  auto sim = make_sim(kind, nf);
   {
     testing::ScopedAudit audit(*sim);
     // 2 -> 1: 2 s airtime spanning the whole abort window.
@@ -87,6 +105,8 @@ TEST(ChurnResidue, AbortMidTransmissionLeavesNoResidueCompensated) {
 
 TEST(ChurnResidue, AbortMidTransmissionLeavesNoResidueNearFar) {
   run_abort_under_reception(radio::InterferenceEngineKind::kNearFar);
+  run_abort_under_reception(radio::InterferenceEngineKind::kNearFar,
+                            all_far());
 }
 
 /// Engine-level churn soak: a reception held open while 10^4 interferer
@@ -126,30 +146,40 @@ TEST(ChurnResidue, CompensatedDriftExactlyZeroAfter1e4JoinLeaveCycles) {
   engine->transmit_ended(1, noop_affected);
 }
 
-/// Same soak through the near/far engine (exact near-field sums when the
-/// cutoff covers the whole deployment).
-TEST(ChurnResidue, NearFarNoResidueAfterJoinLeaveCycles) {
+/// Same soak through the near/far engine: once with exact near-field sums
+/// (the cutoff covers the whole deployment), once with the interferer and
+/// the reception's own signal both folded into the far-field din.
+void soak_nearfar(radio::NearFarConfig nf, bool far) {
   const auto placement = line3();
-  radio::NearFarConfig nf;
-  nf.cutoff = radio::Meters{2000.0};
   auto engine = radio::make_nearfar_engine(
       placement, std::make_shared<radio::FreeSpacePropagation>(), nf);
   engine->set_thermal_noise(radio::Watts{1.0e-15});
   const auto noop_sender = [](radio::ReceptionHandle) {};
-  const auto noop_affected = [](radio::ReceptionHandle, radio::Watts) {};
+  double first_watts = 0.0;
+  const auto record = [&first_watts](radio::ReceptionHandle, radio::Watts w) {
+    if (first_watts == 0.0) first_watts = w.value();
+  };
 
-  engine->transmit_started(1, 2, radio::Watts{1.0e-2}, noop_sender, noop_affected);
+  engine->transmit_started(1, 2, radio::Watts{1.0e-2}, noop_sender, record);
   const auto h = engine->open_reception(1, 1, nullptr);
   std::uint64_t next_tx = 2;
   for (int cycle = 0; cycle < 10000; ++cycle) {
     const std::uint64_t a = next_tx++;
-    engine->transmit_started(a, 0, radio::Watts{1.0e-3}, noop_sender, noop_affected);
-    engine->transmit_ended(a, noop_affected);
+    engine->transmit_started(a, 0, radio::Watts{1.0e-3}, noop_sender, record);
+    engine->transmit_ended(a, record);
   }
+  // A far interferer reaches the reception through cell-centre gains, not
+  // its own pair gain.
+  EXPECT_EQ(first_watts != engine->gain(1, 0) * 1.0e-3, far);
   EXPECT_NEAR(engine->interference(h).value(),
               engine->recomputed_interference(h).value(), 1.0e-24);
   engine->close_reception(h);
-  engine->transmit_ended(1, noop_affected);
+  engine->transmit_ended(1, record);
+}
+
+TEST(ChurnResidue, NearFarNoResidueAfterJoinLeaveCycles) {
+  soak_nearfar(all_near(), false);
+  soak_nearfar(all_far(), true);
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 // load-bearing contract: every published number depends on events being
 // handled in exactly this order. These tests pin an order-sensitive FNV-1a
 // digest of the full observed event stream (InvariantAuditor::event_hash)
-// for three fixed scenarios, run through runner::Trial — the path every
+// for four fixed scenarios, run through runner::Trial — the path every
 // tool takes — so a change to the trial's wiring shows up here too. The
-// constants were captured from the std::priority_queue implementation that
-// predates the indexed 4-ary heap — a changed hash means the queue no
-// longer replays history bit-identically, which invalidates every recorded
-// experiment.
+// scheme, aloha and churn constants were captured from the
+// std::priority_queue implementation that predates the indexed 4-ary heap
+// (the near/far one states its own origin) — a changed hash means the
+// queue no longer replays history bit-identically, which invalidates every
+// recorded experiment.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,6 +91,32 @@ TEST(EventOrderGolden, ChurnMobilityHashPinned) {
   // refactor is pinned draw-for-draw under aborts, rejoins and moves too.
   constexpr std::uint64_t kGolden = 14753770258953278022ull;
   EXPECT_EQ(churn_mobility_hash(runner::trial_seed(808, 0)), kGolden);
+}
+
+/// The near/far engine with its far field in use: a 300 m cutoff on the
+/// 1000 m region puts most pairs beyond it, jammers add noise bursts, and
+/// churn and mobility exercise the abort, rejoin and re-binning paths. Every
+/// other near/far test compares with a tolerance; this one pins the engine's
+/// accumulation order bit for bit.
+TEST(EventOrderGolden, NearFarHashPinned) {
+  runner::ScenarioSpec spec = golden_spec(runner::MacKind::kAloha);
+  spec.engine = radio::InterferenceEngineKind::kNearFar;
+  spec.engine_cutoff_m = 300.0;
+  spec.dynamics.jammer.count = 2;
+  spec.dynamics.churn_rate_per_s = 2.0;
+  spec.dynamics.mean_downtime_s = 1.0;
+  spec.dynamics.mobility_speed_mps = 20.0;
+  spec.dynamics.mobility_step_s = 0.25;
+  spec.dynamics.mobility_region_m = spec.region_m;
+  runner::TrialResult r;
+  const std::uint64_t hash = hash_of(spec, runner::trial_seed(909, 0), &r);
+  EXPECT_GT(r.station_leaves, 0u);
+  EXPECT_GT(r.station_joins, 0u);
+  EXPECT_GT(r.noise_bursts, 0u);
+  // Captured from the engine that kept its in-flight state in std::maps and
+  // a handle-indexed slot table.
+  constexpr std::uint64_t kGolden = 1802529450751585195ull;
+  EXPECT_EQ(hash, kGolden);
 }
 
 TEST(EventOrderGolden, HashIsDeterministic) {

@@ -207,7 +207,7 @@ TEST(Observer, SeesTransmissionsAndReceptions) {
   m.set_gain(0, 1, radio::LinearGain{0.5});
   Simulator sim(m, config_with(spread_criterion(), 0.05));
   Recorder rec;
-  sim.set_observer(&rec);
+  sim.add_observer(&rec);
   sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
                      {0.25, 1, 2.0, 1.0e4}}));
   sim.set_mac(1, std::make_unique<IdleMac>());
@@ -277,7 +277,7 @@ TEST(MultiuserDetection, SubtractionCapResidualIsThermal) {
   };
   Recorder rec;
   Simulator sim(m, cfg);
-  sim.set_observer(&rec);
+  sim.add_observer(&rec);
   sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
                      {0.0, 1, 1.0, 1.0e4}}));
   sim.set_mac(1, std::make_unique<IdleMac>());

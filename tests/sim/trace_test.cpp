@@ -30,7 +30,7 @@ TEST(Trace, RecordsTransmissionsAndReceptions) {
   cfg.thermal_noise_w = 1e-15;
   Simulator sim(m, cfg);
   TraceRecorder trace;
-  sim.set_observer(&trace);
+  sim.add_observer(&trace);
   sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
                      {0.00, 1, 1.0, 1.0e4}, {0.02, 1, 1.0, 1.0e4}}));
   sim.set_mac(2, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
@@ -53,7 +53,7 @@ TEST(Trace, CapturesLossOutcome) {
   cfg.thermal_noise_w = 1.0;  // hopeless SNR
   Simulator sim(m, cfg);
   TraceRecorder trace;
-  sim.set_observer(&trace);
+  sim.add_observer(&trace);
   sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
                      {0.0, 1, 1.0, 1.0e4}}));
   sim.set_mac(1, std::make_unique<IdleMac>());
@@ -71,7 +71,7 @@ TEST(Trace, CsvOutput) {
   cfg.thermal_noise_w = 1e-15;
   Simulator sim(m, cfg);
   TraceRecorder trace;
-  sim.set_observer(&trace);
+  sim.add_observer(&trace);
   sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
                      {0.0, 1, 2.0, 1.0e4}}));
   sim.set_mac(1, std::make_unique<IdleMac>());
