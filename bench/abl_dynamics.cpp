@@ -10,7 +10,7 @@
 // DynamicsEngine's recovery clock: seconds from a rejoin to the first
 // delivered unicast hop involving the returnee.
 //
-// Trials fan out across a ThreadPool via runner::run_sweep, whose contract
+// Trials fan out across worker threads via runner::run_sweep, whose contract
 // is byte-identical results for any job count — the emitted JSON contains
 // no timing and no job count, so `--jobs 1` and `--jobs 8` outputs diff
 // clean.

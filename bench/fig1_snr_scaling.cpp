@@ -10,10 +10,10 @@
 
 #include "analysis/ascii_plot.hpp"
 #include "analysis/table.hpp"
+#include "common/parallel.hpp"
 #include "radio/noise_growth.hpp"
 #include "radio/units.hpp"
 #include "runner/summary.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace {
 
@@ -66,12 +66,11 @@ void analytic_curves() {
 
 void monte_carlo_validation() {
   std::cout << "Monte-Carlo validation (random uniform-disc placements, "
-               "random active sets, 1/r^2 loss; trials fanned across the "
-               "runner's thread pool, per-trial RNG split from the trial "
+               "random active sets, 1/r^2 loss; trials fanned across all "
+               "hardware threads, per-trial RNG split from the trial "
                "index so the table is thread-count-invariant):\n\n";
   constexpr std::uint64_t kMasterSeed = 20240706;
   Table t({"M", "eta", "analytic dB", "measured dB", "95% CI", "trials"});
-  drn::runner::ThreadPool pool(drn::runner::ThreadPool::hardware_jobs());
   std::uint64_t combo = 0;
   for (std::size_t m : {std::size_t{500}, std::size_t{5000},
                         std::size_t{20000}}) {
@@ -82,7 +81,7 @@ void monte_carlo_validation() {
       // order, so the table is bit-identical for any worker count.
       std::vector<double> samples(trials,
                                   -std::numeric_limits<double>::infinity());
-      drn::runner::parallel_for(pool, trials, [&](std::size_t i) {
+      drn::parallel_for(trials, drn::hardware_jobs(), [&](std::size_t i) {
         drn::Rng rng = drn::Rng(kMasterSeed).split(base_tag | i);
         const auto s =
             drn::radio::sample_nearest_neighbor_snr(m, drn::radio::Meters{100.0},

@@ -1,9 +1,11 @@
 // Engineering microbenchmarks (google-benchmark) for the hot paths: the
 // schedule hash, window search, neighbour lookup, SINR event processing,
-// the compensated engine's interference walks, event queue churn, and
-// routing (every tree, and a trial's lazily built share of them).
+// the compensated engine's interference walks, event queue churn, the dense
+// setup passes (gain matrix, min-energy graph) and routing (every tree, and a
+// trial's lazily built share of them).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -232,14 +234,62 @@ void BM_CompensatedEngineWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_CompensatedEngineWalk)->Arg(16)->Arg(64)->Arg(256);
 
-drn::routing::Graph routing_graph(std::size_t stations) {
+drn::geo::Placement disc_placement(std::size_t stations, double region_m) {
   drn::Rng rng(7);
-  const auto placement = drn::geo::uniform_disc(stations, 1000.0, rng);
-  const drn::radio::FreeSpacePropagation model;
-  const auto gains =
-      drn::radio::PropagationMatrix::from_placement(placement, model);
-  return drn::routing::Graph::min_energy(gains, 6.25e-6);
+  return drn::geo::uniform_disc(stations, region_m, rng);
 }
+
+drn::radio::PropagationMatrix free_space_gains(std::size_t stations,
+                                               double region_m) {
+  return drn::radio::PropagationMatrix::from_placement(
+      disc_placement(stations, region_m), drn::radio::FreeSpacePropagation{});
+}
+
+/// The multihop design point's reach: target 1 nW at 0.16 mW, r <= 400 m.
+constexpr double kMinGain = 6.25e-6;
+
+drn::routing::Graph routing_graph(std::size_t stations) {
+  return drn::routing::Graph::min_energy(free_space_gains(stations, 1000.0),
+                                         kMinGain);
+}
+
+/// The dense gain build of every compensated trial: M(M-1)/2 model calls
+/// in parallel row blocks, then the mirrored lower triangle. Wall time, since
+/// the work is spread over hardware_jobs() threads.
+void BM_DenseGains(benchmark::State& state) {
+  const auto stations = static_cast<std::size_t>(state.range(0));
+  const auto placement = disc_placement(stations, 1000.0);
+  const drn::radio::FreeSpacePropagation model;
+  for (auto _ : state) {
+    auto gains = drn::radio::PropagationMatrix::from_placement(placement, model);
+    benchmark::DoNotOptimize(gains.row(0));
+  }
+  state.SetLabel("stations=" + std::to_string(stations));
+}
+BENCHMARK(BM_DenseGains)
+    ->Arg(1000)
+    ->Arg(4096)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// The min-energy graph's O(M²) pair scan over a built matrix, at the
+/// Section 8 density the trial benchmark scales by (1000 stations in a
+/// 5000 m disc; about six edges per station), so the scan, not edge
+/// insertion, is what is timed.
+void BM_MinEnergyGraph(benchmark::State& state) {
+  const auto stations = static_cast<std::size_t>(state.range(0));
+  const auto gains = free_space_gains(
+      stations, 5000.0 * std::sqrt(static_cast<double>(stations) / 1000.0));
+  for (auto _ : state) {
+    auto graph = drn::routing::Graph::min_energy(gains, kMinGain);
+    benchmark::DoNotOptimize(graph.edge_count());
+  }
+  state.SetLabel("stations=" + std::to_string(stations));
+}
+BENCHMARK(BM_MinEnergyGraph)
+    ->Arg(4096)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Every destination's tree: the work the all-pairs tables used to do.
 void BM_RoutingTablesBuild(benchmark::State& state) {

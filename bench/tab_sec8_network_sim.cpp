@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "analysis/table.hpp"
+#include "common/parallel.hpp"
 #include "runner/sweep.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace {
 
@@ -50,7 +50,7 @@ void network_run(std::size_t stations, double region, double rate,
   spec.base.drain_s = 120.0;
 
   const auto result =
-      runner::run_sweep(spec, runner::ThreadPool::hardware_jobs());
+      runner::run_sweep(spec, drn::hardware_jobs());
 
   Table t({"MAC", "offered", "delivery", "T1", "T2", "T3", "tx/hop",
            "mean delay ms", "mean hops"});

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 #include "core/clock_model.hpp"
 
 namespace drn::core {
@@ -115,13 +116,23 @@ ScheduledNetwork build_scheduled_network(
   }
 
   // Neighbours: every station whose target power is reachable within the
-  // limit, in id order — the order the rendezvous draws are taken in.
+  // limit, in id order — the order the rendezvous draws are taken in. The
+  // O(M²) scan runs in parallel row blocks; the draws stay in one serial
+  // pass in (i, j) order, so the rng stream does not depend on the scan.
   const PowerControl power(config.target_received_w, config.max_power_w);
+  std::vector<std::vector<StationId>> reachable(m);
+  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* row = gains.row(static_cast<StationId>(i));
+      for (std::size_t j = 0; j < m; ++j)
+        if (j != i && power.reachable(row[j]))
+          reachable[i].push_back(static_cast<StationId>(j));
+    }
+  });
   std::vector<NeighborTable> tables(m);
   for (StationId i = 0; i < m; ++i) {
-    for (StationId j = 0; j < m; ++j) {
+    for (StationId j : reachable[i]) {
       const double g = gains.gain(i, j);
-      if (i == j || !power.reachable(g)) continue;
       Neighbor nb;
       nb.id = j;
       nb.gain = g;

@@ -22,7 +22,9 @@
 namespace drn::radio {
 
 /// Interface: power gain between two points in the plane. Implementations
-/// must be symmetric (gain(a,b) == gain(b,a)) and positive.
+/// must be symmetric (gain(a,b) == gain(b,a)) and positive, and power_gain
+/// must be safe to call concurrently on a const model: the dense matrix
+/// build calls it from several threads at once.
 class PropagationModel {
  public:
   virtual ~PropagationModel() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 
 namespace drn::radio {
 
@@ -14,18 +15,38 @@ PropagationMatrix::PropagationMatrix(std::size_t size, LinearGain self_gain)
     gains_[i * size_ + i] = self_gain.value();
 }
 
+PropagationMatrix::PropagationMatrix(std::size_t size, Uninitialised)
+    : size_(size), gains_(size * size) {
+  DRN_EXPECTS(size > 0);
+}
+
 PropagationMatrix PropagationMatrix::from_placement(
     const geo::Placement& placement, const PropagationModel& model,
     LinearGain self_gain) {
-  PropagationMatrix m(placement.size(), self_gain);
-  for (std::size_t i = 0; i < placement.size(); ++i) {
-    for (std::size_t j = i + 1; j < placement.size(); ++j) {
-      const double g = model.power_gain(placement[i], placement[j]).value();
-      m.gains_[i * m.size_ + j] = g;
-      m.gains_[j * m.size_ + i] = g;
+  DRN_EXPECTS(self_gain.value() > 0.0);
+  const std::size_t m = placement.size();
+  PropagationMatrix out(m, Uninitialised{});
+  double* const g = out.gains_.data();
+  // Pass 1: each row block fills its diagonal and upper triangle, one model
+  // call per unordered pair.
+  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      g[i * m + i] = self_gain.value();
+      for (std::size_t j = i + 1; j < m; ++j)
+        g[i * m + j] = model.power_gain(placement[i], placement[j]).value();
     }
-  }
-  return m;
+  });
+  // Pass 2: each row block copies its lower triangle from the transpose,
+  // one column tile at a time so the strided reads stay in cache.
+  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c0 = 0; c0 < end; c0 += kRowsPerBlock) {
+      const std::size_t c1 = c0 + kRowsPerBlock;
+      for (std::size_t i = begin; i < end; ++i)
+        for (std::size_t j = c0; j < std::min(c1, i); ++j)
+          g[i * m + j] = g[j * m + i];
+    }
+  });
+  return out;
 }
 
 std::size_t PropagationMatrix::index(StationId rx, StationId tx) const {
@@ -44,14 +65,6 @@ bool PropagationMatrix::is_symmetric() const {
     for (std::size_t j = i + 1; j < size_; ++j)
       if (gains_[i * size_ + j] != gains_[j * size_ + i]) return false;
   return true;
-}
-
-LinearGain PropagationMatrix::strongest_neighbor_gain(StationId rx) const {
-  DRN_EXPECTS(rx < size_);
-  double best = 0.0;
-  for (std::size_t tx = 0; tx < size_; ++tx)
-    if (tx != rx) best = std::max(best, gains_[rx * size_ + tx]);
-  return LinearGain{best};
 }
 
 }  // namespace drn::radio

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -26,6 +28,9 @@ class PropagationMatrix {
   /// The diagonal (a station's coupling to its own transmitter) is set to
   /// `self_gain`; the paper treats self-interference as unconditionally fatal
   /// (Type 3), so any value >= the strongest neighbour gain is faithful.
+  /// Row blocks are filled in parallel (drn::parallel_row_blocks), so `model`
+  /// is called concurrently; every entry is still the one power_gain call of
+  /// its pair, so the matrix does not depend on the worker count.
   static PropagationMatrix from_placement(
       const geo::Placement& placement, const PropagationModel& model,
       LinearGain self_gain = LinearGain{1.0});
@@ -61,14 +66,34 @@ class PropagationMatrix {
   /// True iff every entry equals its transpose entry.
   [[nodiscard]] bool is_symmetric() const;
 
-  /// The largest off-diagonal gain seen by `rx` (its strongest neighbour).
-  [[nodiscard]] LinearGain strongest_neighbor_gain(StationId rx) const;
-
  private:
+  /// Allocator that leaves a default-constructed double uninitialised, so
+  /// from_placement's workers are the first to touch (and fault in) the
+  /// pages they fill. Every other construction path still value-initialises.
+  template <class T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      if constexpr (sizeof...(Args) == 0)
+        ::new (static_cast<void*>(p)) U;
+      else
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  struct Uninitialised {};
+
+  /// An M x M matrix whose entries are all still to be written.
+  PropagationMatrix(std::size_t size, Uninitialised);
+
   [[nodiscard]] std::size_t index(StationId rx, StationId tx) const;
 
   std::size_t size_;
-  std::vector<double> gains_;  // row-major: gains_[rx * size_ + tx]
+  // row-major: gains_[rx * size_ + tx]
+  std::vector<double, DefaultInitAllocator<double>> gains_;
 };
 
 }  // namespace drn::radio

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 
 namespace drn::routing {
 
@@ -11,11 +12,24 @@ Graph::Graph(std::size_t size) : adjacency_(size) { DRN_EXPECTS(size > 0); }
 Graph Graph::build(const radio::PropagationMatrix& gains, double min_gain,
                    bool unit_cost) {
   DRN_EXPECTS(min_gain > 0.0);
-  Graph g(gains.size());
-  for (StationId i = 0; i < gains.size(); ++i) {
-    for (StationId j = static_cast<StationId>(i + 1); j < gains.size(); ++j) {
+  const std::size_t m = gains.size();
+  // The O(M²) pair scan runs in parallel row blocks; edges are added in one
+  // serial pass in (i, j) order, which fixes adjacency (and so Dijkstra's
+  // tie) order.
+  std::vector<std::vector<StationId>> usable(m);
+  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* row = gains.row(static_cast<StationId>(i));
+      for (std::size_t j = i + 1; j < m; ++j) {
+        if (row[j] < min_gain) continue;
+        usable[i].push_back(static_cast<StationId>(j));
+      }
+    }
+  });
+  Graph g(m);
+  for (StationId i = 0; i < m; ++i) {
+    for (StationId j : usable[i]) {
       const double gain = gains.gain(i, j);
-      if (gain < min_gain) continue;
       g.add_edge(i, j, unit_cost ? 1.0 : 1.0 / gain, gain);
     }
   }

@@ -4,8 +4,8 @@
 #include <chrono>
 
 #include "common/expects.hpp"
+#include "common/parallel.hpp"
 #include "runner/json.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace drn::runner {
 
@@ -48,14 +48,13 @@ SweepResult run_sweep(
     const SweepSpec& spec, unsigned jobs,
     const std::function<void(std::size_t, std::size_t)>& progress) {
   SweepResult out;
-  out.jobs = jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
+  out.jobs = jobs == 0 ? hardware_jobs() : jobs;
   out.trials = expand(spec);
   out.results.resize(out.trials.size());
 
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<std::size_t> done{0};
-  ThreadPool pool(out.jobs);
-  parallel_for(pool, out.trials.size(), [&](std::size_t i) {
+  parallel_for(out.trials.size(), out.jobs, [&](std::size_t i) {
     const SweepTrial& trial = out.trials[i];
     out.results[i] = run_trial(trial_scenario(spec, trial), trial.seed);
     const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -1,5 +1,5 @@
 // Declarative experiment sweeps: the cross-product of parameter axes ×
-// seed replicates, fanned across a ThreadPool, aggregated per parameter
+// seed replicates, fanned across drn::parallel_for, aggregated per parameter
 // point, and serialisable as JSON.
 //
 // Determinism contract: trial i's RNG is Rng(master_seed).split(i) — a pure

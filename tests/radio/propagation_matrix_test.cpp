@@ -50,16 +50,6 @@ TEST(PropagationMatrix, SetGainUpdatesBothDirections) {
   EXPECT_TRUE(m.is_symmetric());
 }
 
-TEST(PropagationMatrix, StrongestNeighborGain) {
-  PropagationMatrix m(3);
-  m.set_gain(0, 1, radio::LinearGain{0.3});
-  m.set_gain(0, 2, radio::LinearGain{0.7});
-  m.set_gain(1, 2, radio::LinearGain{0.1});
-  EXPECT_DOUBLE_EQ(m.strongest_neighbor_gain(0).value(), 0.7);
-  EXPECT_DOUBLE_EQ(m.strongest_neighbor_gain(1).value(), 0.3);
-  EXPECT_DOUBLE_EQ(m.strongest_neighbor_gain(2).value(), 0.7);
-}
-
 TEST(PropagationMatrix, Contracts) {
   EXPECT_THROW(PropagationMatrix(0), ContractViolation);
   EXPECT_THROW(PropagationMatrix(2, LinearGain{0.0}), ContractViolation);

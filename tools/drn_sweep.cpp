@@ -2,7 +2,7 @@
 //
 // Every figure/table in the paper is a sweep over stations, load, MAC and
 // seeds; this tool exposes that as a declarative cross-product fanned across
-// a thread pool, with JSON results suitable for plotting.
+// worker threads, with JSON results suitable for plotting.
 //
 //   $ drn_sweep --stations 20:320:x2 --seeds 16 --mac scheme,aloha
 //               --jobs 8 --json out.json
