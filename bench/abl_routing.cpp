@@ -77,7 +77,7 @@ int main() {
   auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
   auto scenario = drn::runner::make_scenario(40, 1000.0, 808, cfg);
-  const double min_gain = cfg.target_received_w / cfg.max_power_w;
+  const double min_gain = cfg.power().min_gain();
 
   const auto energy_graph = routing::Graph::min_energy(scenario.gains, min_gain);
   const auto hop_graph = routing::Graph::min_hop(scenario.gains, min_gain);

@@ -38,9 +38,9 @@ int main() {
   Rng build_rng(7);
   auto net = core::build_scheduled_network(gains, criterion, net_cfg, build_rng);
 
-  // 5. Minimum-energy routes straight from the propagation matrix.
-  const auto graph = routing::Graph::min_energy(
-      gains, net_cfg.target_received_w / net_cfg.max_power_w);
+  // 5. Minimum-energy routes over the same neighbours, at cost 1/gain
+  //    straight from the propagation matrix.
+  const auto graph = routing::Graph::min_energy(net.neighbors, gains);
   const auto tables = routing::RoutingTables::build(graph);
 
   // 6. Wire it into the event simulator and offer Poisson traffic.

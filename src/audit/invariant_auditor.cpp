@@ -15,6 +15,11 @@ namespace drn::audit {
 
 namespace {
 
+/// Relative tolerance for floating-point identities. The compensated
+/// interference engine keeps running sums exact, so the SINR identities hold
+/// to rounding error and the tolerance is tight.
+constexpr double kRelTol = 1e-12;
+
 /// Open-interval overlap: shared boundary instants (a transmission ending
 /// exactly when another starts) do not count, matching the event queue's
 /// end-before-start simultaneity rule.
@@ -190,7 +195,7 @@ void InvariantAuditor::check_sinr(const TxRecord& rec, const sim::RxEvent& rx) {
   std::ostringstream who;
   who << "rx of tx " << rx.tx_id << " at " << rx.rx;
   const double t = rec.ev.end_s;
-  const double slack = 1.0 + config_.rel_tol;
+  const double slack = 1.0 + kRelTol;
 
   check(rx.signal_w >= 0.0 && rx.required_snr > 0.0, "sinr-consistency", t,
         who.str() + " reports a negative signal or non-positive threshold");

@@ -50,11 +50,6 @@ struct AuditConfig {
   /// rate (Eq. 4 at margin). bandwidth <= 0 disables that check.
   units::Hertz bandwidth;
   units::Decibels margin;
-  /// Relative tolerance for floating-point identities. The compensated
-  /// interference engine keeps running sums exact, so the SINR identities
-  /// hold to rounding error and the default is tight; loosen only for
-  /// engines with a documented approximation bound.
-  double rel_tol = 1e-12;
   /// How many violations keep full detail text (all are always counted).
   std::size_t max_recorded_violations = 64;
   /// Keep every reception outcome (keyed by tx id and receiver) so two

@@ -8,14 +8,17 @@ namespace drn::baselines {
 
 namespace {
 constexpr double kEpsS = 1e-9;
+/// Control frame sizes, bits (at the design rate).
+constexpr double kRtsBits = 160.0;
+constexpr double kCtsBits = 160.0;
+/// Radio turnaround between handshake steps, seconds.
+constexpr double kTurnaroundS = 1.0e-5;
+/// CTS wait beyond the expected handshake time before backing off.
+constexpr double kTimeoutSlackS = 5.0e-4;
 }
 
 MacaMac::MacaMac(MacaConfig config) : config_(config) {
   DRN_EXPECTS(config.power_w > 0.0);
-  DRN_EXPECTS(config.rts_bits > 0.0);
-  DRN_EXPECTS(config.cts_bits > 0.0);
-  DRN_EXPECTS(config.turnaround_s >= 0.0);
-  DRN_EXPECTS(config.timeout_slack_s > 0.0);
   DRN_EXPECTS(config.data_rate_bps > 0.0);
   DRN_EXPECTS(config.max_retries >= 0);
   DRN_EXPECTS(config.backoff_mean_s > 0.0);
@@ -50,16 +53,16 @@ void MacaMac::try_head(sim::MacContext& ctx) {
   rts.kind = sim::PacketKind::kRts;
   rts.source = ctx.self();
   rts.destination = next_hop;
-  rts.size_bits = config_.rts_bits;
+  rts.size_bits = kRtsBits;
   rts.nav_s = airtime(pkt.size_bits);  // tells the addressee the data length
   ctx.transmit(rts, kBroadcast, config_.power_w, ctx.now());
-  busy_until_s_ = ctx.now() + airtime(config_.rts_bits);
+  busy_until_s_ = ctx.now() + airtime(kRtsBits);
 
   state_ = State::kWaitCts;
   data_peer_ = next_hop;
   ++generation_;
-  const double timeout = busy_until_s_ + config_.turnaround_s +
-                         airtime(config_.cts_bits) + config_.timeout_slack_s;
+  const double timeout =
+      busy_until_s_ + kTurnaroundS + airtime(kCtsBits) + kTimeoutSlackS;
   ctx.set_timer(timeout, cookie(kCtsTimeoutTag));
 }
 
@@ -108,10 +111,10 @@ void MacaMac::on_timer(sim::MacContext& ctx, std::uint64_t raw_cookie) {
       cts.kind = sim::PacketKind::kCts;
       cts.source = ctx.self();
       cts.destination = cts_peer_;
-      cts.size_bits = config_.cts_bits;
-      cts.nav_s = config_.turnaround_s + cts_data_nav_s_;
+      cts.size_bits = kCtsBits;
+      cts.nav_s = kTurnaroundS + cts_data_nav_s_;
       ctx.transmit(cts, kBroadcast, config_.power_w, ctx.now());
-      busy_until_s_ = ctx.now() + airtime(config_.cts_bits);
+      busy_until_s_ = ctx.now() + airtime(kCtsBits);
       break;
     }
     case kSendDataTag: {
@@ -140,20 +143,19 @@ void MacaMac::on_broadcast_received(sim::MacContext& ctx,
         cts_peer_ = from;
         cts_data_nav_s_ = pkt.nav_s;
         ++generation_;
-        ctx.set_timer(ctx.now() + config_.turnaround_s, cookie(kSendCtsTag));
+        ctx.set_timer(ctx.now() + kTurnaroundS, cookie(kSendCtsTag));
       } else {
         // Defer long enough for the (unheard) CTS to come back.
-        defer_until_s_ =
-            std::max(defer_until_s_,
-                     ctx.now() + config_.turnaround_s +
-                         airtime(config_.cts_bits) + config_.timeout_slack_s);
+        defer_until_s_ = std::max(
+            defer_until_s_,
+            ctx.now() + kTurnaroundS + airtime(kCtsBits) + kTimeoutSlackS);
       }
       break;
     case sim::PacketKind::kCts:
       if (pkt.destination == ctx.self() && state_ == State::kWaitCts &&
           from == data_peer_) {
         ++generation_;  // invalidates the CTS timeout
-        ctx.set_timer(ctx.now() + config_.turnaround_s, cookie(kSendDataTag));
+        ctx.set_timer(ctx.now() + kTurnaroundS, cookie(kSendDataTag));
       } else if (pkt.destination != ctx.self()) {
         // Keep quiet while the data frame we may not hear is in the air.
         defer_until_s_ = std::max(defer_until_s_, ctx.now() + pkt.nav_s);

@@ -29,13 +29,6 @@ namespace drn::baselines {
 
 struct MacaConfig {
   double power_w = 1.0;
-  /// Control frame sizes, bits (at the design rate).
-  double rts_bits = 160.0;
-  double cts_bits = 160.0;
-  /// Radio turnaround between handshake steps, seconds.
-  double turnaround_s = 1.0e-5;
-  /// CTS wait beyond the expected handshake time before backing off.
-  double timeout_slack_s = 5.0e-4;
   /// The design data rate (airtime arithmetic for NAVs and timeouts).
   double data_rate_bps = 1.0e6;
   int max_retries = 8;

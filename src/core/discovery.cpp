@@ -6,6 +6,14 @@
 
 namespace drn::core {
 
+namespace {
+
+/// Clock samples a station needs before it trusts a neighbour: two let the
+/// affine fit track drift.
+constexpr std::size_t kMinClockSamples = 2;
+
+}  // namespace
+
 DiscoveryStation::DiscoveryStation(DiscoveryConfig config, StationClock clock)
     : config_(config), clock_(clock) {
   DRN_EXPECTS(config.beacon_count >= 1);
@@ -14,7 +22,6 @@ DiscoveryStation::DiscoveryStation(DiscoveryConfig config, StationClock clock)
   DRN_EXPECTS(config.beacon_bits > 0.0);
   DRN_EXPECTS(config.data_rate_bps > 0.0);
   DRN_EXPECTS(config.gain_noise_db >= 0.0);
-  DRN_EXPECTS(config.min_clock_samples >= 1);
   const double airtime = config.beacon_bits / config.data_rate_bps;
   DRN_EXPECTS(config.duration_s >
               static_cast<double>(config.beacon_count) * 2.0 * airtime);
@@ -75,9 +82,7 @@ NeighborTable DiscoveryStation::build_neighbor_table(double min_gain) const {
   DRN_EXPECTS(min_gain >= 0.0);
   NeighborTable table;
   for (const auto& [id, obs] : observations_) {
-    if (obs.clock_samples.size() <
-        static_cast<std::size_t>(config_.min_clock_samples))
-      continue;
+    if (obs.clock_samples.size() < kMinClockSamples) continue;
     const double gain = obs.gain.mean();
     if (gain < min_gain) continue;
     Neighbor n;
@@ -110,7 +115,7 @@ ScheduledNetwork discover_and_build(const radio::PropagationMatrix& gains,
   sim.run_until(discovery_config.duration_s + 1.0);
 
   // Keep the neighbours whose target power is reachable within the limit.
-  const double min_gain = net_config.target_received_w / net_config.max_power_w;
+  const double min_gain = net_config.power().min_gain();
   std::vector<NeighborTable> tables;
   tables.reserve(m);
   for (const DiscoveryStation* station : stations)

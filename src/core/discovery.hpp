@@ -44,9 +44,6 @@ struct DiscoveryConfig {
   double data_rate_bps = 1.0e6;
   /// Std-dev of the receiver's gain-measurement error, dB (0 = perfect).
   double gain_noise_db = 0.5;
-  /// Minimum clock samples before a station trusts a neighbour (2+ lets the
-  /// affine fit track drift).
-  int min_clock_samples = 2;
 };
 
 /// What one station has learned about one neighbour.
@@ -76,7 +73,7 @@ class DiscoveryStation final : public sim::MacProtocol {
 
   /// Converts the observations into a NeighborTable: mean measured gain,
   /// least-squares clock model; neighbours below `min_gain` or with fewer
-  /// than min_clock_samples samples are not trusted.
+  /// than two clock samples are not trusted.
   [[nodiscard]] NeighborTable build_neighbor_table(double min_gain) const;
 
   [[nodiscard]] const StationClock& clock() const { return clock_; }

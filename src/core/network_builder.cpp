@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expects.hpp"
-#include "common/parallel.hpp"
 #include "core/clock_model.hpp"
 
 namespace drn::core {
@@ -58,7 +57,7 @@ ScheduledNetwork assemble_scheduled_network(
           .value()};
   net.packet_bits = criterion.data_rate_bps() * net.packet_airtime_s;
 
-  const PowerControl power(config.target_received_w, config.max_power_w);
+  const PowerControl power = config.power();
   net.macs.reserve(m);
   for (StationId i = 0; i < m; ++i) {
     NeighborTable& table = tables[i];
@@ -115,20 +114,9 @@ ScheduledNetwork build_scheduled_network(
                                config.slot_s);
   }
 
-  // Neighbours: every station whose target power is reachable within the
-  // limit, in id order — the order the rendezvous draws are taken in. The
-  // O(M²) scan runs in parallel row blocks; the draws stay in one serial
-  // pass in (i, j) order, so the rng stream does not depend on the scan.
-  const PowerControl power(config.target_received_w, config.max_power_w);
-  std::vector<std::vector<StationId>> reachable(m);
-  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const double* row = gains.row(static_cast<StationId>(i));
-      for (std::size_t j = 0; j < m; ++j)
-        if (j != i && power.reachable(row[j]))
-          reachable[i].push_back(static_cast<StationId>(j));
-    }
-  });
+  // Neighbours: every station the reach rule admits, in id order — the
+  // order the rendezvous draws are taken in, in one serial pass.
+  const auto reachable = gains.neighbors_at_least(config.power().min_gain());
   std::vector<NeighborTable> tables(m);
   for (StationId i = 0; i < m; ++i) {
     for (StationId j : reachable[i]) {

@@ -40,9 +40,13 @@ struct ScheduledNetworkConfig {
   double rendezvous_noise_s = 1.0e-6;
 
   /// Power control (Section 6.1): deliver this power to every addressee.
-  /// Stations are neighbours iff the target power is reachable.
+  /// Stations are neighbours iff the target power is reachable, i.e. iff
+  /// power().reachable(gain).
   double target_received_w = 1.0e-9;
   double max_power_w = 1.0;
+  [[nodiscard]] PowerControl power() const {
+    return PowerControl(target_received_w, max_power_w);
+  }
 
   /// Section 7.3: avoid receive windows of third parties whose interference
   /// budget we would consume a significant share of.
@@ -94,8 +98,9 @@ struct ScheduledNetwork {
     const ScheduledNetworkConfig& config);
 
 /// Builds the full network state for `gains` under `criterion` from ground
-/// truth: draw_clocks, then each station's reachable neighbours in id order
-/// with their true gains and rendezvous-fitted clock models, then
+/// truth: draw_clocks, then each station's reachable neighbours
+/// (PropagationMatrix::neighbors_at_least at config.power().min_gain()) in
+/// id order with their true gains and rendezvous-fitted clock models, then
 /// assemble_scheduled_network. Deterministic given `rng`'s state.
 [[nodiscard]] ScheduledNetwork build_scheduled_network(
     const radio::PropagationMatrix& gains,

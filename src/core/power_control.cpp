@@ -30,8 +30,7 @@ double PowerControl::transmit_power_w(double gain_to_receiver) const {
 
 bool PowerControl::reachable(double gain_to_receiver) const {
   DRN_EXPECTS(gain_to_receiver > 0.0);
-  if (!controlled_) return true;
-  return target_received_w_ / gain_to_receiver <= max_power_w_;
+  return gain_to_receiver >= min_gain();
 }
 
 }  // namespace drn::core

@@ -22,7 +22,15 @@ class PowerControl {
   /// Transmit power to use toward a receiver reached with `gain_to_receiver`.
   [[nodiscard]] double transmit_power_w(double gain_to_receiver) const;
 
-  /// True iff the target received power is achievable within the power limit.
+  /// The reach rule's threshold: the weakest gain at which the target
+  /// received power is achievable within the power limit (0 when
+  /// uncontrolled). This is the one place it is computed; the scheduled
+  /// network's neighbours and the routing graph's edges both use it.
+  [[nodiscard]] double min_gain() const {
+    return target_received_w_ / max_power_w_;
+  }
+
+  /// True iff gain_to_receiver >= min_gain().
   [[nodiscard]] bool reachable(double gain_to_receiver) const;
 
   [[nodiscard]] bool controlled() const { return controlled_; }

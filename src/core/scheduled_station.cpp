@@ -42,7 +42,6 @@ ScheduledStation::ScheduledStation(ScheduledStationConfig config,
   if (beacons_enabled()) {
     DRN_EXPECTS(config_.data_rate_bps > 0.0);
     DRN_EXPECTS(config_.beacon_bits > 0.0);
-    DRN_EXPECTS(config_.max_clock_samples >= 2);
     // Beacon power: enough to reach the weakest neighbour (the same worst
     // case the respect flags already budget for).
     for (const auto& n : neighbors_.all()) {
@@ -283,7 +282,7 @@ void ScheduledStation::on_broadcast_received(sim::MacContext& ctx,
   sample.mine_s = config_.clock.local(Seconds{ctx.now()}).value();
   sample.theirs_s =
       pkt.sender_local_s + pkt.size_bits / config_.data_rate_bps;
-  const std::size_t capacity = config_.max_clock_samples;
+  const std::size_t capacity = kMaxClockSamples;
   ClockSample* window = windows_.data() + slot * capacity;
   if (peer.samples < capacity) {
     window[peer.samples++] = sample;
@@ -330,7 +329,7 @@ std::uint32_t ScheduledStation::open_peer(StationId id,
   if (free_peers_.empty()) {
     slot = static_cast<std::uint32_t>(peers_.size());
     peers_.emplace_back();
-    windows_.resize(windows_.size() + config_.max_clock_samples);
+    windows_.resize(windows_.size() + kMaxClockSamples);
   } else {
     slot = free_peers_.back();  // reset to an empty window when freed
     free_peers_.pop_back();
@@ -342,7 +341,7 @@ std::uint32_t ScheduledStation::open_peer(StationId id,
 
 std::span<const ClockSample> ScheduledStation::beacon_window(
     std::uint32_t slot) const {
-  return {windows_.data() + slot * config_.max_clock_samples,
+  return {windows_.data() + slot * kMaxClockSamples,
           peers_[slot].samples};
 }
 

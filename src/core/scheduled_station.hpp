@@ -71,8 +71,6 @@ struct ScheduledStationConfig {
   /// data_rate_bps > 0.
   double beacon_interval_s = 0.0;
   double beacon_bits = 500.0;
-  /// Sliding window of clock samples kept per neighbour for refitting.
-  std::size_t max_clock_samples = 8;
   /// Dynamics resilience: when > 0 (requires beacons), a neighbour not heard
   /// from for this long is evicted — its queue is dropped and its receive
   /// windows stop constraining us, so packets are never routed at a ghost
@@ -106,6 +104,9 @@ class ScheduledStation final : public sim::MacProtocol {
 
   [[nodiscard]] const NeighborTable& neighbors() const { return neighbors_; }
   [[nodiscard]] const ScheduledStationConfig& config() const { return config_; }
+
+  /// Sliding window of clock samples kept per neighbour for refitting.
+  static constexpr std::size_t kMaxClockSamples = 8;
 
   /// Beacon stamps received from `neighbor` so far (test introspection).
   [[nodiscard]] std::size_t clock_samples_from(StationId neighbor) const;
@@ -181,7 +182,7 @@ class ScheduledStation final : public sim::MacProtocol {
   /// window. At large M every station hears every beacon, so this state is
   /// reached through one O(1) id lookup per decoded beacon: peer_index_
   /// names a slot in peers_, and the slot names the neighbour entry. Each
-  /// window holds the last max_clock_samples stamps oldest->newest in the
+  /// window holds the last kMaxClockSamples stamps oldest->newest in the
   /// pooled windows_ (slot s owns [s * capacity, (s + 1) * capacity)). A
   /// beaconer that is neither a neighbour nor adoptable gets no state. An
   /// evicted neighbour's slot is freed and reused, so a re-adopted peer

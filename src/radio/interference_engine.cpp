@@ -590,7 +590,8 @@ class NearFarEngine final : public InterferenceEngine {
   }
 
   [[nodiscard]] double pair_gain(StationId rx, StationId tx) const {
-    if (rx == tx) return config_.self_gain.value();
+    // gain(s, s): the default matrix diagonal (PropagationMatrix).
+    if (rx == tx) return 1.0;
     return model_->power_gain(placement_[rx], placement_[tx]).value();
   }
 

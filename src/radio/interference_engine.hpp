@@ -198,8 +198,6 @@ struct NearFarConfig {
   /// Grid cell side; <= 0 derives cutoff / 4 (finer cells tighten the
   /// far-field bound, cost grows as the square of cutoff / cell).
   Meters cell;
-  /// Matrix-diagonal equivalent for gain(s, s).
-  LinearGain self_gain = LinearGain{1.0};
 };
 
 /// Near/far engine over lazy gains; never materialises an O(M²) matrix.

@@ -49,6 +49,29 @@ PropagationMatrix PropagationMatrix::from_placement(
   return out;
 }
 
+std::vector<std::vector<StationId>> PropagationMatrix::neighbors_at_least(
+    double min_gain) const {
+  DRN_EXPECTS(min_gain > 0.0);
+  const std::size_t m = size_;
+  std::vector<std::vector<StationId>> above(m);
+  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const double* r = gains_.data() + i * m;
+      for (std::size_t j = i + 1; j < m; ++j)
+        if (r[j] >= min_gain) above[i].push_back(static_cast<StationId>(j));
+    }
+  });
+  // When station i is reached, out[i] already holds every k < i that listed
+  // it, in ascending k; its own upper list follows.
+  std::vector<std::vector<StationId>> out(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    out[i].insert(out[i].end(), above[i].begin(), above[i].end());
+    for (const StationId j : above[i])
+      out[j].push_back(static_cast<StationId>(i));
+  }
+  return out;
+}
+
 std::size_t PropagationMatrix::index(StationId rx, StationId tx) const {
   DRN_EXPECTS(rx < size_ && tx < size_);
   return static_cast<std::size_t>(rx) * size_ + tx;

@@ -60,6 +60,13 @@ class PropagationMatrix {
     return gains_.data() + static_cast<std::size_t>(s) * size_;
   }
 
+  /// Every station's neighbours: the stations at gain >= `min_gain` from it,
+  /// in ascending id order (never itself). One pass over the upper triangle
+  /// in parallel row blocks, then a serial O(edges) mirror — equal to a scan
+  /// of every full row because the matrix is exactly symmetric.
+  [[nodiscard]] std::vector<std::vector<StationId>> neighbors_at_least(
+      double min_gain) const;
+
   /// Sets the gain in BOTH directions (the physical channel is reciprocal).
   void set_gain(StationId a, StationId b, LinearGain gain);
 

@@ -3,46 +3,39 @@
 #include <vector>
 
 #include "common/expects.hpp"
-#include "common/parallel.hpp"
 
 namespace drn::routing {
 
 Graph::Graph(std::size_t size) : adjacency_(size) { DRN_EXPECTS(size > 0); }
 
-Graph Graph::build(const radio::PropagationMatrix& gains, double min_gain,
-                   bool unit_cost) {
-  DRN_EXPECTS(min_gain > 0.0);
-  const std::size_t m = gains.size();
-  // The O(M²) pair scan runs in parallel row blocks; edges are added in one
-  // serial pass in (i, j) order, which fixes adjacency (and so Dijkstra's
-  // tie) order.
-  std::vector<std::vector<StationId>> usable(m);
-  parallel_row_blocks(m, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const double* row = gains.row(static_cast<StationId>(i));
-      for (std::size_t j = i + 1; j < m; ++j) {
-        if (row[j] < min_gain) continue;
-        usable[i].push_back(static_cast<StationId>(j));
-      }
-    }
-  });
-  Graph g(m);
-  for (StationId i = 0; i < m; ++i) {
-    for (StationId j : usable[i]) {
+Graph::Graph(const std::vector<std::vector<StationId>>& neighbors,
+             const radio::PropagationMatrix& gains, bool unit_cost)
+    : Graph(gains.size()) {
+  DRN_EXPECTS(neighbors.size() == size());
+  std::size_t listed = 0;
+  for (StationId i = 0; i < size(); ++i) {
+    listed += neighbors[i].size();
+    for (const StationId j : neighbors[i]) {
+      if (j <= i) continue;  // the edge comes from the lower id's list
       const double gain = gains.gain(i, j);
-      g.add_edge(i, j, unit_cost ? 1.0 : 1.0 / gain, gain);
+      add_edge(i, j, unit_cost ? 1.0 : 1.0 / gain, gain);
     }
   }
-  return g;
+  DRN_EXPECTS(listed == 2 * edge_count_);  // symmetric lists
+}
+
+Graph Graph::min_energy(const std::vector<std::vector<StationId>>& neighbors,
+                        const radio::PropagationMatrix& gains) {
+  return Graph(neighbors, gains, /*unit_cost=*/false);
 }
 
 Graph Graph::min_energy(const radio::PropagationMatrix& gains,
                         double min_gain) {
-  return build(gains, min_gain, /*unit_cost=*/false);
+  return Graph(gains.neighbors_at_least(min_gain), gains, /*unit_cost=*/false);
 }
 
 Graph Graph::min_hop(const radio::PropagationMatrix& gains, double min_gain) {
-  return build(gains, min_gain, /*unit_cost=*/true);
+  return Graph(gains.neighbors_at_least(min_gain), gains, /*unit_cost=*/true);
 }
 
 void Graph::add_edge(StationId a, StationId b, double cost, double gain) {

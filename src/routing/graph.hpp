@@ -27,6 +27,12 @@ struct Edge {
 
 class Graph {
  public:
+  /// Min-energy graph over `neighbors` — each station's neighbour ids in
+  /// ascending order, symmetric (the scheduled network's lists, or
+  /// PropagationMatrix::neighbors_at_least) — with cost = 1/gain.
+  static Graph min_energy(const std::vector<std::vector<StationId>>& neighbors,
+                          const radio::PropagationMatrix& gains);
+
   /// Min-energy graph: edge iff gain >= min_gain, cost = 1/gain.
   static Graph min_energy(const radio::PropagationMatrix& gains,
                           double min_gain);
@@ -54,8 +60,10 @@ class Graph {
   [[nodiscard]] std::vector<std::size_t> degrees() const;
 
  private:
-  static Graph build(const radio::PropagationMatrix& gains, double min_gain,
-                     bool unit_cost);
+  /// Edges added in (i, j) order for i < j, which fixes adjacency (and so
+  /// Dijkstra's tie) order: each station's edges in ascending neighbour id.
+  Graph(const std::vector<std::vector<StationId>>& neighbors,
+        const radio::PropagationMatrix& gains, bool unit_cost);
 
   std::vector<std::vector<Edge>> adjacency_;
   std::size_t edge_count_ = 0;

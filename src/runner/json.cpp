@@ -32,70 +32,6 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-namespace {
-
-/// Parses exactly 4 hex digits; returns -1 on malformed input.
-int hex4(std::string_view s) {
-  if (s.size() < 4) return -1;
-  int v = 0;
-  for (int i = 0; i < 4; ++i) {
-    const char c = s[static_cast<std::size_t>(i)];
-    int d = 0;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-    else return -1;
-    v = v * 16 + d;
-  }
-  return v;
-}
-
-void append_utf8(std::string& out, int cp) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xC0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    out += static_cast<char>(0xE0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-}
-
-}  // namespace
-
-std::optional<std::string> unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (++i >= s.size()) return std::nullopt;
-    switch (s[i]) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        const int cp = hex4(s.substr(i + 1));
-        if (cp < 0) return std::nullopt;
-        append_utf8(out, cp);
-        i += 4;
-        break;
-      }
-      default: return std::nullopt;
-    }
-  }
-  return out;
-}
-
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";
   std::array<char, 32> buf{};

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -20,11 +19,6 @@ namespace drn::runner::json {
 /// quotes): backslash, quote, and control characters become \", \\, \n, ...
 /// or \u00XX.
 [[nodiscard]] std::string escape(std::string_view s);
-
-/// Inverse of escape: decodes backslash escapes (including \u00XX for
-/// code points up to 0xFF; larger \uXXXX are passed through as UTF-8).
-/// Returns nullopt on malformed input.
-[[nodiscard]] std::optional<std::string> unescape(std::string_view s);
 
 /// Renders a double exactly as the writer does: shortest round-trip decimal
 /// via std::to_chars, "null" for NaN/inf.

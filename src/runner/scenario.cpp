@@ -77,8 +77,9 @@ Scenario make_scenario(const ScenarioSpec& spec, std::uint64_t seed,
   Rng build_rng = rng.split(1);
   auto net = core::build_scheduled_network(gains, spec.criterion(), spec.net,
                                            build_rng);
-  const auto graph = routing::Graph::min_energy(
-      gains, spec.net.target_received_w / spec.net.max_power_w);
+  // Routing runs over the scheduled network's neighbours: one reach rule,
+  // one pair scan, and MAC neighbours equal routing edges.
+  const auto graph = routing::Graph::min_energy(net.neighbors, gains);
   if (connected) *connected = graph.connected();
   auto tables = routing::RoutingTables::build(graph);
   return Scenario{std::move(placement), std::move(gains), std::move(net),
@@ -185,27 +186,31 @@ Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
   sim_cfg.seed = seed;
   sim_cfg.engine = spec.engine;
   const auto model = propagation_model(spec, seed);
-  if (spec.engine == radio::InterferenceEngineKind::kNearFar) {
+  const bool nearfar = spec.engine == radio::InterferenceEngineKind::kNearFar;
+  // Only a jammer-free compensated engine reads the M² matrix again, and it
+  // adopts it rather than copy M x M gains. Otherwise free the matrix before
+  // the engine is built, so it never coexists with the run (nor with the
+  // jammer engine's own (M+J)² matrix).
+  if (nearfar || dyn.jammer.count > 0) {
+    const radio::PropagationMatrix released = std::move(scenario_.gains);
+  }
+  std::unique_ptr<radio::InterferenceEngine> engine;
+  if (nearfar) {
     // Lazy near/far evaluation over the same physics the scenario matrix
-    // was built from.
+    // was built from; it carries its own geometry for mobility.
     radio::NearFarConfig nf;
     nf.cutoff = radio::Meters{
         spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
     nf.cell = radio::Meters{spec.engine_cell_m};
-    sim_.emplace(radio::make_nearfar_engine(placement_, model, nf), sim_cfg);
-  } else if (dyn.jammer.count > 0) {
-    // The engine gets its own (M+J)² matrix and nothing reads the M² one
-    // again: free it first so the two never coexist.
-    { const radio::PropagationMatrix released = std::move(scenario_.gains); }
-    sim_.emplace(radio::make_dense_gains(placement_, *model), sim_cfg);
+    engine = radio::make_nearfar_engine(placement_, model, nf);
   } else {
-    // The simulator's engine keeps its own matrix; nothing below reads
-    // scenario_.gains, so hand it over rather than copy M x M gains.
-    sim_.emplace(std::move(scenario_.gains), sim_cfg);
+    engine = radio::make_compensated_engine(
+        dyn.jammer.count > 0 ? radio::make_dense_gains(placement_, *model)
+                             : std::move(scenario_.gains));
+    if (dyn.mobility_enabled())
+      engine->enable_mobility(placement_, model, radio::LinearGain{1.0});
   }
-  if (dyn.mobility_enabled() &&
-      spec.engine != radio::InterferenceEngineKind::kNearFar)
-    sim_->enable_mobility(placement_, model);
+  sim_.emplace(std::move(engine), sim_cfg);
   if (spec.audit) {
     auditor_ = std::make_unique<audit::InvariantAuditor>(*sim_);
     sim_->add_observer(auditor_.get());

@@ -183,12 +183,6 @@ class RadioMedium {
   void station_moved(StationId s, geo::Vec2 position) {
     engine_->station_moved(s, position);
   }
-  void enable_mobility(geo::Placement placement,
-                       std::shared_ptr<const radio::PropagationModel> model,
-                       radio::LinearGain self_gain) {
-    engine_->enable_mobility(std::move(placement), std::move(model),
-                             self_gain);
-  }
 
  private:
   static constexpr std::uint32_t kNoList = ~std::uint32_t{0};

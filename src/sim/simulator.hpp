@@ -154,16 +154,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   /// rate) to `station`'s MAC — the dynamics drift-ramp entry point.
   void notify_clock_rate(StationId station, double delta_ppm);
 
-  /// Hands the interference engine the geometry it needs to recompute gains
-  /// when stations move (matrix engines; the near/far engine carries its
-  /// own). Forwarded to InterferenceEngine::enable_mobility.
-  void enable_mobility(geo::Placement placement,
-                       std::shared_ptr<const radio::PropagationModel> model,
-                       radio::LinearGain self_gain = radio::LinearGain{1.0}) {
-    medium_.enable_mobility(std::move(placement), std::move(model),
-                            self_gain);
-  }
-
   // -- MacContext (the simulator services the MAC whose hook is running) ---
   [[nodiscard]] double now() const override { return now_s_; }
   [[nodiscard]] StationId self() const override { return host_.self(); }

@@ -140,9 +140,6 @@ TEST(Maca, ConfigContracts) {
   mc = {};
   mc.data_rate_bps = 0.0;
   EXPECT_THROW(MacaMac{mc}, ContractViolation);
-  mc = {};
-  mc.timeout_slack_s = 0.0;
-  EXPECT_THROW(MacaMac{mc}, ContractViolation);
 }
 
 }  // namespace

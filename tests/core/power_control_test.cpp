@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/expects.hpp"
 
 namespace drn::core {
@@ -27,6 +29,11 @@ TEST(PowerControl, ReachabilityBoundary) {
   EXPECT_TRUE(pc.reachable(1.0e-9));       // exactly at the limit
   EXPECT_TRUE(pc.reachable(1.0e-8));
   EXPECT_FALSE(pc.reachable(0.99e-9));
+  // The rule is gain >= min_gain(), exact to the last bit.
+  const PowerControl multihop(1.0e-9, 1.6e-4);
+  EXPECT_DOUBLE_EQ(multihop.min_gain(), 1.0e-9 / 1.6e-4);
+  EXPECT_TRUE(multihop.reachable(multihop.min_gain()));
+  EXPECT_FALSE(multihop.reachable(std::nextafter(multihop.min_gain(), 0.0)));
 }
 
 TEST(PowerControl, NearerNeighborsGetLessPower) {
@@ -45,6 +52,7 @@ TEST(PowerControl, FixedModeIgnoresGain) {
   EXPECT_DOUBLE_EQ(pc.transmit_power_w(1.0e-3), 2.0);
   EXPECT_DOUBLE_EQ(pc.transmit_power_w(1.0e-9), 2.0);
   EXPECT_TRUE(pc.reachable(1.0e-12));
+  EXPECT_DOUBLE_EQ(pc.min_gain(), 0.0);
 }
 
 TEST(PowerControl, Accessors) {

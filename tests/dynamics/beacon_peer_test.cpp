@@ -64,7 +64,6 @@ ScheduledStationConfig beacon_config(bool readopt, double timeout_s = 0.0) {
   cfg.data_rate_bps = kRate;
   cfg.beacon_interval_s = 1.0;
   cfg.beacon_bits = kBeaconBits;
-  cfg.max_clock_samples = 8;
   cfg.neighbor_timeout_s = timeout_s;
   cfg.readopt_neighbors = readopt;
   return cfg;
@@ -152,7 +151,8 @@ TEST(BeaconPeers, FullWindowKeepsTheLastStampsInOrder) {
     const double now = 0.5 + 0.25 * k;
     hear(station, ctx, 1, now, sent_at(k));
     heard.push_back(stamp(now, sent_at(k)));
-    const std::size_t kept = std::min(heard.size(), cfg.max_clock_samples);
+    const std::size_t kept =
+        std::min(heard.size(), ScheduledStation::kMaxClockSamples);
     ASSERT_EQ(station.clock_samples_from(1), kept);
     if (kept < 2) continue;
     const std::vector<ClockSample> window(heard.end() - static_cast<long>(kept),

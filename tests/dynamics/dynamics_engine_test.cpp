@@ -59,12 +59,16 @@ struct IdleSim {
   geo::Placement placement;
 };
 
-IdleSim idle_sim(std::size_t n, std::uint64_t seed = 1) {
+/// With `mobility`, the engine gets the geometry to recompute gains from.
+IdleSim idle_sim(std::size_t n, bool mobility = false) {
   IdleSim s;
   s.placement = ring(n, 200.0);
-  const radio::FreeSpacePropagation model;
-  s.sim = std::make_unique<sim::Simulator>(
-      radio::make_dense_gains(s.placement, model), tiny_config(seed));
+  const auto model = std::make_shared<radio::FreeSpacePropagation>();
+  auto engine = radio::make_compensated_engine(
+      radio::make_dense_gains(s.placement, *model));
+  if (mobility)
+    engine->enable_mobility(s.placement, model, radio::LinearGain{1.0});
+  s.sim = std::make_unique<sim::Simulator>(std::move(engine), tiny_config(1));
   for (StationId i = 0; i < n; ++i)
     s.sim->set_mac(i, std::make_unique<testing::IdleMac>());
   return s;
@@ -93,16 +97,13 @@ TEST(DynamicsEngine, ChurnLeavesAndRejoinsBookBalance) {
 
 TEST(DynamicsEngine, TimelineIsDeterministicInSeed) {
   auto run_once = [] {
-    auto s = idle_sim(6);
+    auto s = idle_sim(6, /*mobility=*/true);
     DynamicsConfig dc;
     dc.churn_rate_per_s = 1.5;
     dc.mean_downtime_s = 0.7;
     dc.mobility_speed_mps = 2.0;
     dc.mobility_step_s = 0.25;
     dc.mobility_region_m = 250.0;
-    const radio::FreeSpacePropagation model;
-    s.sim->enable_mobility(s.placement,
-                           std::make_shared<radio::FreeSpacePropagation>());
     DynamicsEngine engine(
         dc, *s.sim, s.placement, 6,
         [](StationId) { return std::make_unique<testing::IdleMac>(); },
@@ -116,9 +117,7 @@ TEST(DynamicsEngine, TimelineIsDeterministicInSeed) {
 }
 
 TEST(DynamicsEngine, ScriptedMobilityChangesEngineGains) {
-  auto s = idle_sim(3);
-  s.sim->enable_mobility(s.placement,
-                         std::make_shared<radio::FreeSpacePropagation>());
+  auto s = idle_sim(3, /*mobility=*/true);
   DynamicsConfig dc;
   dc.mobility_speed_mps = 1.0;  // enables mobility; the model below overrides
   dc.mobility_step_s = 0.5;

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/expects.hpp"
 #include "geo/placement.hpp"
 #include "geo/vec2.hpp"
+#include "radio/interference_engine.hpp"
 #include "radio/propagation.hpp"
 #include "radio/propagation_matrix.hpp"
 #include "radio/reception.hpp"
@@ -48,9 +50,10 @@ geo::Placement pair_placement() {
 TEST(LayeringEdges, MoveRefusedWhileReceptionOpenAtMover) {
   const auto placement = pair_placement();
   const auto model = std::make_shared<radio::FreeSpacePropagation>();
-  sim::Simulator sim(radio::make_dense_gains(placement, *model),
-                     test_config());
-  sim.enable_mobility(placement, model);
+  auto engine = radio::make_compensated_engine(
+      radio::make_dense_gains(placement, *model));
+  engine->enable_mobility(placement, model, radio::LinearGain{1.0});
+  sim::Simulator sim(std::move(engine), test_config());
   sim.set_mac(0, std::make_unique<ScriptMac>(
                      std::vector<ScriptedTx>{{0.0, 1, 1.0, 1.0e4}}));
   sim.set_mac(1, std::make_unique<IdleMac>());

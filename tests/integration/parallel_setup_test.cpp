@@ -1,11 +1,13 @@
-// Differential tests for the parallel setup passes. The dense gain build, the
-// scheduled network's neighbour scan and the min-energy graph scan run in row
-// blocks on drn::parallel_row_blocks; each must equal a serial reference
-// written here, bit for bit and in the same order, so the parallel passes
-// cannot change any simulated output.
+// Differential tests for the parallel setup passes. The dense gain build and
+// the neighbour scan (PropagationMatrix::neighbors_at_least, which feeds both
+// the scheduled network and the min-energy graph) run in row blocks on
+// drn::parallel_row_blocks; each must equal a serial reference written here,
+// bit for bit and in the same order, so the parallel passes cannot change any
+// simulated output.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -199,6 +201,85 @@ TEST(ParallelSetup, MinEnergyGraphMatchesSerialReference) {
       }
     }
   }
+}
+
+/// Every station's neighbours by the reach rule, pair by pair in (i, j)
+/// order over full rows.
+std::vector<std::vector<StationId>> serial_neighbors(
+    const radio::PropagationMatrix& gains, double min_gain) {
+  std::vector<std::vector<StationId>> out(gains.size());
+  for (StationId i = 0; i < gains.size(); ++i)
+    for (StationId j = 0; j < gains.size(); ++j)
+      if (j != i && gains.gain(i, j) >= min_gain) out[i].push_back(j);
+  return out;
+}
+
+void expect_same_edges(const routing::Graph& got, const routing::Graph& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.edge_count(), want.edge_count());
+  for (StationId i = 0; i < got.size(); ++i) {
+    const auto a = got.edges(i);
+    const auto b = want.edges(i);
+    ASSERT_EQ(a.size(), b.size()) << "station " << i;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].to, b[k].to);
+      EXPECT_EQ(bits(a[k].cost), bits(b[k].cost));
+      EXPECT_EQ(bits(a[k].gain), bits(b[k].gain));
+    }
+  }
+}
+
+/// The one neighbourhood, checked from both consumers: the scan equals the
+/// serial reference, the scheduled network's neighbours equal the scan, and
+/// the routing graph built from those neighbours equals the one built from
+/// the matrix, edge for edge and in order.
+void expect_one_neighborhood(const Sec8Setup& s) {
+  const double min_gain = s.spec.net.power().min_gain();
+  const auto want = serial_neighbors(s.gains, min_gain);
+  EXPECT_EQ(s.gains.neighbors_at_least(min_gain), want);
+  Rng rng = s.build_rng;
+  const auto net = core::build_scheduled_network(s.gains, s.spec.criterion(),
+                                                 s.spec.net, rng);
+  EXPECT_EQ(net.neighbors, want);
+  expect_same_edges(routing::Graph::min_energy(net.neighbors, s.gains),
+                    routing::Graph::min_energy(s.gains, min_gain));
+}
+
+TEST(Neighborhood, ScanMatchesSerialReferenceOnSec8Networks) {
+  for (const Sec8Setup& s : sec8_setups()) {
+    SCOPED_TRACE(s.gains.size());
+    expect_one_neighborhood(s);
+  }
+}
+
+TEST(Neighborhood, ScanMatchesSerialReferenceAcrossBlockEdges) {
+  // 1000 m discs at the multihop power budget (free-space reach 400 m), so
+  // every size has both neighbours and non-neighbours.
+  for (std::size_t m : {1, 2, 63, 64, 65, 257}) {
+    SCOPED_TRACE(m);
+    expect_one_neighborhood(sec8_setup(m, 1000.0, m));
+  }
+}
+
+/// Two stations at exactly one gain apart, under the multihop power budget.
+std::vector<std::size_t> mac_and_routing_links(double gain) {
+  const core::ScheduledNetworkConfig cfg = runner::multihop_config();
+  radio::PropagationMatrix gains(2);
+  gains.set_gain(0, 1, radio::LinearGain{gain});
+  Rng rng(1);
+  const auto net = core::build_scheduled_network(
+      gains, runner::scheme_criterion(), cfg, rng);
+  return {net.neighbors[0].size(), net.neighbors[1].size(),
+          routing::Graph::min_energy(gains, cfg.power().min_gain())
+              .edge_count()};
+}
+
+TEST(Neighborhood, BoundaryGainIsMacNeighbourIffRoutingEdge) {
+  const double min_gain = runner::multihop_config().power().min_gain();
+  const std::vector<std::size_t> none{0, 0, 0};
+  const std::vector<std::size_t> both{1, 1, 1};
+  EXPECT_EQ(mac_and_routing_links(std::nextafter(min_gain, 0.0)), none);
+  EXPECT_EQ(mac_and_routing_links(min_gain), both);
 }
 
 }  // namespace

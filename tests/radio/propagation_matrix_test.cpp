@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 
@@ -56,6 +58,18 @@ TEST(PropagationMatrix, Contracts) {
   PropagationMatrix m(2);
   EXPECT_THROW((void)m.gain(0, 2), ContractViolation);
   EXPECT_THROW(m.set_gain(0, 1, radio::LinearGain{0.0}), ContractViolation);
+  EXPECT_THROW((void)m.neighbors_at_least(0.0), ContractViolation);
+}
+
+TEST(PropagationMatrix, NeighborsAtLeastAreMirroredInIdOrder) {
+  PropagationMatrix m(4, LinearGain{5.0});  // the diagonal never counts
+  m.set_gain(0, 2, LinearGain{0.5});
+  m.set_gain(3, 1, LinearGain{0.25});
+  m.set_gain(2, 3, LinearGain{0.1});
+  using Lists = std::vector<std::vector<StationId>>;
+  EXPECT_EQ(m.neighbors_at_least(0.25), (Lists{{2}, {3}, {0}, {1}}));
+  EXPECT_EQ(m.neighbors_at_least(0.1), (Lists{{2}, {3}, {0, 3}, {1, 2}}));
+  EXPECT_EQ(m.neighbors_at_least(1.0), (Lists{{}, {}, {}, {}}));
 }
 
 TEST(PropagationMatrix, SelfGainConfigurable) {

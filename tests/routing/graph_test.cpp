@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 #include "geo/placement.hpp"
@@ -128,6 +130,19 @@ TEST(Graph, AddEdgeContracts) {
   EXPECT_THROW(g.add_edge(0, 1, 1.0, 0.0), ContractViolation);
   EXPECT_THROW(Graph(0), ContractViolation);
   EXPECT_THROW((void)Graph::min_energy(chain3(), 0.0), ContractViolation);
+}
+
+TEST(Graph, NeighborListsMustBeSymmetricAndSized) {
+  using Lists = std::vector<std::vector<StationId>>;
+  const auto g = Graph::min_energy(Lists{{1}, {0, 2}, {1}}, chain3());
+  EXPECT_EQ(g.edge_count(), 2u);
+  EXPECT_DOUBLE_EQ(g.edges(1)[1].cost, 4.0);  // 1 / 0.25
+  EXPECT_THROW((void)Graph::min_energy(Lists{{1}, {}, {}}, chain3()),
+               ContractViolation);
+  EXPECT_THROW((void)Graph::min_energy(Lists{{}, {0}, {}}, chain3()),
+               ContractViolation);
+  EXPECT_THROW((void)Graph::min_energy(Lists{{}, {}}, chain3()),
+               ContractViolation);
 }
 
 }  // namespace

@@ -53,6 +53,11 @@ depends on, none of which clang-tidy checks:
                   observer structs (TxEvent/RxEvent) or MacContext hooks;
                   a stray Event copy smuggles a PacketHandle past the pool's
                   generation discipline.
+  reach-rule      no division of target_received_w by max_power_w
+                  outside src/core/power_control.*: the Section-6.1 reach
+                  threshold has one home, PowerControl::min_gain(), so the
+                  scheduled network's neighbours and the routing graph's
+                  edges can never disagree on a boundary gain.
   layer-boundary  the simulator's layering (DESIGN.md section 13) is
                   one-directional: src/radio/ (the physical substrate) must
                   not include sim/; src/sim/ must not include runner/ or
@@ -110,6 +115,7 @@ KNOWN_RULES = frozenset(RULES) | {
     "manual-db",
     "raw-event-copy",
     "layer-boundary",
+    "reach-rule",
 }
 
 # An operand that makes ==/!= a floating-point comparison: a float literal
@@ -129,6 +135,10 @@ DENSE_MATRIX = re.compile(r"\bfrom_placement\s*\(")
 # the O(M^2) dense-matrix build.
 DENSE_MATRIX_ROOTS = ("src", "tools")
 DENSE_MATRIX_EXEMPT = ("propagation_matrix", "interference_engine")
+
+# The reach threshold spelled out by hand: `target_received_w /
+# cfg.max_power_w` and the like. PowerControl is its one home.
+REACH_RULE = re.compile(r"\btarget_received_w\s*/\s*[\w.\->]*max_power_w\b")
 
 POSITION_STATE = re.compile(r"\bpositions_\b")
 # The only library files allowed to hold or touch station position state.
@@ -315,6 +325,18 @@ def lint_file(path: pathlib.Path, repo: pathlib.Path,
                 "from_placement builds the O(M^2) matrix; library and CLI "
                 "code must go through radio::make_dense_gains (guarded), the "
                 "near/far engine, or runner::Trial",
+            )
+        if (
+            not (module == "core" and path.stem == "power_control")
+            and REACH_RULE.search(code)
+            and not allowed(raw, "reach-rule")
+        ):
+            report(
+                lineno,
+                "reach-rule",
+                "the reach threshold is computed only by "
+                "core::PowerControl::min_gain(); ask it (e.g. "
+                "cfg.power().min_gain()) instead of dividing by hand",
             )
         if (
             in_library

@@ -354,6 +354,51 @@ class DenseMatrix(LintFixture):
         self.assertNotIn("dense-matrix", self.rules(f))
 
 
+class ReachRule(LintFixture):
+    # Each fixture is split at the slash, so a grep of the tree for the
+    # forbidden division finds only core/power_control.
+    DIVIDE = "double g = cfg.target_received_w /" " cfg.max_power_w;\n"
+
+    def test_fires_in_library_code(self) -> None:
+        f = self.lint("src/runner/a.cpp", self.DIVIDE)
+        self.assertIn("reach-rule", self.rules(f))
+
+    def test_fires_in_benches_and_tools(self) -> None:
+        for rel in ("bench/a.cpp", "tools/a.cpp"):
+            f = self.lint(
+                rel, "double g = target_received_w /" " max_power_w;\n"
+            )
+            self.assertIn("reach-rule", self.rules(f), rel)
+
+    def test_fires_through_a_pointer(self) -> None:
+        f = self.lint(
+            "src/core/a.cpp",
+            "double g = c->target_received_w /" " c->max_power_w;\n",
+        )
+        self.assertIn("reach-rule", self.rules(f))
+
+    def test_quiet_in_power_control(self) -> None:
+        for ext in ("hpp", "cpp"):
+            f = self.lint(
+                f"src/core/power_control.{ext}", "#pragma once\n" + self.DIVIDE
+            )
+            self.assertEqual(f, [], ext)
+
+    def test_quiet_on_asking_the_rule(self) -> None:
+        f = self.lint(
+            "src/runner/a.cpp", "double g = cfg.power().min_gain();\n"
+        )
+        self.assertEqual(f, [])
+
+    def test_quiet_on_other_arithmetic(self) -> None:
+        f = self.lint(
+            "src/runner/a.cpp",
+            "double w = 2.5 * cfg.target_received_w;\n"
+            "double x = cfg.target_received_w / gain;\n",
+        )
+        self.assertEqual(f, [])
+
+
 class ExistingRulesStillFire(LintFixture):
     def test_std_rng(self) -> None:
         f = self.lint("src/sim/a.cpp", "std::mt19937 gen;\n")

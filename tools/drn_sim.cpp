@@ -88,11 +88,6 @@ output
 )";
 }
 
-/// The weakest usable gain: the delivered-power target over the power limit.
-double min_gain(const runner::ScenarioSpec& spec) {
-  return spec.net.target_received_w / spec.net.max_power_w;
-}
-
 bool parse(int argc, char** argv, Options& opt) {
   cli::Flags kv;
   if (!cli::tokenize(argc, argv, kv, opt.help)) return false;
@@ -154,7 +149,7 @@ bool parse(int argc, char** argv, Options& opt) {
   spec.csma_sense_threshold_w = 2.5 * net.target_received_w;
   if (spec.engine == radio::InterferenceEngineKind::kNearFar &&
       spec.engine_cutoff_m <= 0.0)
-    spec.engine_cutoff_m = 2.0 / std::sqrt(min_gain(spec));
+    spec.engine_cutoff_m = 2.0 / std::sqrt(net.power().min_gain());
   return true;
 }
 
@@ -209,7 +204,7 @@ void print_table(const Options& opt, const runner::Trial& trial,
                  const runner::TrialResult& r) {
   const runner::ScenarioSpec& spec = opt.spec;
   const auto routing = trial.tables().stats();
-  const double gain = min_gain(spec);
+  const double gain = spec.net.power().min_gain();
   std::cout << "drn_sim: " << spec.stations << " stations, " << spec.region_m
             << " m disc, MAC=" << runner::mac_name(spec.mac)
             << ", seed=" << opt.seed << ", "
