@@ -5,11 +5,13 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/expects.hpp"
 #include "radio/reception.hpp"
 #include "radio/units.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace drn::audit {
 
@@ -338,11 +340,6 @@ void InvariantAuditor::on_reception_complete(const sim::RxEvent& rx) {
   check_half_duplex(rec, rx);
   check_despreading_cap(rec, rx);
 
-  if (config_.record_receptions) {
-    recorded_[{rx.tx_id, rx.rx}] = RecordedReception{
-        rx.delivered, rx.loss, rx.min_sinr, rx.required_snr, rx.signal_w};
-  }
-
   if (tx.to == kBroadcast) {
     if (rx.delivered) ++broadcast_delivered_;
   } else {
@@ -431,49 +428,59 @@ void InvariantAuditor::cross_check(const sim::Metrics& m) {
   expect_eq("noise bursts", m.noise_bursts(), noise_starts_);
 }
 
-void InvariantAuditor::cross_check_engine(const InvariantAuditor& reference,
+std::vector<Violation> cross_check_engine(const sim::TraceRecorder& run,
+                                          const sim::TraceRecorder& reference,
                                           double sinr_rel_bound) {
   DRN_EXPECTS(sinr_rel_bound > 0.0);
-  DRN_EXPECTS(config_.record_receptions);
-  DRN_EXPECTS(reference.config_.record_receptions);
+  for (const sim::TraceRecorder* trace : {&run, &reference}) {
+    DRN_EXPECTS(trace->dropped_transmissions() == 0);
+    DRN_EXPECTS(trace->dropped_receptions() == 0);
+  }
+  using Key = std::pair<std::uint64_t, StationId>;
+  const auto by_key = [](const sim::TraceRecorder& trace) {
+    std::map<Key, const sim::RxEvent*> out;
+    for (const sim::RxEvent& rx : trace.receptions())
+      out[{rx.tx_id, rx.rx}] = &rx;
+    return out;
+  };
+  const auto mine = by_key(run);
+  const auto theirs = by_key(reference);
   const auto rel_close = [sinr_rel_bound](double a, double b) {
     const double scale = std::max(std::abs(a), std::abs(b));
     return std::abs(a - b) <= sinr_rel_bound * std::max(scale, 1e-300);
   };
 
-  for (const auto& [key, ref] : reference.recorded_) {
-    const auto it = recorded_.find(key);
+  std::vector<Violation> out;
+  const auto flag = [&out](const Key& key, const std::string& what) {
     std::ostringstream who;
-    who << "rx of tx " << key.first << " at " << key.second;
-    if (it == recorded_.end()) {
-      check(false, "engine-crosscheck", last_event_s_,
-            who.str() + " exists only in the reference engine's run");
+    who << "rx of tx " << key.first << " at " << key.second << " " << what;
+    out.push_back(Violation{"engine-crosscheck", who.str(), 0.0});
+  };
+  for (const auto& [key, ref] : theirs) {
+    const auto it = mine.find(key);
+    if (it == mine.end()) {
+      flag(key, "exists only in the reference engine's run");
       continue;
     }
-    const RecordedReception& mine = it->second;
-
-    check(rel_close(mine.min_sinr, ref.min_sinr), "engine-crosscheck",
-          last_event_s_,
-          who.str() + " min-SINR disagrees beyond the configured bound (" +
-              std::to_string(mine.min_sinr) + " vs reference " +
-              std::to_string(ref.min_sinr) + ")");
-
-    if (mine.delivered != ref.delivered) {
-      // A flipped outcome is only legitimate when the reference call was
-      // borderline: its SINR within the bound of the threshold. Anything
-      // else means the approximation changed physics, not rounding.
-      check(rel_close(ref.min_sinr, ref.required_snr), "engine-crosscheck",
-            last_event_s_,
-            who.str() + " outcome flipped on a non-borderline reception");
+    const sim::RxEvent& rx = *it->second;
+    if (!rel_close(rx.min_sinr, ref->min_sinr)) {
+      flag(key, "min-SINR disagrees beyond the configured bound (" +
+                    std::to_string(rx.min_sinr) + " vs reference " +
+                    std::to_string(ref->min_sinr) + ")");
+    }
+    // A flipped outcome is only legitimate when the reference call was
+    // borderline: its SINR within the bound of the threshold. Anything else
+    // means the approximation changed physics, not rounding.
+    if (rx.delivered != ref->delivered &&
+        !rel_close(ref->min_sinr, ref->required_snr)) {
+      flag(key, "outcome flipped on a non-borderline reception");
     }
   }
-  for (const auto& [key, mine] : recorded_) {
-    if (reference.recorded_.contains(key)) continue;
-    std::ostringstream who;
-    who << "rx of tx " << key.first << " at " << key.second;
-    check(false, "engine-crosscheck", last_event_s_,
-          who.str() + " exists only in this engine's run");
+  for (const auto& entry : mine) {
+    if (!theirs.contains(entry.first))
+      flag(entry.first, "exists only in this engine's run");
   }
+  return out;
 }
 
 std::string InvariantAuditor::report() const {

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -30,6 +29,7 @@
 
 namespace drn::sim {
 class Simulator;
+class TraceRecorder;
 }  // namespace drn::sim
 
 namespace drn::audit {
@@ -52,10 +52,6 @@ struct AuditConfig {
   units::Decibels margin;
   /// How many violations keep full detail text (all are always counted).
   std::size_t max_recorded_violations = 64;
-  /// Keep every reception outcome (keyed by tx id and receiver) so two
-  /// audited runs can be compared with cross_check_engine(). Off by default:
-  /// it stores one record per reception for the whole run.
-  bool record_receptions = false;
 };
 
 /// The AuditConfig a simulator's public configuration implies.
@@ -93,34 +89,6 @@ class InvariantAuditor final : public sim::SimObserver {
   /// simulator's own Metrics (hop attempts/successes, per-type losses,
   /// broadcast accounting). Call after finalize().
   void cross_check(const sim::Metrics& metrics);
-
-  /// One recorded reception outcome (record_receptions mode).
-  struct RecordedReception {
-    bool delivered = false;
-    sim::LossType loss = sim::LossType::kNone;
-    double min_sinr = 0.0;
-    double required_snr = 0.0;
-    double signal_w = 0.0;
-  };
-
-  /// Exact-vs-approximate engine cross-check: compares this run's recorded
-  /// receptions against `reference` (the exact engine's run over the same
-  /// scenario and seed). Every reception must exist in both runs, each
-  /// per-reception min-SINR must agree within relative `sinr_rel_bound`, and
-  /// a delivered/lost disagreement is tolerated only when the reference SINR
-  /// sits within the bound of its threshold (a genuine borderline call).
-  /// Both auditors need record_receptions; violations land on *this* under
-  /// the "engine-crosscheck" key. Call after finalize().
-  void cross_check_engine(const InvariantAuditor& reference,
-                          double sinr_rel_bound);
-
-  /// Recorded outcomes, keyed by (tx id, receiver). Empty unless
-  /// record_receptions was set.
-  [[nodiscard]] const std::map<std::pair<std::uint64_t, StationId>,
-                               RecordedReception>&
-  recorded_receptions() const {
-    return recorded_;
-  }
 
   /// True while no invariant has been breached.
   [[nodiscard]] bool ok() const { return total_violations_ == 0; }
@@ -204,9 +172,6 @@ class InvariantAuditor final : public sim::SimObserver {
   /// Per-station completed channel-occupying receptions (despreading cap).
   std::vector<std::vector<PendingOccupancy>> occupancy_;
 
-  /// Reception outcomes by (tx id, receiver); only in record_receptions mode.
-  std::map<std::pair<std::uint64_t, StationId>, RecordedReception> recorded_;
-
   // Independently derived counters, cross-checked against sim::Metrics.
   std::uint64_t unicast_starts_ = 0;
   std::uint64_t unicast_delivered_ = 0;
@@ -215,5 +180,19 @@ class InvariantAuditor final : public sim::SimObserver {
   std::uint64_t noise_starts_ = 0;
   std::array<std::uint64_t, 5> unicast_losses_{};  // by LossType (incl aborted)
 };
+
+/// Exact-vs-approximate engine cross-check over two runs of the same
+/// scenario and seed: `run` (the engine under test) against `reference`
+/// (the exact engine), both traced from start to end. Receptions are keyed
+/// by (tx id, receiver). Every reception must exist in both traces, each
+/// min-SINR must agree within relative `sinr_rel_bound`, and a delivered/lost
+/// disagreement is tolerated only when the reference SINR sits within the
+/// bound of its threshold (a genuine borderline call). Returns one
+/// "engine-crosscheck" violation (time_s 0) per disagreement, empty when
+/// the runs agree. A capped trace that dropped events is refused: its missing
+/// receptions would read as disagreements.
+[[nodiscard]] std::vector<Violation> cross_check_engine(
+    const sim::TraceRecorder& run, const sim::TraceRecorder& reference,
+    double sinr_rel_bound);
 
 }  // namespace drn::audit

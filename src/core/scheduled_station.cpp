@@ -76,28 +76,32 @@ double ScheduledStation::airtime_s(const sim::Packet& pkt,
 }
 
 std::optional<double> ScheduledStation::find_start(
-    StationId neighbor, double earliest_local_s, double duration_s) const {
-  const Neighbor* n = neighbors_.find(neighbor);
-  DRN_EXPECTS(n != nullptr);
-
+    const Neighbor* addressee, double earliest_local_s,
+    double duration_s) const {
   std::vector<WindowConstraint> constraints;
   constraints.reserve(2 + neighbors_.size());
   // Our own published schedule: we may only radiate in our transmit windows.
   constraints.push_back(WindowConstraint{&config_.schedule, ClockModel(),
                                          /*want_receive=*/false,
                                          Seconds{0.0}});
-  // The addressee must be committed to listen, with guards against our
-  // imperfect model of its clock.
-  constraints.push_back(WindowConstraint{&config_.schedule, n->clock,
-                                         /*want_receive=*/true,
-                                         Seconds{config_.guard_s}});
+  // A unicast's addressee must be committed to listen, with guards against
+  // our imperfect model of its clock.
+  if (addressee != nullptr) {
+    constraints.push_back(WindowConstraint{&config_.schedule,
+                                           addressee->clock,
+                                           /*want_receive=*/true,
+                                           Seconds{config_.guard_s}});
+  }
   // Section 7.3: stay out of very-near third parties' receive windows —
   // those to which THIS transmission's power would deliver a significant
-  // fraction of their interference budget.
-  const double power_w = config_.power.transmit_power_w(n->gain);
+  // fraction of their interference budget. A beacon goes out at worst-case
+  // power to no one in particular, so it respects every flagged neighbour.
+  const bool beacon = addressee == nullptr;
+  const double power_w =
+      beacon ? 0.0 : config_.power.transmit_power_w(addressee->gain);
   for (const auto& m : neighbors_.all()) {
-    if (!m.respect_receive_windows || m.id == neighbor) continue;
-    if (config_.interference_budget_w > 0.0 &&
+    if (!m.respect_receive_windows || &m == addressee) continue;
+    if (!beacon && config_.interference_budget_w > 0.0 &&
         !interferes_significantly(m.gain, power_w,
                                   config_.interference_budget_w)) {
       continue;
@@ -117,30 +121,6 @@ std::optional<double> ScheduledStation::find_start(
   return start->value();
 }
 
-std::optional<double> ScheduledStation::find_beacon_start(
-    double earliest_local_s) const {
-  std::vector<WindowConstraint> constraints;
-  constraints.push_back(WindowConstraint{&config_.schedule, ClockModel(),
-                                         /*want_receive=*/false,
-                                         Seconds{0.0}});
-  // A broadcast at worst-case power: keep it out of every respected third
-  // party's receive windows (Section 7.3 applies to beacons too).
-  for (const auto& m : neighbors_.all()) {
-    if (!m.respect_receive_windows) continue;
-    constraints.push_back(WindowConstraint{&config_.schedule, m.clock,
-                                           /*want_receive=*/false,
-                                           Seconds{config_.guard_s}});
-  }
-  AccessRequest request;
-  request.earliest_local = Seconds{earliest_local_s};
-  request.duration = Seconds{beacon_airtime_s() * config_.clock.rate()};
-  request.horizon =
-      Seconds{kHorizonSlots * config_.schedule.slot_duration_s()};
-  const auto start = find_transmission_start(request, constraints);
-  if (!start) return std::nullopt;
-  return start->value();
-}
-
 void ScheduledStation::replan(sim::MacContext& ctx) {
   const double earliest_global =
       std::max(ctx.now(), busy_until_global_s_) + kTimeEpsilonS;
@@ -150,9 +130,10 @@ void ScheduledStation::replan(sim::MacContext& ctx) {
   std::optional<Plan> best;
   for (const auto& [neighbor, queue] : queues_) {
     if (queue.empty()) continue;
-    const double duration =
-        airtime_s(queue.front(), *neighbors_.find(neighbor));
-    if (const auto start = find_start(neighbor, earliest_local, duration)) {
+    const Neighbor* n = neighbors_.find(neighbor);
+    DRN_EXPECTS(n != nullptr);
+    if (const auto start =
+            find_start(n, earliest_local, airtime_s(queue.front(), *n))) {
       if (!best || *start < best->start_local_s)
         best = Plan{neighbor, *start};
     }
@@ -163,7 +144,8 @@ void ScheduledStation::replan(sim::MacContext& ctx) {
   if (beacons_enabled() &&
       (neighbors_.size() > 0 || config_.readopt_neighbors) &&
       beacon_power_w_ > 0.0 && ctx.now() >= next_beacon_due_global_s_) {
-    if (const auto start = find_beacon_start(earliest_local)) {
+    if (const auto start =
+            find_start(nullptr, earliest_local, beacon_airtime_s())) {
       if (!best || *start < best->start_local_s)
         best = Plan{kBroadcast, *start};
     }

@@ -127,16 +127,16 @@ class ScheduledStation final : public sim::MacProtocol {
   [[nodiscard]] double airtime_s(const sim::Packet& pkt,
                                  const Neighbor& n) const;
 
-  /// Earliest feasible start (sender-local) for a transmission of
-  /// `duration_s` to `neighbor`, no earlier than `earliest_local_s`.
-  [[nodiscard]] std::optional<double> find_start(StationId neighbor,
+  /// Earliest feasible start (sender-local), no earlier than
+  /// `earliest_local_s`, for a transmission of `duration_s` to `addressee`
+  /// (an entry of neighbors_), or for a maintenance beacon when `addressee`
+  /// is null. The window constraints, in order: our own transmit windows,
+  /// the addressee's receive windows, then the respected third parties'
+  /// receive windows in table order (for a unicast only those its power
+  /// reaches significantly; for a beacon all of them).
+  [[nodiscard]] std::optional<double> find_start(const Neighbor* addressee,
                                                  double earliest_local_s,
                                                  double duration_s) const;
-
-  /// Earliest feasible start for a maintenance beacon (own transmit windows,
-  /// respected third parties avoided).
-  [[nodiscard]] std::optional<double> find_beacon_start(
-      double earliest_local_s) const;
 
   /// Re-evaluates what to send next and (re)arms the plan timer if a better
   /// opportunity exists.

@@ -454,8 +454,8 @@ class NearFarEngine final : public InterferenceEngine {
     }
     far.handles.push_back(h);
     if (contribution) {
-      // Per-interferer far contributions (multiuser detection wants every
-      // interferer): the same cell-centre terms the aggregate sums.
+      // Per-interferer far contributions, for a caller that asks for every
+      // interferer: the same cell-centre terms the aggregate sums.
       for_each_far(s.rx_cell, [&](std::size_t j, double watts) {
         if (active_.id[j] != tx_id && active_.from[j] != rx)
           contribution(active_.id[j], Watts{watts});

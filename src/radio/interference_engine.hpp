@@ -26,10 +26,9 @@
 // enforced by drn_lint's layer-boundary rule), which holds one opaque
 // ReceptionHandle per in-flight reception and is notified through visitors
 // when a transmission start/end changes a reception's interference (so it
-// can re-test SINR and track per-interferer contributions for multiuser
-// detection). All engine iteration runs in deterministic order (ordered
-// maps, row-major cells), preserving the simulator's bit-reproducibility
-// contract.
+// can re-test SINR). All engine iteration runs in deterministic order
+// (ordered maps, row-major cells), preserving the simulator's
+// bit-reproducibility contract.
 #pragma once
 
 #include <cmath>
@@ -92,15 +91,18 @@ class InterferenceEngine {
  public:
   /// Notified for each open reception whose interference a transmission
   /// start/end changed, with the power delta (always positive; the engine
-  /// has already applied the sign internally).
+  /// has already applied the sign internally). The medium passes one at a
+  /// start, to re-test SINR, and none at an end; it reads no delta.
   using AffectedVisitor = std::function<void(ReceptionHandle, Watts)>;
   /// Notified for each open reception at the station that just keyed up its
   /// own transmitter (the simulator fails these as Type 3; no power is ever
   /// added to them).
   using SenderVisitor = std::function<void(ReceptionHandle)>;
   /// Notified once per already-active interfering transmission when a
-  /// reception opens: (tx_id, power). Pass nullptr unless per-interferer
-  /// contributions are needed (multiuser detection).
+  /// reception opens: (tx_id, power). No caller in src/ passes one
+  /// (multiuser detection reads the active set and gain() instead); the
+  /// hook and the AffectedVisitor deltas stay for engine decorators and the
+  /// engine tests, which check every visit.
   using ContributionVisitor = std::function<void(std::uint64_t, Watts)>;
 
   virtual ~InterferenceEngine() = default;

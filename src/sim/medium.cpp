@@ -1,6 +1,8 @@
 #include "sim/medium.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <utility>
 
 #include "radio/units.hpp"
@@ -121,19 +123,30 @@ void RadioMedium::fail_reception(Reception& r, const ActiveTx& cause) {
 }
 
 double RadioMedium::effective_sinr(radio::ReceptionHandle h,
-                                   const Reception& r) const {
+                                   const Reception& r) {
   const double interference = engine_->interference(h).value();
-  if (config_.multiuser_subtract_k == 0 || contributions_[h].empty())
-    return r.signal_w / interference;
-  // Subtract the k strongest interfering contributions (idealised multiuser
-  // detection: the receiver reconstructs and cancels them).
-  const double cancelled =
-      contributions_[h]
-          .sum_top(static_cast<std::size_t>(config_.multiuser_subtract_k))
-          .value();
-  const double residual =
-      std::max(config_.thermal_noise_w, interference - cancelled);
+  if (config_.multiuser_subtract_k == 0) return r.signal_w / interference;
+  const double residual = std::max(config_.thermal_noise_w,
+                                   interference - cancelled_w(r));
   return r.signal_w / residual;
+}
+
+double RadioMedium::cancelled_w(const Reception& r) {
+  // Idealised multiuser detection: the receiver reconstructs the k
+  // strongest interferers and subtracts them.
+  interferer_w_.clear();
+  for (const auto& e : active_) {
+    if (e.id == r.tx_id || e.tx.from == r.rx) continue;
+    interferer_w_.push_back(engine_->gain(r.rx, e.tx.from) * e.tx.power_w);
+  }
+  const auto top = interferer_w_.begin() +
+                   std::min<std::ptrdiff_t>(config_.multiuser_subtract_k,
+                                            std::ssize(interferer_w_));
+  std::partial_sort(interferer_w_.begin(), top, interferer_w_.end(),
+                    std::greater<>());
+  double sum = 0.0;
+  for (auto it = interferer_w_.begin(); it != top; ++it) sum += *it;
+  return sum;
 }
 
 void RadioMedium::note_interference_change(radio::ReceptionHandle h,
@@ -148,24 +161,12 @@ void RadioMedium::note_interference_change(radio::ReceptionHandle h,
 void RadioMedium::open_reception(std::uint64_t tx_id, const ActiveTx& tx,
                                  StationId rx) {
   Reception r;
+  r.tx_id = tx_id;
   r.rx = rx;
   r.signal_w = engine_->gain(rx, tx.from) * tx.power_w;
   r.required_snr = tx.required_snr;
-  const bool track = config_.multiuser_subtract_k > 0;
-  ContributionSet contributions;
-  radio::InterferenceEngine::ContributionVisitor on_contribution;
-  if (track) {
-    on_contribution = [&contributions](std::uint64_t id, radio::Watts watts) {
-      contributions.add(id, watts);
-    };
-  }
-  const radio::ReceptionHandle h =
-      engine_->open_reception(tx_id, rx, on_contribution);
+  const radio::ReceptionHandle h = engine_->open_reception(tx_id, rx, {});
   if (records_.size() <= h) records_.resize(h + 1);
-  if (track) {
-    if (contributions_.size() <= h) contributions_.resize(h + 1);
-    contributions_[h] = std::move(contributions);
-  }
 
   if (!client_.station_up(rx)) {
     // The receiver is down (churn): the record still exists — conservation
@@ -233,10 +234,9 @@ TxEvent RadioMedium::tx_event(std::uint64_t tx_id, const ActiveTx& tx) {
                  .packet = tx.packet.id};
 }
 
-void RadioMedium::report_reception(std::uint64_t tx_id,
-                                   const Reception& r) const {
+void RadioMedium::report_reception(const Reception& r) const {
   if (observers_.empty()) return;
-  const RxEvent ev{.tx_id = tx_id,
+  const RxEvent ev{.tx_id = r.tx_id,
                    .rx = r.rx,
                    .delivered = r.failure == LossType::kNone,
                    .loss = r.failure,
@@ -244,18 +244,6 @@ void RadioMedium::report_reception(std::uint64_t tx_id,
                    .required_snr = r.required_snr,
                    .signal_w = r.signal_w};
   for (SimObserver* o : observers_) o->on_reception_complete(ev);
-}
-
-void RadioMedium::end_in_engine(std::uint64_t tx_id) {
-  // The notification is only needed to retire tracked contributions.
-  radio::InterferenceEngine::AffectedVisitor on_affected;
-  if (config_.multiuser_subtract_k > 0) {
-    on_affected = [this, tx_id](radio::ReceptionHandle h,
-                                radio::Watts /*watts*/) {
-      contributions_[h].erase(tx_id);
-    };
-  }
-  engine_->transmit_ended(tx_id, on_affected);
 }
 
 void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
@@ -281,26 +269,16 @@ void RadioMedium::handle_transmit_start(std::uint64_t tx_id) {
   // The new signal raises the interference of every in-flight reception it
   // reaches and kills any reception in progress at the (now radiating)
   // sender itself; the engine walks them and notifies us per reception.
-  // Both untracked visitors capture 16 bytes, within std::function's small
-  // buffer, so a transmit start allocates nothing for them.
-  const radio::InterferenceEngine::SenderVisitor at_sender =
+  // Both visitors capture 16 bytes, within std::function's small buffer, so
+  // a transmit start allocates nothing for them.
+  engine_->transmit_started(
+      tx_id, tx.from, radio::Watts{tx.power_w},
       [this, &tx](radio::ReceptionHandle h) {
         fail_reception(reception_at(h), tx);  // Type 3: own transmitter up
-      };
-  if (config_.multiuser_subtract_k > 0) {
-    engine_->transmit_started(
-        tx_id, tx.from, radio::Watts{tx.power_w}, at_sender,
-        [this, &tx, tx_id](radio::ReceptionHandle h, radio::Watts watts) {
-          contributions_[h].add(tx_id, watts);
-          note_interference_change(h, tx);
-        });
-  } else {
-    engine_->transmit_started(
-        tx_id, tx.from, radio::Watts{tx.power_w}, at_sender,
-        [this, &tx](radio::ReceptionHandle h, radio::Watts /*watts*/) {
-          note_interference_change(h, tx);
-        });
-  }
+      },
+      [this, &tx](radio::ReceptionHandle h, radio::Watts /*watts*/) {
+        note_interference_change(h, tx);
+      });
 
   // A noise burst carries nothing: it interferes (above) but opens no
   // reception.
@@ -328,7 +306,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   // interference (receptions at the sender's own station never had this
   // contribution added — they die via Type 3 — and the engine skips them
   // symmetrically). Interference only drops here, so min_sinr cannot move.
-  end_in_engine(tx_id);
+  engine_->transmit_ended(tx_id, {});
 
   if (tx.to == kNoStation) {
     // Noise burst: nothing was receivable; just tell the emitter.
@@ -340,7 +318,7 @@ void RadioMedium::handle_transmit_end(std::uint64_t tx_id) {
   close_receptions(tx, [&](const Reception& r) {
     const bool delivered = r.failure == LossType::kNone;
     any_delivered |= delivered;
-    report_reception(tx_id, r);
+    report_reception(r);
 
     if (tx.to == kBroadcast) {
       if (delivered) {
@@ -384,14 +362,14 @@ void RadioMedium::abort_transmission(std::uint64_t tx_id, double now_s) {
 
   // The signal leaves the air early; interference drops exactly as at a
   // normal end, through the same engine path (no ad-hoc subtraction).
-  end_in_engine(tx_id);
+  engine_->transmit_ended(tx_id, {});
 
   if (tx.to == kNoStation) return;  // noise: no reception records
 
   close_receptions(tx, [&](Reception& r) {
     // A truncated packet is undecodable regardless of its SINR so far.
     if (r.failure == LossType::kNone) r.failure = LossType::kAborted;
-    report_reception(tx_id, r);
+    report_reception(r);
     if (tx.to != kBroadcast) metrics_.record_hop_loss(r.failure);
   });
   // No completion upcall: the sender's MAC is being torn down right now.

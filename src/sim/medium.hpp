@@ -6,7 +6,8 @@
 //   * reception records, stored at their engine handles: despreading-channel
 //     admission (Section 5), the running worst-SINR test against Eq. 3-6
 //     thresholds, the Section 5 loss taxonomy (Type 1/2/3), and idealised
-//     multiuser subtraction (footnote 2) through a bounded ContributionSet;
+//     multiuser subtraction (footnote 2) of the k strongest interferers,
+//     read off the active set and the gains at each SINR test;
 //   * all interaction with the pluggable InterferenceEngine
 //     (radio/interference_engine): start/end notifications, per-reception
 //     interference queries, mobility-driven gain recomputation.
@@ -35,7 +36,6 @@
 #include "geo/vec2.hpp"
 #include "radio/interference_engine.hpp"
 #include "radio/reception.hpp"
-#include "sim/contribution_set.hpp"
 #include "sim/event_handle.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
@@ -258,6 +258,7 @@ class RadioMedium {
   /// One reception record, stored at its engine handle (the engine's
   /// interference(handle) is thermal + all other active transmissions).
   struct Reception {
+    std::uint64_t tx_id = 0;
     StationId rx = kNoStation;
     LossType failure = LossType::kNone;
     bool occupies_channel = false;  // holds one of rx's despreading channels
@@ -284,22 +285,24 @@ class RadioMedium {
   [[nodiscard]] static TxEvent tx_event(std::uint64_t tx_id,
                                         const ActiveTx& tx);
 
-  /// Tells the observers how reception `r` of tx_id ended.
-  void report_reception(std::uint64_t tx_id, const Reception& r) const;
-
-  /// Takes tx_id off the engine's air (normal end or abort); with multiuser
-  /// detection on, also retires its tracked contribution from every
-  /// reception it reached.
-  void end_in_engine(std::uint64_t tx_id);
+  /// Tells the observers how reception `r` ended.
+  void report_reception(const Reception& r) const;
 
   /// Opens the reception record for `tx` at receiver `rx` (admission rules:
   /// not transmitting, free despreading channel, initial SINR), stores it at
   /// its engine handle and appends the handle to `tx`'s reception list.
   void open_reception(std::uint64_t tx_id, const ActiveTx& tx, StationId rx);
 
-  /// Effective SINR of reception `h` after optional multiuser subtraction.
+  /// Effective SINR of reception `h` after optional multiuser subtraction
+  /// (k > 0): the residual interference is clamped at the thermal floor.
   [[nodiscard]] double effective_sinr(radio::ReceptionHandle h,
-                                      const Reception& r) const;
+                                      const Reception& r);
+
+  /// Power of the k strongest interferers of `r` on the air, summed
+  /// strongest first: every active transmission but r's own and those sent
+  /// by r.rx (which never reach its interference), at gain(rx, from) ·
+  /// power.
+  [[nodiscard]] double cancelled_w(const Reception& r);
 
   /// Re-tests reception `h` against its threshold after an interference
   /// change and folds the result into min_sinr.
@@ -340,9 +343,9 @@ class RadioMedium {
   // In-flight reception records, indexed by engine handle (handles are
   // dense small integers; see radio/interference_engine.hpp).
   std::vector<Reception> records_;
-  // Per-interferer contributions by engine handle, kept only when multiuser
-  // detection is on (needed to subtract the strongest k).
-  std::vector<ContributionSet> contributions_;
+  // Scratch for cancelled_w's interferer powers, kept so a re-test
+  // allocates nothing.
+  std::vector<double> interferer_w_;
   // Each transmission's reception handles in open order (one per receiver
   // for broadcasts), pooled so a steady stream of transmissions reuses the
   // same few vectors instead of allocating.

@@ -18,30 +18,6 @@ void TraceRecorder::on_reception_complete(const RxEvent& rx) {
   }
 }
 
-std::vector<TxEvent> TraceRecorder::transmissions_from(
-    StationId station) const {
-  std::vector<TxEvent> out;
-  for (const auto& tx : transmissions_)
-    if (tx.from == station) out.push_back(tx);
-  return out;
-}
-
-std::vector<RxEvent> TraceRecorder::receptions_at(StationId station) const {
-  std::vector<RxEvent> out;
-  for (const auto& rx : receptions_)
-    if (rx.rx == station) out.push_back(rx);
-  return out;
-}
-
-double TraceRecorder::delivery_fraction() const {
-  if (receptions_.empty()) return 1.0;
-  std::size_t delivered = 0;
-  for (const auto& rx : receptions_)
-    if (rx.delivered) ++delivered;
-  return static_cast<double>(delivered) /
-         static_cast<double>(receptions_.size());
-}
-
 void TraceRecorder::write_transmissions_csv(std::ostream& os) const {
   os << "tx_id,from,to,power_w,start_s,end_s,rate_bps,packet\n";
   for (const auto& tx : transmissions_) {

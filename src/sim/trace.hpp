@@ -1,6 +1,7 @@
 // A recording observer: captures every transmission and reception outcome
 // for offline analysis, assertions, or CSV export. Plug into
-// Simulator::add_observer, alongside any auditor.
+// Simulator::add_observer, alongside any auditor; two complete traces of
+// one scenario are what audit::cross_check_engine compares.
 //
 // Memory can be bounded with a max_events cap: each stream keeps only the
 // newest max_events records (oldest dropped first) and counts what it shed,
@@ -10,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <ostream>
-#include <vector>
 
 #include "sim/observer.hpp"
 
@@ -43,15 +43,6 @@ class TraceRecorder final : public SimObserver {
   [[nodiscard]] std::uint64_t dropped_receptions() const {
     return dropped_receptions_;
   }
-
-  /// Transmissions radiated by `station`.
-  [[nodiscard]] std::vector<TxEvent> transmissions_from(StationId station) const;
-
-  /// Reception outcomes at `station`.
-  [[nodiscard]] std::vector<RxEvent> receptions_at(StationId station) const;
-
-  /// Fraction of receptions that were delivered (1.0 when empty).
-  [[nodiscard]] double delivery_fraction() const;
 
   /// Writes the transmissions as CSV:
   /// tx_id,from,to,power_w,start_s,end_s,rate_bps,packet.

@@ -9,8 +9,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "helpers/test_macs.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace drn::audit {
 namespace {
@@ -290,6 +292,68 @@ TEST(InvariantAuditor, ReportNamesInvariantAndCountsAllViolations) {
   const std::string report = a.report();
   EXPECT_NE(report.find("conservation"), std::string::npos);
   EXPECT_NE(report.find("5 violations"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Engine cross-check: two reception traces of one scenario, keyed by
+// (tx id, receiver).
+
+sim::TraceRecorder trace_of(const std::vector<sim::RxEvent>& rxs,
+                            std::size_t cap = 0) {
+  sim::TraceRecorder trace(cap);
+  for (const sim::RxEvent& rx : rxs) trace.on_reception_complete(rx);
+  return trace;
+}
+
+TEST(EngineCrossCheck, AgreeingTracesPass) {
+  sim::RxEvent near = rx_event(1, 2, true);
+  near.min_sinr *= 1.0 + 1e-3;  // inside a 1e-2 bound
+  const auto run = trace_of({near, rx_event(2, 3, false)});
+  // Same receptions in another order: the key, not the position, pairs them.
+  const auto reference =
+      trace_of({rx_event(2, 3, false), rx_event(1, 2, true)});
+  EXPECT_TRUE(cross_check_engine(run, reference, 1e-2).empty());
+}
+
+TEST(EngineCrossCheck, FlagsSinrBeyondBoundAndMissingReceptions) {
+  sim::RxEvent far = rx_event(1, 2, true);
+  far.min_sinr *= 1.1;
+  const auto run = trace_of({far, rx_event(3, 1, true)});
+  const auto reference = trace_of({rx_event(1, 2, true), rx_event(2, 3, true)});
+  const auto found = cross_check_engine(run, reference, 1e-2);
+  ASSERT_EQ(found.size(), 3u);
+  for (const Violation& v : found) EXPECT_EQ(v.invariant, "engine-crosscheck");
+  EXPECT_NE(found[0].detail.find("tx 1 at 2 min-SINR"), std::string::npos);
+  EXPECT_NE(found[1].detail.find("tx 2 at 3 exists only in the reference"),
+            std::string::npos);
+  EXPECT_NE(found[2].detail.find("tx 3 at 1 exists only in this"),
+            std::string::npos);
+}
+
+TEST(EngineCrossCheck, FlippedOutcomePassesOnlyWhenBorderline) {
+  // Same SINR, opposite calls: legitimate only at the threshold.
+  sim::RxEvent lost = rx_event(1, 2, false);
+  sim::RxEvent won = rx_event(1, 2, true);
+  lost.min_sinr = won.min_sinr = 10.0 * (1.0 + 1e-3);  // threshold is 10
+  EXPECT_TRUE(cross_check_engine(trace_of({lost}), trace_of({won}), 1e-2)
+                  .empty());
+  lost.min_sinr = won.min_sinr = 100.0;
+  const auto found =
+      cross_check_engine(trace_of({lost}), trace_of({won}), 1e-2);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_NE(found[0].detail.find("outcome flipped"), std::string::npos);
+}
+
+TEST(EngineCrossCheck, RefusesATraceThatDroppedEvents) {
+  const auto full = trace_of({rx_event(1, 2, true), rx_event(2, 3, true)});
+  const auto capped =
+      trace_of({rx_event(1, 2, true), rx_event(2, 3, true)}, 1);
+  ASSERT_EQ(capped.dropped_receptions(), 1u);
+  EXPECT_THROW((void)cross_check_engine(capped, full, 1e-2),
+               ContractViolation);
+  EXPECT_THROW((void)cross_check_engine(full, capped, 1e-2),
+               ContractViolation);
+  EXPECT_THROW((void)cross_check_engine(full, full, 0.0), ContractViolation);
 }
 
 }  // namespace

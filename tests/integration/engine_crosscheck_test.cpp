@@ -1,42 +1,37 @@
-// Exact-vs-approximate interference engine cross-check (ISSUE 4 acceptance):
-// the near/far engine must reproduce the compensated (exact) engine's
-// physics on tab_sec8-style scenarios — per-reception min-SINR within the
-// configured far-field bound, and headline metrics (delivery rate, loss-type
-// mix) within 0.5%.
+// Exact-vs-approximate interference engine cross-check: the near/far engine
+// must reproduce the compensated (exact) engine's physics on tab_sec8-style
+// scenarios — per-reception min-SINR within the configured far-field bound,
+// and headline metrics (delivery rate, loss-type mix) within 0.5%.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "audit/invariant_auditor.hpp"
 #include "radio/interference_engine.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace drn {
 namespace {
 
-struct AuditedRun {
+struct TracedRun {
   runner::TrialResult result;
-  std::unique_ptr<audit::InvariantAuditor> auditor;
+  sim::TraceRecorder trace;
 };
 
-/// A runner::Trial with a recording auditor riding along (the runner's own
-/// audit path records no per-reception outcomes, which the engine
-/// cross-check needs).
-AuditedRun run_audited(const runner::ScenarioSpec& spec, std::uint64_t seed) {
+/// A runner::Trial on the product audit path (spec.audit), with a trace of
+/// every reception outcome attached through simulator().
+TracedRun run_traced(runner::ScenarioSpec spec, std::uint64_t seed) {
+  spec.audit = true;
+  TracedRun out;
   runner::Trial trial(spec, seed);
-  sim::Simulator& sim = trial.simulator();
-  audit::AuditConfig recording = audit::config_from(sim);
-  recording.record_receptions = true;
-  auto auditor = std::make_unique<audit::InvariantAuditor>(recording);
-  sim.add_observer(auditor.get());
-  AuditedRun out{trial.run(), std::move(auditor)};
-  const double total = spec.duration_s + spec.drain_s;
-  out.auditor->finalize(total);
-  out.auditor->cross_check(sim.metrics());
+  trial.simulator().add_observer(&out.trace);
+  out.result = trial.run();
+  EXPECT_GT(out.result.audit_checks, 0u);
+  EXPECT_TRUE(trial.auditor()->ok()) << trial.auditor()->report();
   return out;
 }
 
@@ -79,24 +74,25 @@ runner::ScenarioSpec tab_sec8_point(runner::MacKind mac, double drain_s) {
 }
 
 /// Runs `spec` exactly (compensated) and under near/far with an 800 m cutoff
-/// (2x the 400 m free-space reach). Both audits must pass, and every
-/// recorded reception and the headline metrics must agree within the
-/// far-field bound. Returns the exact run.
-AuditedRun cross_check(runner::ScenarioSpec spec) {
+/// (2x the 400 m free-space reach). Both audits must pass, and every traced
+/// reception and the headline metrics must agree within the far-field
+/// bound. Returns the exact run.
+TracedRun cross_check(runner::ScenarioSpec spec) {
   const std::uint64_t seed = runner::trial_seed(606, 0);
   spec.engine = radio::InterferenceEngineKind::kCompensated;
-  auto exact = run_audited(spec, seed);
-  EXPECT_TRUE(exact.auditor->ok()) << exact.auditor->report();
+  auto exact = run_traced(spec, seed);
 
   spec.engine = radio::InterferenceEngineKind::kNearFar;
   spec.engine_cutoff_m = 800.0;
-  auto approx = run_audited(spec, seed);
-  EXPECT_TRUE(approx.auditor->ok()) << approx.auditor->report();
+  const auto approx = run_traced(spec, seed);
 
   radio::NearFarConfig nf;
   nf.cutoff = radio::Meters{spec.engine_cutoff_m};
-  approx.auditor->cross_check_engine(*exact.auditor, far_field_bound(nf));
-  EXPECT_TRUE(approx.auditor->ok()) << approx.auditor->report();
+  const auto disagreements =
+      audit::cross_check_engine(approx.trace, exact.trace, far_field_bound(nf));
+  EXPECT_TRUE(disagreements.empty())
+      << disagreements.size() << " disagreements, first: "
+      << disagreements.front().detail;
   expect_headline_metrics_close(approx.result, exact.result);
   return exact;
 }
@@ -104,7 +100,7 @@ AuditedRun cross_check(runner::ScenarioSpec spec) {
 TEST(EngineCrossCheck, SchemeOnTabSec8Seed) {
   const auto exact =
       cross_check(tab_sec8_point(runner::MacKind::kScheme, 60.0));
-  EXPECT_GT(exact.auditor->recorded_receptions().size(), 100u);
+  EXPECT_GT(exact.trace.receptions().size(), 100u);
 }
 
 TEST(EngineCrossCheck, AlohaLossMixOnTabSec8Seed) {

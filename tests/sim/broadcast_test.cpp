@@ -9,6 +9,7 @@
 #include "helpers/scenario.hpp"
 #include "helpers/test_macs.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 
 namespace drn::sim {
 namespace {
@@ -368,6 +369,59 @@ TEST(MultiuserDetection, BroadcastContributionsTrackedAcrossStartAndEnd) {
     }
   }
   EXPECT_EQ(checked, 2);
+}
+
+TEST(MultiuserDetection, AbortedInterfererLeavesNothingToCancel) {
+  // Station 2's strong signal is cut short by deactivate_station while the
+  // 0 -> 1 reception is in flight; then two equal interferers (4 and 5) key
+  // up. With k = 1 the receiver cancels one survivor and the other sinks
+  // the reception below the 0 dB threshold. Were the aborted signal still
+  // counted as an interferer, it would be the strongest and be cancelled
+  // instead: the residual would clamp at the thermal floor and the packet
+  // would get through.
+  radio::PropagationMatrix m(8);
+  m.set_gain(1, 0, radio::LinearGain{1.0});   // desired 0 -> 1
+  m.set_gain(1, 2, radio::LinearGain{50.0});  // the aborted interferer
+  m.set_gain(1, 4, radio::LinearGain{2.0});   // two equal survivors
+  m.set_gain(1, 5, radio::LinearGain{2.0});
+  m.set_gain(2, 3, radio::LinearGain{1.0});   // the interferers' own links
+  m.set_gain(4, 6, radio::LinearGain{1.0});
+  m.set_gain(5, 7, radio::LinearGain{1.0});
+  auto cfg = SimulatorConfig{radio::ReceptionCriterion(
+      radio::Hertz{1.0e6}, radio::BitsPerSecond{1.0e6}, radio::Decibels{0.0})};
+  const double thermal_w = 1.0e-3;
+  cfg.thermal_noise_w = thermal_w;
+  cfg.multiuser_subtract_k = 1;
+  TraceRecorder trace;
+  Simulator sim(m, cfg);
+  drn::testing::ScopedAudit audited(sim);
+  sim.add_observer(&trace);
+  // Victim 0 -> 1: 1 .. 11 ms. Station 2: from 0 ms, aborted at 3 ms.
+  // Survivors: 4 from 5 ms, 5 from 6 ms, both still on the air at 11 ms.
+  sim.set_mac(0, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
+                     {0.001, 1, 1.0, 1.0e4}}));
+  sim.set_mac(2, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
+                     {0.0, 3, 1.0, 2.0e4}}));
+  sim.set_mac(4, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
+                     {0.005, 6, 1.0, 1.0e4}}));
+  sim.set_mac(5, std::make_unique<ScriptMac>(std::vector<ScriptedTx>{
+                     {0.006, 7, 1.0, 1.0e4}}));
+  for (const StationId s : {1u, 3u, 6u, 7u})
+    sim.set_mac(s, std::make_unique<IdleMac>());
+  sim.run_until(0.003);
+  sim.deactivate_station(2);
+  sim.run_until(1.0);
+
+  const RxEvent* victim = nullptr;
+  for (const auto& rx : trace.receptions())
+    if (rx.rx == 1) victim = &rx;
+  ASSERT_NE(victim, nullptr);
+  EXPECT_FALSE(victim->delivered);
+  // Both survivors are third parties: Type 1.
+  EXPECT_EQ(victim->loss, LossType::kType1);
+  // Worst instant: interference thermal + 2 + 2 W, one 2 W term cancelled.
+  EXPECT_DOUBLE_EQ(victim->min_sinr, 1.0 / ((thermal_w + 4.0) - 2.0));
+  EXPECT_EQ(sim.metrics().losses(LossType::kType1), 1u);
 }
 
 TEST(Broadcast, InjectToBroadcastIsRejected) {
