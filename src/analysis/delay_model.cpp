@@ -11,12 +11,11 @@ namespace drn::analysis {
 std::vector<double> geometric_wait_pmf(double receive_fraction,
                                        std::size_t bins) {
   DRN_EXPECTS(bins >= 1);
-  const double q = access_probability(receive_fraction);
-  DRN_EXPECTS(q > 0.0);
+  DRN_EXPECTS(access_probability(receive_fraction) > 0.0);
   std::vector<double> pmf(bins, 0.0);
   double tail = 1.0;
   for (std::size_t k = 0; k + 1 < bins; ++k) {
-    pmf[k] = q * std::pow(1.0 - q, static_cast<double>(k));
+    pmf[k] = wait_pmf(receive_fraction, static_cast<unsigned>(k));
     tail -= pmf[k];
   }
   pmf[bins - 1] = std::max(0.0, tail);

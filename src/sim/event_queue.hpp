@@ -8,9 +8,9 @@
 //
 // Layout: the heap itself holds 24-byte items (time, a packed kind+sequence
 // key, a slot index); the 32-byte POD Event header lives in a slot array
-// recycled through a free list, and bulky payloads (the injected Packet)
-// live in the simulator's EventPool, named by handle. Sifts therefore move
-// small items and never copy packets.
+// recycled through a free list. The queue holds no packets: an inject event
+// names its packet by an index into the network layer's staged packets.
+// Sifts therefore move small items and never copy packets.
 //
 // Cancellation is lazy: cancel(handle) tombstones the slot in O(1) and the
 // dead heap item is discarded when it surfaces — except that the heap top is
@@ -21,6 +21,7 @@
 // the order they would have without cancellation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -28,7 +29,6 @@
 
 #include "common/types.hpp"
 #include "sim/event_handle.hpp"
-#include "sim/event_pool.hpp"
 
 namespace drn::sim {
 
@@ -49,7 +49,7 @@ struct Event {
   union {
     std::uint64_t tx_id = 0;  // kTransmitStart / kTransmitEnd
     std::uint64_t cookie;     // kTimer
-    PacketHandle packet;      // kInject (payload in the owner's EventPool)
+    std::size_t staged;       // kInject (index into NetworkLayer's staging)
   };
   StationId station = kNoStation;  // kTimer
   /// Station MAC generation that armed this timer; a timer whose station has

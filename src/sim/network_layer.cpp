@@ -21,7 +21,14 @@ void NetworkLayer::set_router(Router router) {
   router_ = std::move(router);
 }
 
-void NetworkLayer::admit(Packet packet, double now_s) {
+std::size_t NetworkLayer::stage(const Packet& packet) {
+  staged_.push_back(packet);
+  return staged_.size() - 1;
+}
+
+void NetworkLayer::admit(std::size_t index, double now_s) {
+  DRN_EXPECTS(index < staged_.size());
+  Packet packet = staged_[index];
   if (packet.id == 0) {
     packet.id = next_packet_id_++;
   } else if (packet.id >= next_packet_id_) {

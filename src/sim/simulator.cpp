@@ -71,7 +71,7 @@ void Simulator::inject(double time_s, Packet packet) {
   Event e;
   e.time_s = time_s;
   e.kind = EventKind::kInject;
-  e.packet = pool_.alloc(packet);  // heap entry carries only the handle
+  e.staged = network_.stage(packet);  // the event carries only the index
   queue_.push(e);
 }
 
@@ -91,7 +91,7 @@ void Simulator::run_until(double t_end_s) {
         host_.deliver_timer(e->station, e->cookie, e->generation);
         break;
       case EventKind::kInject:
-        handle_inject(e->packet);
+        network_.admit(e->staged, now_s_);
         break;
       case EventKind::kTransmitStart:
         medium_.handle_transmit_start(e->tx_id);
@@ -207,13 +207,7 @@ Simulator::QueueStats Simulator::queue_stats() const {
   s.peak_entries = queue_.peak_entries();
   s.peak_bytes = queue_.peak_bytes();
   s.compactions = queue_.compactions();
-  s.pool_live = pool_.live();
-  s.pool_capacity = pool_.capacity();
   return s;
-}
-
-void Simulator::handle_inject(PacketHandle handle) {
-  network_.admit(pool_.take(handle), now_s_);
 }
 
 }  // namespace drn::sim

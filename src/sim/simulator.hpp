@@ -10,16 +10,17 @@
 //     per-station RNG streams, timers, activation state (churn), and the
 //     context binding for every MAC hook.
 //   * sim::NetworkLayer (network_layer.hpp): Section 6.2 forwarding. The
-//     router, end-to-end delivery accounting, and the injected-traffic
-//     packet-id namespace.
+//     router, end-to-end delivery accounting, and injected traffic: each
+//     injected packet is staged there, and its kInject event carries only
+//     the staging index.
 //
-// The event core (event_queue/event_pool) is owned here and shared by
-// reference; the facade runs the event loop and dispatches each popped
-// event to its layer. Decode outcomes climb back up through the private
-// RadioMedium::Client implementation, which routes them to the receiving
-// MAC or the network layer at exactly the points the historical monolithic
-// Simulator invoked them — the split is draw-for-draw bit-identical, pinned
-// by the event-order golden digests (tests/integration).
+// The event core (event_queue) is owned here and shared by reference; the
+// facade runs the event loop and dispatches each popped event to its layer.
+// Decode outcomes climb back up through the private RadioMedium::Client
+// implementation, which routes them to the receiving MAC or the network
+// layer at exactly the points the historical monolithic Simulator invoked
+// them — the split is draw-for-draw bit-identical, pinned by the event-order
+// golden digests (tests/integration).
 //
 // Facade guarantee: the public Simulator API is unchanged by the layering —
 // every pre-split caller (MACs via MacContext, runners, benches, dynamics,
@@ -43,7 +44,6 @@
 #include "radio/interference_engine.hpp"
 #include "radio/propagation_matrix.hpp"
 #include "radio/reception.hpp"
-#include "sim/event_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/mac.hpp"
 #include "sim/medium.hpp"
@@ -78,7 +78,9 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   /// Observers are notified in installation order.
   void add_observer(SimObserver* observer);
 
-  /// Schedules a packet to enter the network at its source at `time_s`.
+  /// Schedules a packet to enter the network at its source at `time_s`. The
+  /// network layer keeps a copy until the Simulator is destroyed (see
+  /// NetworkLayer::stage).
   void inject(double time_s, Packet packet);
 
   /// Runs until the event queue drains or simulated time exceeds `t_end_s`.
@@ -118,9 +120,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
     std::size_t peak_bytes = 0;
     /// Tombstone-compaction passes the queue has run.
     std::uint64_t compactions = 0;
-    /// Pooled packet payloads currently allocated / pool capacity.
-    std::size_t pool_live = 0;
-    std::size_t pool_capacity = 0;
   };
   [[nodiscard]] QueueStats queue_stats() const;
 
@@ -171,8 +170,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   [[nodiscard]] Rng& rng() override { return host_.rng(); }
 
  private:
-  void handle_inject(PacketHandle handle);
-
   // -- RadioMedium::Client: decode outcomes climbing out of the medium -----
   [[nodiscard]] bool station_up(StationId station) const override {
     return host_.station_active(station);
@@ -188,7 +185,6 @@ class Simulator final : public MacContext, private RadioMedium::Client {
   SimulatorConfig config_;  // finalized at construction (thermal derived)
   Metrics metrics_;
   EventQueue queue_;
-  EventPool pool_;  // payloads of pending kInject events
   double now_s_ = 0.0;
   std::uint64_t events_processed_ = 0;
 

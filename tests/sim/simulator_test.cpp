@@ -5,12 +5,14 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baselines/aloha.hpp"
 #include "common/expects.hpp"
 #include "helpers/test_macs.hpp"
 #include "radio/units.hpp"
+#include "sim/trace.hpp"
 #include "sim/traffic.hpp"
 
 namespace drn::sim {
@@ -350,7 +352,7 @@ TEST(Simulator, InjectAfterPartialRunWorks) {
 }
 
 TEST(Simulator, InjectedPacketIdsNeverCollideWithGeneratedOnes) {
-  // handle_inject: a caller-supplied nonzero Packet::id used to leave
+  // NetworkLayer::admit: a caller-supplied nonzero Packet::id used to leave
   // next_packet_id_ untouched, so a later zero-id injection could be handed
   // the same id and corrupt exactly-once accounting. The generator must
   // advance past every injected id.
@@ -383,6 +385,38 @@ TEST(Simulator, InjectedPacketIdsNeverCollideWithGeneratedOnes) {
   EXPECT_EQ(unique.size(), 7u) << "duplicate packet id on the air";
   EXPECT_EQ(sim.metrics().offered(), 7u);
   EXPECT_EQ(sim.metrics().delivered(), 7u);
+}
+
+TEST(Simulator, StagedInjectionsAdmitTheirOwnPacket) {
+  // Injected packets wait in the network layer, named by the index their
+  // inject event carries. Injecting out of time order makes the staging
+  // order differ from the admission order, so an index mix-up shows as a
+  // wrong or repeated id on the air.
+  radio::PropagationMatrix m(2);
+  m.set_gain(0, 1, radio::LinearGain{1.0});
+  Simulator sim(m, config_with(zero_db_criterion()));
+  TraceRecorder trace;
+  sim.add_observer(&trace);
+  sim.set_mac(0, std::make_unique<baselines::PureAloha>(
+                     baselines::ContentionConfig{}));
+  sim.set_mac(1, std::make_unique<IdleMac>());
+  Packet p;
+  p.source = 0;
+  p.destination = 1;
+  p.size_bits = 1.0e4;
+  for (const auto& [id, t] :
+       {std::pair<PacketId, double>{30, 0.3}, {10, 0.1}, {20, 0.2}}) {
+    p.id = id;
+    sim.inject(t, p);
+  }
+  sim.run_until(2.0);
+  EXPECT_EQ(sim.metrics().offered(), 3u);
+  EXPECT_EQ(sim.metrics().delivered(), 3u);
+  std::vector<PacketId> on_air;
+  for (const TxEvent& tx : trace.transmissions()) on_air.push_back(tx.packet);
+  EXPECT_EQ(on_air, (std::vector<PacketId>{10, 20, 30}));
+  ASSERT_EQ(trace.receptions().size(), 3u);
+  for (const RxEvent& rx : trace.receptions()) EXPECT_TRUE(rx.delivered);
 }
 
 TEST(Simulator, ActiveTransmissionCountTracksAir) {

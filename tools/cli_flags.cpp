@@ -22,6 +22,23 @@ bool tokenize(int argc, char** argv, Flags& flags, bool& help) {
   return true;
 }
 
+double parse_real(const std::string& text) {
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
+unsigned long long parse_count(const std::string& text) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
+    throw std::invalid_argument(text);
+  }
+  std::size_t used = 0;
+  const unsigned long long value = std::stoull(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
 void take(Flags& flags, const char* name, std::string& out) {
   if (auto it = flags.find(name); it != flags.end()) {
     out = it->second;
@@ -31,7 +48,7 @@ void take(Flags& flags, const char* name, std::string& out) {
 
 void take(Flags& flags, const char* name, double& out) {
   if (auto it = flags.find(name); it != flags.end()) {
-    out = std::stod(it->second);
+    out = parse_real(it->second);
     flags.erase(it);
   }
 }

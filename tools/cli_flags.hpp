@@ -6,15 +6,17 @@
 // whatever is left over is an unknown option.
 //
 // Readers return false after printing why on stderr; a malformed number
-// throws std::invalid_argument / std::out_of_range from std::stod, which
-// run_cli reports as a usage error.
+// throws std::invalid_argument / std::out_of_range from parse_real or
+// parse_count, which run_cli reports as a usage error.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "runner/scenario.hpp"
@@ -44,13 +46,25 @@ using Flags = std::map<std::string, std::string>;
 /// that is not "--key value".
 bool tokenize(int argc, char** argv, Flags& flags, bool& help);
 
+/// All of `text` as a number: std::stod alone reads "50abc" as 50, so
+/// trailing text throws std::invalid_argument here.
+double parse_real(const std::string& text);
+
+/// All of `text` as a count: digits only, so a minus sign (which
+/// std::stoull wraps to a huge value) throws std::invalid_argument too.
+unsigned long long parse_count(const std::string& text);
+
 /// Moves flag `name`, if given, into `out`.
 void take(Flags& flags, const char* name, std::string& out);
 void take(Flags& flags, const char* name, double& out);
 template <std::unsigned_integral Count>
 void take(Flags& flags, const char* name, Count& out) {
   if (auto it = flags.find(name); it != flags.end()) {
-    out = static_cast<Count>(std::stoull(it->second));
+    const unsigned long long value = parse_count(it->second);
+    if (value > std::numeric_limits<Count>::max()) {
+      throw std::out_of_range(it->second);
+    }
+    out = static_cast<Count>(value);
     flags.erase(it);
   }
 }

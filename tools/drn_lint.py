@@ -48,11 +48,12 @@ depends on, none of which clang-tidy checks:
                   LinearGain::to_db() (or radio::from_db/to_db at raw-double
                   boundaries) so conversion sites stay auditable.
   raw-event-copy  no by-value sim::Event outside src/sim/: the slim Event
-                  header and its payload-handle union are the event core's
+                  header and its payload union are the event core's
                   private wire format. Code elsewhere consumes the typed
                   observer structs (TxEvent/RxEvent) or MacContext hooks;
-                  a stray Event copy smuggles a PacketHandle past the pool's
-                  generation discipline.
+                  a stray Event copy carries a staged-packet index or a
+                  timer's generation stamp away from the layer that gives
+                  it meaning.
   reach-rule      no division of target_received_w by max_power_w
                   outside src/core/power_control.*: the Section-6.1 reach
                   threshold has one home, PowerControl::min_gain(), so the

@@ -114,10 +114,11 @@ std::optional<std::vector<double>> parse_axis(const std::string& text) {
       const auto colon2 = text.find(':', colon + 1);
       if (colon2 == std::string::npos || colon2 + 1 >= text.size())
         return std::nullopt;
-      const double lo = std::stod(text.substr(0, colon));
-      const double hi = std::stod(text.substr(colon + 1, colon2 - colon - 1));
+      const double lo = cli::parse_real(text.substr(0, colon));
+      const double hi = cli::parse_real(
+          text.substr(colon + 1, colon2 - colon - 1));
       const char kind = text[colon2 + 1];
-      const double step = std::stod(text.substr(colon2 + 2));
+      const double step = cli::parse_real(text.substr(colon2 + 2));
       if (lo <= 0 && kind == 'x') return std::nullopt;
       if (kind == 'x' && step <= 1.0) return std::nullopt;
       if (kind == '+' && step <= 0.0) return std::nullopt;
@@ -131,7 +132,7 @@ std::optional<std::vector<double>> parse_axis(const std::string& text) {
     } else {
       return parse_list<double>(text, [](const std::string& piece) {
         return piece.empty() ? std::nullopt
-                             : std::optional<double>(std::stod(piece));
+                             : std::optional<double>(cli::parse_real(piece));
       });
     }
   } catch (const std::exception&) {
@@ -187,14 +188,9 @@ bool parse(int argc, char** argv, Options& opt) {
   cli::take(kv, "duration", opt.spec.base.duration_s);
   cli::take(kv, "drain", opt.spec.base.drain_s);
   cli::take(kv, "jobs", opt.jobs);
-  if (auto it = kv.find("paired"); it != kv.end()) {
-    opt.spec.paired_seeds = it->second != "0";
-    kv.erase(it);
-  }
-  if (auto it = kv.find("progress"); it != kv.end()) {
-    opt.progress = it->second != "0";
-    kv.erase(it);
-  }
+  if (!cli::take_switch(kv, "paired", opt.spec.paired_seeds) ||
+      !cli::take_switch(kv, "progress", opt.progress))
+    return false;
   double beacon_s = 0.0;
   if (!cli::take_shared(kv, opt.spec.base, beacon_s)) return false;
   cli::take(kv, "json", opt.json_path);
