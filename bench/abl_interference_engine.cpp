@@ -58,7 +58,7 @@ struct RunResult {
   std::uint64_t rss_before_kb = 0;
   std::uint64_t rss_after_setup_kb = 0;
   std::uint64_t peak_rss_kb = 0;
-  std::uint64_t matrix_bytes = 0;  // analytic dense-matrix footprint (0 = none)
+  std::uint64_t matrix_bytes = 0;  // dense-matrix gain storage (0 = none)
 };
 
 /// Nearest-neighbour targets for every station, via the grid (O(M log)-ish;
@@ -88,7 +88,7 @@ RunResult churn(radio::InterferenceEngineKind kind,
         placement, std::make_shared<radio::FreeSpacePropagation>(), nf);
   } else {
     auto gains = radio::make_dense_gains(placement, model);
-    r.matrix_bytes = gains.size() * gains.size() * sizeof(double);
+    r.matrix_bytes = gains.memory_bytes();
     engine = radio::make_compensated_engine(std::move(gains));
   }
   engine->set_thermal_noise(radio::Watts{1.0e-15});

@@ -254,7 +254,7 @@ drn::routing::Graph routing_graph(std::size_t stations) {
 }
 
 /// The dense gain build of every compensated trial: M(M-1)/2 model calls
-/// in parallel row blocks, then the mirrored lower triangle. Wall time, since
+/// into the packed upper triangle, in parallel row blocks. Wall time, since
 /// the work is spread over hardware_jobs() threads.
 void BM_DenseGains(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
@@ -262,7 +262,7 @@ void BM_DenseGains(benchmark::State& state) {
   const drn::radio::FreeSpacePropagation model;
   for (auto _ : state) {
     auto gains = drn::radio::PropagationMatrix::from_placement(placement, model);
-    benchmark::DoNotOptimize(gains.row(0));
+    benchmark::DoNotOptimize(gains.gain(0, 0));
   }
   state.SetLabel("stations=" + std::to_string(stations));
 }

@@ -107,7 +107,7 @@ class LiveSlots {
 //
 // Everything a walk reads is laid out as parallel arrays: the ActiveSet and
 // one array per field of the live slots (tx_id, rx, sum, ops). Gains are
-// read through PropagationMatrix::row() pointers.
+// read through PropagationMatrix::row() views, one bounds check per walk.
 //
 // Slot order is free: a visit touches only its own slot and the client's
 // record for its own handle. That also lets a walk run in two passes, the
@@ -135,9 +135,9 @@ class CompensatedEngine final : public InterferenceEngine {
                         const AffectedVisitor& affected) override {
     const double power_w = power.value();
     active_.insert(tx_id, from, power_w);
-    // By symmetry row(from)[rx] == gain(rx, from): the walk over open
-    // receptions reads one contiguous row instead of striding a column.
-    const double* from_row = gains_.row(from);
+    // By reciprocity row(from)[rx] == gain(rx, from): one stored double
+    // per pair serves both directions.
+    const PropagationMatrix::Row from_row = gains_.row(from);
     const std::size_t n = slot_rx_.size();
     walk_watts_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -163,7 +163,7 @@ class CompensatedEngine final : public InterferenceEngine {
     const StationId from = active_.from[k];
     const double power_w = active_.power_w[k];
     active_.erase(k);
-    const double* from_row = gains_.row(from);
+    const PropagationMatrix::Row from_row = gains_.row(from);
     const std::size_t n = slot_rx_.size();
     walk_watts_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -184,7 +184,7 @@ class CompensatedEngine final : public InterferenceEngine {
       std::uint64_t tx_id, StationId rx,
       const ContributionVisitor& contribution) override {
     (void)active_.find(tx_id);  // must be on the air
-    const double* rx_row = gains_.row(rx);
+    const PropagationMatrix::Row rx_row = gains_.row(rx);
     CompensatedSum sum;
     for (std::size_t k = 0; k < active_.id.size(); ++k) {
       const StationId from = active_.from[k];
@@ -224,7 +224,7 @@ class CompensatedEngine final : public InterferenceEngine {
   }
 
   [[nodiscard]] Watts power_at(StationId st) const override {
-    const double* st_row = gains_.row(st);
+    const PropagationMatrix::Row st_row = gains_.row(st);
     CompensatedSum sum;
     for (std::size_t k = 0; k < active_.id.size(); ++k)
       sum.add(st_row[active_.from[k]] * active_.power_w[k]);
@@ -262,7 +262,7 @@ class CompensatedEngine final : public InterferenceEngine {
   /// active set, in ascending tx-id order.
   [[nodiscard]] CompensatedSum exact_sum(std::uint64_t tx_id,
                                          StationId rx) const {
-    const double* rx_row = gains_.row(rx);
+    const PropagationMatrix::Row rx_row = gains_.row(rx);
     CompensatedSum sum;
     for (std::size_t k = 0; k < active_.id.size(); ++k) {
       const StationId from = active_.from[k];

@@ -8,11 +8,13 @@
 // construct entries in the propagation matrix H").
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "common/types.hpp"
 #include "geo/placement.hpp"
 #include "radio/propagation.hpp"
@@ -20,10 +22,35 @@
 
 namespace drn::radio {
 
-/// Dense M x M matrix of power gains. Immutable after construction except for
-/// explicit set_gain (used by tests and obstruction scenarios).
+/// M x M matrix of power gains. Immutable after construction except for
+/// explicit set_gain (used by tests, obstruction scenarios and mobility).
+///
+/// The physical channel is reciprocal, so gain(i, j) == gain(j, i) holds by
+/// construction: each unordered pair {i, j} owns one stored double. Storage
+/// is the packed upper triangle with its diagonal, M(M+1)/2 doubles (67 MB
+/// at M = 4096, half a full M x M matrix): row i holds j = i..M-1 contiguously,
+/// entry j at offset i(2M-i-1)/2 + j. The M row offsets are kept in a table.
 class PropagationMatrix {
  public:
+  /// Read-only view of station `s`'s gains: row(s)[other] == gain(s, other).
+  /// Entries with other >= s are contiguous; the rest stride down the
+  /// packed columns. `other` is not bounds-checked (row() checked `s`). A
+  /// view points into the matrix, so it must not outlive it.
+  class Row {
+   public:
+    [[nodiscard]] double operator[](StationId other) const {
+      return gains_[packed_index(row_offset_, s_, other)];
+    }
+
+   private:
+    friend class PropagationMatrix;
+    Row(const double* gains, const std::size_t* row_offset, StationId s)
+        : gains_(gains), row_offset_(row_offset), s_(s) {}
+    const double* gains_;
+    const std::size_t* row_offset_;
+    StationId s_;
+  };
+
   /// Builds the matrix from station positions under a propagation model.
   /// The diagonal (a station's coupling to its own transmitter) is set to
   /// `self_gain`; the paper treats self-interference as unconditionally fatal
@@ -41,7 +68,13 @@ class PropagationMatrix {
                              LinearGain self_gain = LinearGain{1.0});
 
   /// Number of stations M.
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return row_offset_.size(); }
+
+  /// Bytes of storage: M(M+1)/2 gains plus the M row offsets.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return gains_.size() * sizeof(double) +
+           row_offset_.size() * sizeof(std::size_t);
+  }
 
   /// Power gain from transmitter `tx` to receiver `rx`, as a raw double.
   /// This is the per-event hot path; the raw read is the sanctioned boundary
@@ -50,28 +83,22 @@ class PropagationMatrix {
     return gains_[index(rx, tx)];
   }
 
-  /// The full gain row of station `s`: row(s)[other] == gain(s, other). The
-  /// matrix is exactly symmetric by construction (every write path stores
-  /// the same double in both triangles), so row(tx)[rx] is also gain(rx, tx)
-  /// — which lets a loop over receivers of one transmitter walk memory
-  /// sequentially instead of striding a column of an O(M²) matrix.
-  [[nodiscard]] const double* row(StationId s) const {
-    DRN_EXPECTS(s < size_);
-    return gains_.data() + static_cast<std::size_t>(s) * size_;
+  /// The gains of station `s` as a view; a loop over the receivers of one
+  /// transmitter pays one bounds check for the whole walk.
+  [[nodiscard]] Row row(StationId s) const {
+    DRN_EXPECTS(s < size());
+    return Row(gains_.data(), row_offset_.data(), s);
   }
 
   /// Every station's neighbours: the stations at gain >= `min_gain` from it,
-  /// in ascending id order (never itself). One pass over the upper triangle
-  /// in parallel row blocks, then a serial O(edges) mirror — equal to a scan
-  /// of every full row because the matrix is exactly symmetric.
+  /// in ascending id order (never itself). One pass over the packed upper
+  /// rows in parallel row blocks, then a serial O(edges) mirror.
   [[nodiscard]] std::vector<std::vector<StationId>> neighbors_at_least(
       double min_gain) const;
 
-  /// Sets the gain in BOTH directions (the physical channel is reciprocal).
+  /// Sets the gain of the pair {a, b}, i.e. in both directions (the physical
+  /// channel is reciprocal).
   void set_gain(StationId a, StationId b, LinearGain gain);
-
-  /// True iff every entry equals its transpose entry.
-  [[nodiscard]] bool is_symmetric() const;
 
  private:
   /// Allocator that leaves a default-constructed double uninitialised, so
@@ -96,10 +123,28 @@ class PropagationMatrix {
   /// An M x M matrix whose entries are all still to be written.
   PropagationMatrix(std::size_t size, Uninitialised);
 
-  [[nodiscard]] std::size_t index(StationId rx, StationId tx) const;
+  /// The offsets i(2m-i-1)/2 of the m packed rows.
+  [[nodiscard]] static std::vector<std::size_t> row_offsets(std::size_t m);
 
-  std::size_t size_;
-  // row-major: gains_[rx * size_ + tx]
+  /// Packed position of the pair {a, b}: row min(a, b), column max(a, b).
+  /// Written so that GCC emits no branch: the column is a + b - min, not a
+  /// second comparison, and the row offset is a table read, not a multiply.
+  /// With min and max, GCC branched on a < b, which a walk over receivers
+  /// mispredicts half the time; the multiply made the walk's index chain
+  /// longer than the full matrix's (EXPERIMENTS P7).
+  [[nodiscard]] static std::size_t packed_index(const std::size_t* row_offset,
+                                                std::size_t a, std::size_t b) {
+    const std::size_t lo = std::min(a, b);
+    return row_offset[lo] + (a + b - lo);
+  }
+
+  [[nodiscard]] std::size_t index(StationId rx, StationId tx) const {
+    DRN_EXPECTS(rx < size() && tx < size());
+    return packed_index(row_offset_.data(), rx, tx);
+  }
+
+  // row_offset_[i]: packed row i holds j = i..M-1 at row_offset_[i] + j
+  std::vector<std::size_t> row_offset_;
   std::vector<double, DefaultInitAllocator<double>> gains_;
 };
 

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -87,11 +88,19 @@ TEST(ParallelFor, NestedDenseBuildEqualsTopLevelBuild) {
   std::vector<std::vector<double>> nested(2);
   parallel_for(nested.size(), 2, [&](std::size_t k) {
     const auto m = radio::PropagationMatrix::from_placement(placement, model);
-    nested[k].assign(m.row(0), m.row(0) + m.size() * m.size());  // serial
+    for (StationId i = 0; i < m.size(); ++i)  // serial
+      for (StationId j = 0; j < m.size(); ++j)
+        nested[k].push_back(m.gain(i, j));
   });
   for (const auto& n : nested) {
     ASSERT_EQ(n.size(), top.size() * top.size());
-    EXPECT_EQ(std::memcmp(n.data(), top.row(0), n.size() * sizeof(double)), 0);
+    std::size_t differing = 0;
+    for (StationId i = 0; i < top.size(); ++i)
+      for (StationId j = 0; j < top.size(); ++j)
+        if (std::bit_cast<std::uint64_t>(n[i * top.size() + j]) !=
+            std::bit_cast<std::uint64_t>(top.gain(i, j)))
+          ++differing;
+    EXPECT_EQ(differing, 0u);
   }
 }
 

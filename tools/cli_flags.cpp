@@ -17,7 +17,12 @@ bool tokenize(int argc, char** argv, Flags& flags, bool& help) {
       std::cerr << "bad argument: " << key << " (try --help)\n";
       return false;
     }
-    flags[key.substr(2)] = argv[++i];
+    // A repeated flag is refused: keeping either value silently would run
+    // a command other than the one typed.
+    if (!flags.emplace(key.substr(2), argv[++i]).second) {
+      std::cerr << "repeated option: " << key << " (give each flag once)\n";
+      return false;
+    }
   }
   return true;
 }
@@ -148,8 +153,9 @@ bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
     std::cerr << matrix_m << " stations"
               << (matrix_m > max_stations ? " (jammers included)" : "")
               << " exceed the " << radio::kDenseMatrixGuardM
-              << "-station limit: trial setup builds a dense M x M gain "
-                 "matrix. The sparse setup pipeline (ROADMAP.md, "
+              << "-station limit: trial setup builds an M x M gain "
+                 "matrix (M(M+1)/2 stored doubles). The sparse setup "
+                 "pipeline (ROADMAP.md, "
                  "\"Matrix-free setup\") is the way past it.\n";
     return false;
   }

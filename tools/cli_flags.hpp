@@ -43,7 +43,7 @@ inline constexpr const char* kDynamicsHelp =
 using Flags = std::map<std::string, std::string>;
 
 /// Splits argv into `flags`; sets `help` on --help / -h. False on a token
-/// that is not "--key value".
+/// that is not "--key value" or on a flag given twice.
 bool tokenize(int argc, char** argv, Flags& flags, bool& help);
 
 /// All of `text` as a number: std::stod alone reads "50abc" as 50, so
@@ -81,7 +81,7 @@ bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s);
 /// --beacon was given), its stations beacon every `beacon_s` (0.5 s on
 /// auto) and, under churn, time out silent neighbours after 12 intervals
 /// and re-adopt returnees. `max_stations` is the largest station count the
-/// command will run; setup builds a dense M x M gain matrix, so counts
+/// command will run; setup builds an M x M gain matrix, so counts
 /// above radio::kDenseMatrixGuardM are refused here rather than deep inside
 /// a trial.
 bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,

@@ -13,6 +13,7 @@
 // index, never from scheduling). Timing (wall seconds, trials/sec) is
 // emitted as a separate JSON line on stderr so results files can be diffed.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
@@ -47,6 +48,8 @@ Axis values accept three forms:
   a,b,c       explicit list          (e.g. --stations 50,100,200)
   lo:hi:xF    geometric, step xF     (e.g. --stations 20:320:x2 -> 20 40 80 160 320)
   lo:hi:+S    arithmetic, step +S    (e.g. --rate 200:600:+200 -> 200 400 600)
+A --stations range rounds each point to the nearest count; a listed or
+single --stations value must be a whole number.
 
 axes (cross-product; every combination is a parameter point)
   --stations AXIS       station counts              (default 40)
@@ -142,13 +145,16 @@ std::optional<std::vector<double>> parse_axis(const std::string& text) {
   return out;
 }
 
+/// A count axis: every value >= 1. A range's points round to the nearest
+/// count ("20:320:x1.5"), but a listed value must already be a whole number.
 std::optional<std::vector<std::size_t>> parse_count_axis(
     const std::string& text) {
   const auto vals = parse_axis(text);
   if (!vals) return std::nullopt;
+  const bool range = text.find(':') != std::string::npos;
   std::vector<std::size_t> out;
   for (double v : *vals) {
-    if (v < 1.0) return std::nullopt;
+    if (v < 1.0 || (!range && v != std::floor(v))) return std::nullopt;
     out.push_back(static_cast<std::size_t>(v + 0.5));
   }
   return out;
