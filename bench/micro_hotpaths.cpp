@@ -306,7 +306,8 @@ BENCHMARK(BM_RoutingTablesBuild)->Arg(100)->Arg(300)->Unit(benchmark::kMilliseco
 
 /// A trial's pattern: M/2 uniform random pairs routed hop by hop from fresh
 /// lazy tables, so only the trees (and tree parts) those routes need are
-/// built.
+/// built. `tree_bytes` is what the routes added to the empty tables, per
+/// tree built.
 void BM_RoutingUniformPairs(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
   const auto graph = routing_graph(stations);
@@ -315,13 +316,18 @@ void BM_RoutingUniformPairs(benchmark::State& state) {
   for (std::size_t i = 0; i < stations / 2; ++i)
     pairs.emplace_back(static_cast<StationId>(rng.uniform_index(stations)),
                        static_cast<StationId>(rng.uniform_index(stations)));
+  double tree_bytes = 0.0;
   for (auto _ : state) {
     const auto tables = drn::routing::RoutingTables::build(graph);
+    const std::size_t empty_bytes = tables.memory_bytes();
     for (auto [at, dst] : pairs) {
       while (at != dst && at != drn::kNoStation) at = tables.next_hop(at, dst);
       benchmark::DoNotOptimize(at);
     }
+    tree_bytes = static_cast<double>(tables.memory_bytes() - empty_bytes) /
+                 static_cast<double>(tables.stats().trees);
   }
+  state.counters["tree_bytes"] = tree_bytes;
   state.SetLabel("stations=" + std::to_string(stations));
 }
 BENCHMARK(BM_RoutingUniformPairs)

@@ -56,8 +56,9 @@ void IdIndex::grow() {
 void NeighborTable::add(Neighbor neighbor) {
   DRN_EXPECTS(neighbor.id != kNoStation);
   DRN_EXPECTS(neighbor.gain > 0.0);
-  DRN_EXPECTS(find(neighbor.id) == nullptr);
   DRN_EXPECTS(neighbors_.size() < IdIndex::kAbsent);
+  // insert() refuses a duplicate id on its own probe path, before this
+  // table changes.
   index_.insert(neighbor.id, static_cast<std::uint32_t>(neighbors_.size()));
   neighbors_.push_back(neighbor);
 }

@@ -60,11 +60,14 @@ class RoutingTables::Lazy {
   explicit Lazy(const Graph& graph)
       : first_(graph.size() + 1),
         trees_(graph.size()),
-        slot_(graph.size(), kNotQueued) {
+        slot_(graph.size(), kNotQueued),
+        cost_(graph.size(), kInf) {
+    DRN_EXPECTS(graph.size() < kSettled);  // a parent word's top bit is free
     for (StationId s = 0; s < graph.size(); ++s) {
       for (const Edge& e : graph.edges(s)) arcs_.push_back({e.to, e.cost});
       first_[s + 1] = arcs_.size();
     }
+    touched_.reserve(graph.size());  // a run sets each entry once at most
   }
 
   [[nodiscard]] std::size_t size() const { return trees_.size(); }
@@ -72,13 +75,31 @@ class RoutingTables::Lazy {
   StationId next_hop(StationId at, StationId dst) {
     DRN_EXPECTS(at < size() && dst < size());
     if (at == dst) return kNoStation;
-    return final_entry(at, dst).parent[at];
+    const StationId parent = final_entry(at, dst).parent[at] & ~kSettled;
+    return parent == kUnreached ? kNoStation : parent;
   }
 
+  /// The arc costs along the parent chain, summed from `dst` outward: the
+  /// very additions the relaxations made, so the sum is the cost Dijkstra
+  /// reached bit for bit.
   double cost(StationId at, StationId dst) {
     DRN_EXPECTS(at < size() && dst < size());
     if (at == dst) return 0.0;
-    return final_entry(at, dst).cost[at];
+    const Tree& t = final_entry(at, dst);
+    if ((t.parent[at] & ~kSettled) == kUnreached) return kInf;
+    std::vector<StationId> chain;
+    for (StationId s = at; s != dst; s = t.parent[s] & ~kSettled)
+      chain.push_back(s);
+    double sum = 0.0;
+    StationId from = dst;
+    for (auto it = chain.rbegin(); it != chain.rend(); from = *it++) {
+      // A relaxation along parallel arcs keeps the cheapest.
+      double arc = kInf;
+      for (std::size_t i = first_[from]; i < first_[from + 1]; ++i)
+        if (arcs_[i].to == *it) arc = std::min(arc, arcs_[i].cost);
+      sum += arc;
+    }
+    return sum;
   }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -87,11 +108,12 @@ class RoutingTables::Lazy {
     std::size_t bytes = first_.capacity() * sizeof(std::size_t) +
                         arcs_.capacity() * sizeof(Arc) +
                         trees_.capacity() * sizeof(std::unique_ptr<Tree>) +
-                        slot_.capacity() * sizeof(std::uint32_t);
+                        slot_.capacity() * sizeof(std::uint32_t) +
+                        cost_.capacity() * sizeof(double) +
+                        touched_.capacity() * sizeof(StationId);
     for (const auto& t : trees_) {
       if (!t) continue;
-      bytes += sizeof(Tree) + t->cost.capacity() * sizeof(double) +
-               t->parent.capacity() * sizeof(StationId) +
+      bytes += sizeof(Tree) + t->parent.capacity() * sizeof(StationId) +
                t->frontier.capacity() * sizeof(HeapItem);
     }
     return bytes;
@@ -104,6 +126,10 @@ class RoutingTables::Lazy {
   };
 
   static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
+  // A tree's word for a station: its parent, with the top bit set once the
+  // station is settled; kUnreached (the root's parent too) until reached.
+  static constexpr StationId kSettled = StationId{1} << 31;
+  static constexpr StationId kUnreached = kSettled - 1;
 
   /// Dijkstra rooted at one destination, paused between queries. `frontier`
   /// is a 4-ary min-heap with one (cost, station) item per reached,
@@ -111,10 +137,10 @@ class RoutingTables::Lazy {
   /// (decrease-key) instead of pushing a second one. Items are distinct, so
   /// the heap pops exactly the item shortest_paths' heap pops next that is
   /// not stale: the stations settle in the same order with the same costs
-  /// and parents, and every pause point is the same. Freed when the tree
-  /// completes.
+  /// and parents, and every pause point is the same. Only the frontier
+  /// keeps costs between runs; the parent words are the whole tree. The
+  /// frontier is freed when the tree completes.
   struct Tree {
-    std::vector<double> cost;
     std::vector<StationId> parent;
     std::vector<HeapItem> frontier;
   };
@@ -127,26 +153,27 @@ class RoutingTables::Lazy {
     std::unique_ptr<Tree>& tree = trees_[dst];
     if (!tree) {
       tree = std::make_unique<Tree>();
-      tree->cost.assign(size(), kInf);
-      tree->parent.assign(size(), kNoStation);
-      tree->cost[dst] = 0.0;
+      tree->parent.assign(size(), kUnreached);
       tree->frontier.emplace_back(0.0, dst);
       ++stats_.trees;
     }
     Tree& t = *tree;
-    const auto pending = [&] {
-      return !t.frontier.empty() && t.frontier.front().first < t.cost[at];
-    };
-    if (!pending()) return t;
-    // Only the running tree needs heap positions: index its frontier into
-    // the shared slot_ array for the run, and clear it again at the pause.
-    // That costs O(frontier) per resume instead of O(M) per paused tree.
-    for (std::size_t i = 0; i < t.frontier.size(); ++i)
-      slot_[t.frontier[i].second] = static_cast<std::uint32_t>(i);
-    do {
+    if ((t.parent[at] & kSettled) != 0 || t.frontier.empty()) return t;
+    // Only the running tree needs costs and heap positions: load its
+    // frontier into the shared cost_ and slot_ arrays for the run, and clear
+    // every entry the run set at the pause. That costs O(frontier + the
+    // run's reach) per resume instead of an O(M) cost array per tree.
+    for (std::size_t i = 0; i < t.frontier.size(); ++i) {
+      const auto [cost, s] = t.frontier[i];
+      slot_[s] = static_cast<std::uint32_t>(i);
+      cost_[s] = cost;
+      touched_.push_back(s);
+    }
+    while (!t.frontier.empty() && t.frontier.front().first < cost_[at])
       step(t);
-    } while (pending());
     for (const HeapItem& item : t.frontier) slot_[item.second] = kNotQueued;
+    for (const StationId s : touched_) cost_[s] = kInf;
+    touched_.clear();
     return t;
   }
 
@@ -154,22 +181,38 @@ class RoutingTables::Lazy {
   void step(Tree& t) {
     const auto [cost, at] = t.frontier.front();
     slot_[at] = kNotQueued;
+    t.parent[at] |= kSettled;
     const HeapItem last = t.frontier.back();
     t.frontier.pop_back();
     if (!t.frontier.empty()) sift_down(t, last);
     ++stats_.settled;
-    for (std::size_t i = first_[at]; i < first_[at + 1]; ++i) {
-      const Arc& e = arcs_[i];
-      const double candidate = cost + e.cost;
-      if (candidate < t.cost[e.to]) {
-        t.cost[e.to] = candidate;
-        t.parent[e.to] = at;
-        std::uint32_t pos = slot_[e.to];
+    // Locals: the compiler would reload these members on every relaxation,
+    // as the rare branch below stores through pointers.
+    const Arc* const end = arcs_.data() + first_[at + 1];
+    double* const known_cost = cost_.data();
+    for (const Arc* e = arcs_.data() + first_[at]; e != end; ++e) {
+      const double candidate = cost + e->cost;
+      double& known = known_cost[e->to];
+      if (candidate < known) {
+        // Not reached in this run. Settled in an earlier one: it reads
+        // -inf for the rest of the run, so later relaxations fail at the
+        // first compare, as they would against its final cost. Otherwise
+        // it is reached for the first time.
+        if (known == kInf) {
+          touched_.push_back(e->to);
+          if ((t.parent[e->to] & kSettled) != 0) {
+            known = -kInf;
+            continue;
+          }
+        }
+        known = candidate;
+        t.parent[e->to] = at;
+        std::uint32_t pos = slot_[e->to];
         if (pos == kNotQueued) {
           pos = static_cast<std::uint32_t>(t.frontier.size());
           t.frontier.emplace_back();
         }
-        sift_up(t, pos, HeapItem{candidate, e.to});
+        sift_up(t, pos, HeapItem{candidate, e->to});
       }
     }
     if (t.frontier.empty()) t.frontier = {};  // tree complete
@@ -212,9 +255,13 @@ class RoutingTables::Lazy {
   std::vector<std::size_t> first_;  // arcs of s: [first_[s], first_[s + 1])
   std::vector<Arc> arcs_;
   std::vector<std::unique_ptr<Tree>> trees_;  // by destination
-  // Heap position of each station in the frontier of the tree being run,
-  // kNotQueued otherwise (all of it between runs).
+  // The tree being run: each station's heap position in its frontier
+  // (kNotQueued otherwise), and its cost if reached in this run (its final
+  // cost once settled in it, -inf if it was settled in an earlier run,
+  // +inf otherwise). All kNotQueued and +inf between runs.
   std::vector<std::uint32_t> slot_;
+  std::vector<double> cost_;
+  std::vector<StationId> touched_;  // stations whose cost_ the run set
   Stats stats_;
 };
 

@@ -39,8 +39,9 @@ struct PathTree {
 /// soon as the queried station's entry is final and resumes for a later
 /// query further out. Pausing does not change the computation, so every
 /// answer equals the one shortest_paths(graph, dst) gives, bit for bit.
-/// Memory is O(M + E) up front plus O(M) per destination queried, never an
-/// M x M table. Copies and router() closures share one set of trees; like
+/// Memory is O(M + E) up front plus one 4-byte word per station per
+/// destination queried (and the frontier of a tree not yet complete), never
+/// an M x M table. Copies and router() closures share one set of trees; like
 /// the Simulator they serve, they must be used from one thread at a time.
 class RoutingTables {
  public:

@@ -5,6 +5,7 @@
 // points).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -39,6 +40,20 @@ Graph section8_graph(std::size_t stations, double region_m,
                      std::uint64_t seed) {
   return Graph::min_energy(section8_gains(stations, region_m, seed),
                            min_gain());
+}
+
+/// A 30 x 30 lattice with every edge costing 0.5.
+Graph tie_lattice() {
+  constexpr StationId kSide = 30;
+  Graph g(kSide * kSide);
+  for (StationId y = 0; y < kSide; ++y) {
+    for (StationId x = 0; x < kSide; ++x) {
+      const StationId s = y * kSide + x;
+      if (x + 1 < kSide) g.add_edge(s, s + 1, 0.5, 1.0);
+      if (y + 1 < kSide) g.add_edge(s, s + kSide, 0.5, 1.0);
+    }
+  }
+  return g;
 }
 
 /// Every (at, dst) pair, at != dst, in a seeded random order.
@@ -98,16 +113,7 @@ TEST(LazyRouting, MatchesEagerTablesOnLatticeWithExactTies) {
   // station id orders them, and the wide diamond-shaped frontiers make deep
   // heaps. Decrease-key must settle stations in shortest_paths' order under
   // queries interleaved across all 900 trees.
-  constexpr StationId kSide = 30;
-  Graph g(kSide * kSide);
-  for (StationId y = 0; y < kSide; ++y) {
-    for (StationId x = 0; x < kSide; ++x) {
-      const StationId s = y * kSide + x;
-      if (x + 1 < kSide) g.add_edge(s, s + 1, 0.5, 1.0);
-      if (y + 1 < kSide) g.add_edge(s, s + kSide, 0.5, 1.0);
-    }
-  }
-  expect_matches_oracle(g, 13);
+  expect_matches_oracle(tie_lattice(), 13);
 }
 
 TEST(LazyRouting, MatchesEagerTablesOnDisconnectedGraph) {
@@ -135,9 +141,11 @@ TEST(LazyRouting, BuildsTreesOnlyForQueriedDestinations) {
   EXPECT_GT(stats.settled, 0u);
   EXPECT_LE(stats.settled, 2u * g.size());
   EXPECT_GT(tables.memory_bytes(), empty_bytes);
-  // Two O(M) trees, nothing like the M x M tables.
+  // Two trees of one parent word per station plus 3 KB of slack for their
+  // frontiers (the growth is 3.4 KB in all): nothing like the M x M tables,
+  // and a per-tree cost array (2 x M x 8 B more) would not fit.
   EXPECT_LT(tables.memory_bytes() - empty_bytes,
-            4 * g.size() * (sizeof(double) + sizeof(StationId)) + 4096);
+            2 * g.size() * sizeof(StationId) + 3072);
 }
 
 TEST(LazyRouting, PausesAtTheQueriedStation) {
@@ -155,6 +163,112 @@ TEST(LazyRouting, PausesAtTheQueriedStation) {
   EXPECT_EQ(tables.stats().settled, 9u);
   EXPECT_TRUE(tables.prefix_consistent());  // queries every destination
   EXPECT_EQ(tables.stats().trees, 10u);
+}
+
+/// Where a station stands in a tree paused after its farthest query reached
+/// cost `reach`: settled if its final cost is below `reach` (the run pops
+/// stations in cost order and stops at the first one not below it), on the
+/// frontier if a settled station neighbours it, unreached otherwise.
+enum Where { kSettled, kFrontier, kUnreached };
+
+Where where(const Graph& g, const PathTree& t, double reach, StationId s) {
+  if (t.cost[s] < reach) return kSettled;
+  for (const Edge& e : g.edges(s))
+    if (t.cost[e.to] < reach) return kFrontier;
+  return kUnreached;
+}
+
+/// Resumes the trees toward `dsts` in turns, each turn asking one tree about
+/// a station it settled in an earlier run, a frontier station and one a few
+/// places past the frontier, so every run starts from a pause that left
+/// another tree's costs in the shared scratch. Every answer must equal the
+/// oracle's bit for bit, and the settled count must be exactly what the
+/// pauses imply. Returns how many queries hit each kind of station.
+std::vector<std::size_t> expect_interleaved_match(
+    const Graph& g, const std::vector<StationId>& dsts, std::size_t rounds,
+    std::uint64_t seed) {
+  std::vector<PathTree> oracle;
+  std::vector<double> reach(dsts.size(), 0.0);  // no query yet: none settled
+  for (const StationId dst : dsts) oracle.push_back(shortest_paths(g, dst));
+  const auto tables = RoutingTables::build(g);
+  Rng rng(seed);
+  std::vector<std::size_t> hits(3, 0);
+  std::size_t mismatches = 0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t d = 0; d < dsts.size(); ++d) {
+      const PathTree& t = oracle[d];
+      for (const Where kind : {kSettled, kFrontier, kUnreached}) {
+        std::vector<StationId> pick;
+        for (StationId s = 0; s < g.size(); ++s)
+          if (s != dsts[d] && where(g, t, reach[d], s) == kind)
+            pick.push_back(s);
+        if (pick.empty()) continue;
+        if (kind == kUnreached) {  // one of the nearest: resume a little way
+          std::sort(pick.begin(), pick.end(), [&](StationId a, StationId b) {
+            return std::pair(t.cost[a], a) < std::pair(t.cost[b], b);
+          });
+          pick.resize(std::min<std::size_t>(pick.size(), 8));
+        }
+        const StationId at = pick[rng.uniform_index(pick.size())];
+        ++hits[kind];
+        if (tables.next_hop(at, dsts[d]) != t.parent[at]) ++mismatches;
+        if (tables.cost(at, dsts[d]) != t.cost[at]) ++mismatches;
+        reach[d] = std::max(reach[d], t.cost[at]);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  std::uint64_t settled = 0;
+  for (std::size_t d = 0; d < dsts.size(); ++d)
+    for (StationId s = 0; s < g.size(); ++s)
+      settled += oracle[d].cost[s] < reach[d] ? 1 : 0;
+  EXPECT_EQ(tables.stats().trees, dsts.size());
+  EXPECT_EQ(tables.stats().settled, settled);
+  return hits;
+}
+
+TEST(LazyRouting, InterleavedResumesShareScratch) {
+  // A tab_sec8 cell and the tie lattice, three trees each.
+  const Graph cell = section8_graph(100, 1600.0, runner::trial_seed(606, 3));
+  const Graph lattice = tie_lattice();
+  for (const auto& [g, dsts] :
+       {std::pair(&cell, std::vector<StationId>{7, 50, 93}),
+        std::pair(&lattice, std::vector<StationId>{0, 435, 899})}) {
+    const auto hits = expect_interleaved_match(*g, dsts, 40, 17);
+    EXPECT_GT(hits[kSettled], 0u);
+    EXPECT_GT(hits[kFrontier], 0u);
+    EXPECT_GT(hits[kUnreached], 0u);
+  }
+
+  // Two trees on a path 0-1-...-9, toward either end: the settled count
+  // after each query, by hand. Dearer parallel arcs before and after the
+  // unit one between 4 and 5 must not enter a cost.
+  Graph path(10);
+  path.add_edge(4, 5, 2.5, 1.0);
+  for (StationId s = 0; s + 1 < 10; ++s) path.add_edge(s, s + 1, 1.0, 1.0);
+  path.add_edge(4, 5, 3.5, 1.0);
+  const auto tables = RoutingTables::build(path);
+  EXPECT_EQ(tables.next_hop(3, 0), 2u);  // settles 0, 1, 2
+  EXPECT_EQ(tables.next_hop(6, 9), 7u);  // settles 9, 8, 7
+  EXPECT_EQ(tables.stats().settled, 6u);
+  EXPECT_EQ(tables.next_hop(1, 0), 0u);  // settled in the first run
+  EXPECT_EQ(tables.cost(3, 0), 3.0);     // the frontier's minimum: final
+  EXPECT_EQ(tables.stats().settled, 6u);
+  EXPECT_EQ(tables.cost(5, 9), 4.0);     // settles 6
+  EXPECT_EQ(tables.next_hop(8, 9), 9u);  // settled in an earlier run
+  EXPECT_EQ(tables.stats().settled, 7u);
+  EXPECT_EQ(tables.next_hop(9, 0), 8u);  // settles 3 to 8
+  EXPECT_EQ(tables.cost(0, 9), 9.0);     // settles 5 to 1
+  EXPECT_EQ(tables.stats().settled, 18u);
+  for (const StationId dst : {StationId{0}, StationId{9}}) {
+    const PathTree t = shortest_paths(path, dst);
+    for (StationId at = 0; at < 10; ++at) {
+      if (at == dst) continue;
+      EXPECT_EQ(tables.next_hop(at, dst), t.parent[at]);
+      EXPECT_EQ(tables.cost(at, dst), t.cost[at]);
+    }
+  }
+  EXPECT_EQ(tables.stats().trees, 2u);
 }
 
 TEST(LazyRouting, RouterSharesTreesAndOutlivesTables) {
