@@ -248,9 +248,16 @@ drn::radio::PropagationMatrix free_space_gains(std::size_t stations,
 /// The multihop design point's reach: target 1 nW at 0.16 mW, r <= 400 m.
 constexpr double kMinGain = 6.25e-6;
 
+/// The disc radius that keeps the Section 8 density the trial benchmark
+/// scales by: 1000 stations in 5000 m, about six edges per station.
+double trial_density_region_m(std::size_t stations) {
+  return 5000.0 * std::sqrt(static_cast<double>(stations) / 1000.0);
+}
+
+/// The min-energy graph at trial density, which is what routing runs on.
 drn::routing::Graph routing_graph(std::size_t stations) {
-  return drn::routing::Graph::min_energy(free_space_gains(stations, 1000.0),
-                                         kMinGain);
+  return drn::routing::Graph::min_energy(
+      free_space_gains(stations, trial_density_region_m(stations)), kMinGain);
 }
 
 /// The dense gain build of every compensated trial: M(M-1)/2 model calls
@@ -272,14 +279,12 @@ BENCHMARK(BM_DenseGains)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// The min-energy graph's O(M²) pair scan over a built matrix, at the
-/// Section 8 density the trial benchmark scales by (1000 stations in a
-/// 5000 m disc; about six edges per station), so the scan, not edge
-/// insertion, is what is timed.
+/// The min-energy graph's O(M²) pair scan over a built matrix, at trial
+/// density, so the scan, not edge insertion, is what is timed.
 void BM_MinEnergyGraph(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
-  const auto gains = free_space_gains(
-      stations, 5000.0 * std::sqrt(static_cast<double>(stations) / 1000.0));
+  const auto gains =
+      free_space_gains(stations, trial_density_region_m(stations));
   for (auto _ : state) {
     auto graph = drn::routing::Graph::min_energy(gains, kMinGain);
     benchmark::DoNotOptimize(graph.edge_count());

@@ -2,28 +2,12 @@
 
 #include <cstdio>
 
-namespace drn::units {
+namespace drn::units::detail {
 
-namespace {
-
-std::string with_unit(double value, const char* unit) {
+std::string with_symbol(double value, const char* symbol) {
   char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g %s", value, unit);
+  std::snprintf(buf, sizeof buf, "%.6g %s", value, symbol);
   return buf;
 }
 
-}  // namespace
-
-std::string format(Seconds q) { return with_unit(q.value(), "s"); }
-std::string format(Meters q) { return with_unit(q.value(), "m"); }
-std::string format(Watts q) { return with_unit(q.value(), "W"); }
-std::string format(Milliwatts q) { return with_unit(q.value(), "mW"); }
-std::string format(LinearGain q) { return with_unit(q.value(), "x"); }
-std::string format(Decibels q) { return with_unit(q.value(), "dB"); }
-std::string format(DecibelMilliwatts q) { return with_unit(q.value(), "dBm"); }
-std::string format(Hertz q) { return with_unit(q.value(), "Hz"); }
-std::string format(BitsPerSecond q) { return with_unit(q.value(), "bit/s"); }
-std::string format(Bits q) { return with_unit(q.value(), "bit"); }
-std::string format(Slots q) { return with_unit(q.value(), "slots"); }
-
-}  // namespace drn::units
+}  // namespace drn::units::detail

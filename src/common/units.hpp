@@ -4,11 +4,13 @@
 // beta * (2^(C/W) - 1) of Eq. 3-6, the S/N = 1/(eta ln M) scaling law of
 // Eq. 15, the W/C processing gain of Section 6 — and a silent dB-vs-linear,
 // power-vs-gain or seconds-vs-slots mixup produces plausible-but-wrong curves
-// that no runtime test reliably catches. Each type below wraps exactly one
-// double (so codegen is identical to raw doubles) and permits only the
-// dimensionally valid operations:
+// that no runtime test reliably catches. Every unit below is one
+// Quantity<Tag>: it wraps exactly one double (so codegen is identical to raw
+// doubles) and permits only the dimensionally valid operations. Like
+// quantities add, subtract, negate, scale by a double and order; the ratio of
+// two like quantities is a plain double, except that a power ratio (an SINR)
+// and a gain ratio are LinearGain. Across dimensions only these exist:
 //
-//   Watts / Watts            -> LinearGain        (an SINR, Eq. 5-6)
 //   Watts * LinearGain       -> Watts             (received power S = P h^2)
 //   Hertz / BitsPerSecond    -> LinearGain        (processing gain W/C, Sec 6)
 //   Bits  / BitsPerSecond    -> Seconds           (packet airtime)
@@ -16,270 +18,155 @@
 //   Decibels::to_linear()    -> LinearGain        (explicit, at the boundary)
 //   LinearGain::to_db()      -> Decibels          (explicit, at the boundary)
 //
-// and rejects the invalid ones at compile time: Decibels + Watts, dBm + dBm,
-// Meters / Seconds, Watts * Watts, implicit wrap/unwrap of raw doubles.
-// tests/static/ keeps a probe per rejected operation under try_compile, so
-// the "does not compile" contract is itself tested.
+// and the invalid ones are rejected at compile time: Decibels + Watts,
+// Meters / Seconds, Watts * Watts, Watts::to_db(), implicit wrap/unwrap of
+// raw doubles. tests/static/ keeps a probe per rejected operation under
+// try_compile, so the "does not compile" contract is itself tested.
 //
 // Construction from a raw double is always explicit and extraction is always
 // a spelled-out .value(): the boundary where unit discipline starts and ends
-// is grep-able. Equality operators are deliberately absent — exact == on a
+// is grep-able. Equality operators are deliberately deleted — exact == on a
 // computed physical quantity is almost always a bug (see drn_lint float-eq);
 // compare with <, <=, >, >= or extract values and use a tolerance.
 #pragma once
 
 #include <cmath>
+#include <concepts>
 #include <string>
+#include <type_traits>
 
 #include "common/expects.hpp"
 
 namespace drn::units {
 
-class LinearGain;
-class Decibels;
-class DecibelMilliwatts;
-class Milliwatts;
-class Watts;
-class Seconds;
-class Bits;
-class BitsPerSecond;
-
 /// Time in seconds: slot durations, airtimes, clock readings (Section 7).
-class Seconds {
- public:
-  constexpr Seconds() = default;
-  explicit constexpr Seconds(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
+struct SecondsTag {
+  static constexpr const char* kSymbol = "s";
 };
-
 /// Distance in metres: ranges r, region radii, the characteristic length
 /// R0 = 1/sqrt(sigma) of Section 4.
-class Meters {
- public:
-  constexpr Meters() = default;
-  explicit constexpr Meters(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
+struct MetersTag {
+  static constexpr const char* kSymbol = "m";
 };
-
 /// Linear power in watts: transmit power P, received signal S, noise and
 /// interference N of Eq. 5-6.
-class Watts {
- public:
-  constexpr Watts() = default;
-  explicit constexpr Watts(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
-  /// Watts -> milliwatts (exact scale by 1000).
-  [[nodiscard]] constexpr Milliwatts to_milliwatts() const;
-  /// Watts -> absolute power in dBm. Requires positive power.
-  [[nodiscard]] DecibelMilliwatts to_dbm() const;
-
- private:
-  double value_ = 0.0;
+struct WattsTag {
+  static constexpr const char* kSymbol = "W";
 };
-
-/// Linear power in milliwatts — the CLI-facing unit; convert explicitly.
-class Milliwatts {
- public:
-  constexpr Milliwatts() = default;
-  explicit constexpr Milliwatts(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
-  /// Milliwatts -> watts (exact scale by 1/1000).
-  [[nodiscard]] constexpr Watts to_watts() const;
-
- private:
-  double value_ = 0.0;
-};
-
 /// Dimensionless linear power ratio: path gains h^2 (Section 3.3), SINR
 /// (Eq. 5-6), processing gain W/C (Section 6), margins in linear form.
-class LinearGain {
- public:
-  constexpr LinearGain() = default;
-  explicit constexpr LinearGain(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
-  /// Linear ratio -> decibels, 10 log10(ratio). Requires a positive ratio.
-  [[nodiscard]] Decibels to_db() const;
-
- private:
-  double value_ = 0.0;
+struct LinearGainTag {
+  static constexpr const char* kSymbol = "x";
 };
-
 /// Relative power ratio in decibels: the 5 dB margin beta of Eq. 4, shadowing
 /// sigma, the "6 dB per doubling of distance" of Section 3.3. Never added to
 /// a linear quantity; convert explicitly with to_linear().
-class Decibels {
- public:
-  constexpr Decibels() = default;
-  explicit constexpr Decibels(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
-  /// Decibels -> linear power ratio, 10^(dB/10).
-  [[nodiscard]] LinearGain to_linear() const;
-
- private:
-  double value_ = 0.0;
+struct DecibelsTag {
+  static constexpr const char* kSymbol = "dB";
 };
-
-/// Absolute power in decibels relative to one milliwatt. An absolute level,
-/// not a ratio: dBm + dBm does not exist; dBm +/- dB and dBm - dBm -> dB do.
-class DecibelMilliwatts {
- public:
-  constexpr DecibelMilliwatts() = default;
-  explicit constexpr DecibelMilliwatts(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
-  /// dBm -> watts.
-  [[nodiscard]] Watts to_watts() const;
-
- private:
-  double value_ = 0.0;
-};
-
 /// Bandwidth in hertz: the spread-spectrum bandwidth W of Eq. 3.
-class Hertz {
- public:
-  constexpr Hertz() = default;
-  explicit constexpr Hertz(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
+struct HertzTag {
+  static constexpr const char* kSymbol = "Hz";
 };
-
 /// Data rate in bits/second: the channel capacity C of Eq. 3.
-class BitsPerSecond {
- public:
-  constexpr BitsPerSecond() = default;
-  explicit constexpr BitsPerSecond(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
+struct BitsPerSecondTag {
+  static constexpr const char* kSymbol = "bit/s";
 };
-
 /// Packet length in bits.
-class Bits {
- public:
-  constexpr Bits() = default;
-  explicit constexpr Bits(double value) : value_(value) {}
-  [[nodiscard]] constexpr double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
+struct BitsTag {
+  static constexpr const char* kSymbol = "bit";
 };
-
 /// Dimensionless count of schedule slots (Section 7): a position or wait in
 /// the slot grid, distinct from the seconds it spans until multiplied by a
 /// slot duration.
-class Slots {
+struct SlotsTag {
+  static constexpr const char* kSymbol = "slots";
+};
+
+/// One double carrying the dimension named by `Tag`.
+template <class Tag>
+class Quantity {
+  // A power ratio is an SINR / relative level (Eq. 5-6), and cascaded gains
+  // divide to a gain; every other like-over-like ratio is a plain number.
+  using Ratio = std::conditional_t<std::same_as<Tag, WattsTag> ||
+                                       std::same_as<Tag, LinearGainTag>,
+                                   Quantity<LinearGainTag>, double>;
+
  public:
-  constexpr Slots() = default;
-  explicit constexpr Slots(double value) : value_(value) {}
+  constexpr Quantity() = default;
+  explicit constexpr Quantity(double value) : value_(value) {}
   [[nodiscard]] constexpr double value() const { return value_; }
+
+  // The only bridges between the decibel and linear worlds. Formulas are
+  // bit-identical to the historical radio/units.hpp helpers so migrating a
+  // call site never changes a result.
+
+  /// Linear ratio -> decibels, 10 log10(ratio). Requires a positive ratio.
+  [[nodiscard]] Quantity<DecibelsTag> to_db() const
+    requires std::same_as<Tag, LinearGainTag>
+  {
+    DRN_EXPECTS(value_ > 0.0);
+    return Quantity<DecibelsTag>{10.0 * std::log10(value_)};
+  }
+
+  /// Decibels -> linear power ratio, 10^(dB/10).
+  [[nodiscard]] Quantity<LinearGainTag> to_linear() const
+    requires std::same_as<Tag, DecibelsTag>
+  {
+    return Quantity<LinearGainTag>{std::pow(10.0, value_ / 10.0)};
+  }
+
+  [[nodiscard]] friend constexpr Quantity operator+(Quantity a, Quantity b) {
+    return Quantity{a.value_ + b.value_};
+  }
+  [[nodiscard]] friend constexpr Quantity operator-(Quantity a, Quantity b) {
+    return Quantity{a.value_ - b.value_};
+  }
+  [[nodiscard]] friend constexpr Quantity operator-(Quantity a) {
+    return Quantity{-a.value_};
+  }
+  [[nodiscard]] friend constexpr Quantity operator*(Quantity a, double k) {
+    return Quantity{a.value_ * k};
+  }
+  [[nodiscard]] friend constexpr Quantity operator*(double k, Quantity a) {
+    return Quantity{k * a.value_};
+  }
+  [[nodiscard]] friend constexpr Quantity operator/(Quantity a, double k) {
+    return Quantity{a.value_ / k};
+  }
+  [[nodiscard]] friend constexpr Ratio operator/(Quantity a, Quantity b) {
+    return Ratio{a.value_ / b.value_};
+  }
+  friend bool operator==(Quantity, Quantity) = delete;
+  [[nodiscard]] friend constexpr bool operator<(Quantity a, Quantity b) {
+    return a.value_ < b.value_;
+  }
+  [[nodiscard]] friend constexpr bool operator<=(Quantity a, Quantity b) {
+    return a.value_ <= b.value_;
+  }
+  [[nodiscard]] friend constexpr bool operator>(Quantity a, Quantity b) {
+    return a.value_ > b.value_;
+  }
+  [[nodiscard]] friend constexpr bool operator>=(Quantity a, Quantity b) {
+    return a.value_ >= b.value_;
+  }
 
  private:
   double value_ = 0.0;
 };
 
-// --- Seconds -----------------------------------------------------------
+using Seconds = Quantity<SecondsTag>;
+using Meters = Quantity<MetersTag>;
+using Watts = Quantity<WattsTag>;
+using LinearGain = Quantity<LinearGainTag>;
+using Decibels = Quantity<DecibelsTag>;
+using Hertz = Quantity<HertzTag>;
+using BitsPerSecond = Quantity<BitsPerSecondTag>;
+using Bits = Quantity<BitsTag>;
+using Slots = Quantity<SlotsTag>;
 
-[[nodiscard]] constexpr Seconds operator+(Seconds a, Seconds b) {
-  return Seconds{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Seconds operator-(Seconds a, Seconds b) {
-  return Seconds{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Seconds operator-(Seconds a) {
-  return Seconds{-a.value()};
-}
-[[nodiscard]] constexpr Seconds operator*(Seconds a, double k) {
-  return Seconds{a.value() * k};
-}
-[[nodiscard]] constexpr Seconds operator*(double k, Seconds a) {
-  return Seconds{k * a.value()};
-}
-[[nodiscard]] constexpr Seconds operator/(Seconds a, double k) {
-  return Seconds{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(Seconds a, Seconds b) {
-  return a.value() / b.value();
-}
-[[nodiscard]] constexpr bool operator<(Seconds a, Seconds b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Seconds a, Seconds b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Seconds a, Seconds b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Seconds a, Seconds b) {
-  return a.value() >= b.value();
-}
+// --- Cross-dimension algebra ---------------------------------------------
 
-// --- Meters ------------------------------------------------------------
-
-[[nodiscard]] constexpr Meters operator+(Meters a, Meters b) {
-  return Meters{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Meters operator-(Meters a, Meters b) {
-  return Meters{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Meters operator*(Meters a, double k) {
-  return Meters{a.value() * k};
-}
-[[nodiscard]] constexpr Meters operator*(double k, Meters a) {
-  return Meters{k * a.value()};
-}
-[[nodiscard]] constexpr Meters operator/(Meters a, double k) {
-  return Meters{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(Meters a, Meters b) {
-  return a.value() / b.value();
-}
-[[nodiscard]] constexpr bool operator<(Meters a, Meters b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Meters a, Meters b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Meters a, Meters b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Meters a, Meters b) {
-  return a.value() >= b.value();
-}
-
-// --- Watts / Milliwatts / LinearGain ------------------------------------
-
-[[nodiscard]] constexpr Watts operator+(Watts a, Watts b) {
-  return Watts{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Watts operator-(Watts a, Watts b) {
-  return Watts{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Watts operator*(Watts a, double k) {
-  return Watts{a.value() * k};
-}
-[[nodiscard]] constexpr Watts operator*(double k, Watts a) {
-  return Watts{k * a.value()};
-}
-[[nodiscard]] constexpr Watts operator/(Watts a, double k) {
-  return Watts{a.value() / k};
-}
-/// A power ratio is an SINR / relative level (Eq. 5-6) — never a power.
-[[nodiscard]] constexpr LinearGain operator/(Watts a, Watts b) {
-  return LinearGain{a.value() / b.value()};
-}
 /// Received power S = P * h^2 (Section 3.3).
 [[nodiscard]] constexpr Watts operator*(Watts p, LinearGain g) {
   return Watts{p.value() * g.value()};
@@ -290,223 +177,13 @@ class Slots {
 [[nodiscard]] constexpr Watts operator/(Watts p, LinearGain g) {
   return Watts{p.value() / g.value()};
 }
-[[nodiscard]] constexpr bool operator<(Watts a, Watts b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Watts a, Watts b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Watts a, Watts b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Watts a, Watts b) {
-  return a.value() >= b.value();
-}
-
-[[nodiscard]] constexpr Milliwatts operator+(Milliwatts a, Milliwatts b) {
-  return Milliwatts{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Milliwatts operator-(Milliwatts a, Milliwatts b) {
-  return Milliwatts{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Milliwatts operator*(Milliwatts a, double k) {
-  return Milliwatts{a.value() * k};
-}
-[[nodiscard]] constexpr Milliwatts operator*(double k, Milliwatts a) {
-  return Milliwatts{k * a.value()};
-}
-[[nodiscard]] constexpr Milliwatts operator/(Milliwatts a, double k) {
-  return Milliwatts{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(Milliwatts a, Milliwatts b) {
-  return a.value() / b.value();
-}
-[[nodiscard]] constexpr bool operator<(Milliwatts a, Milliwatts b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Milliwatts a, Milliwatts b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Milliwatts a, Milliwatts b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Milliwatts a, Milliwatts b) {
-  return a.value() >= b.value();
-}
-
 /// Cascaded gains multiply in linear space (Section 3.3).
 [[nodiscard]] constexpr LinearGain operator*(LinearGain a, LinearGain b) {
   return LinearGain{a.value() * b.value()};
 }
-[[nodiscard]] constexpr LinearGain operator/(LinearGain a, LinearGain b) {
-  return LinearGain{a.value() / b.value()};
-}
-[[nodiscard]] constexpr LinearGain operator*(LinearGain a, double k) {
-  return LinearGain{a.value() * k};
-}
-[[nodiscard]] constexpr LinearGain operator*(double k, LinearGain a) {
-  return LinearGain{k * a.value()};
-}
-[[nodiscard]] constexpr LinearGain operator/(LinearGain a, double k) {
-  return LinearGain{a.value() / k};
-}
-[[nodiscard]] constexpr bool operator<(LinearGain a, LinearGain b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(LinearGain a, LinearGain b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(LinearGain a, LinearGain b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(LinearGain a, LinearGain b) {
-  return a.value() >= b.value();
-}
 
-// --- Decibels / DecibelMilliwatts ---------------------------------------
-
-[[nodiscard]] constexpr Decibels operator+(Decibels a, Decibels b) {
-  return Decibels{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Decibels operator-(Decibels a, Decibels b) {
-  return Decibels{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Decibels operator-(Decibels a) {
-  return Decibels{-a.value()};
-}
-[[nodiscard]] constexpr Decibels operator*(Decibels a, double k) {
-  return Decibels{a.value() * k};
-}
-[[nodiscard]] constexpr Decibels operator*(double k, Decibels a) {
-  return Decibels{k * a.value()};
-}
-[[nodiscard]] constexpr Decibels operator/(Decibels a, double k) {
-  return Decibels{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(Decibels a, Decibels b) {
-  return a.value() / b.value();
-}
-[[nodiscard]] constexpr bool operator<(Decibels a, Decibels b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Decibels a, Decibels b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Decibels a, Decibels b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Decibels a, Decibels b) {
-  return a.value() >= b.value();
-}
-
-/// An absolute level shifted by a relative gain stays absolute.
-[[nodiscard]] constexpr DecibelMilliwatts operator+(DecibelMilliwatts a,
-                                                    Decibels b) {
-  return DecibelMilliwatts{a.value() + b.value()};
-}
-[[nodiscard]] constexpr DecibelMilliwatts operator+(Decibels a,
-                                                    DecibelMilliwatts b) {
-  return DecibelMilliwatts{a.value() + b.value()};
-}
-[[nodiscard]] constexpr DecibelMilliwatts operator-(DecibelMilliwatts a,
-                                                    Decibels b) {
-  return DecibelMilliwatts{a.value() - b.value()};
-}
-/// The difference of two absolute levels is a relative gain.
-[[nodiscard]] constexpr Decibels operator-(DecibelMilliwatts a,
-                                           DecibelMilliwatts b) {
-  return Decibels{a.value() - b.value()};
-}
-[[nodiscard]] constexpr bool operator<(DecibelMilliwatts a,
-                                       DecibelMilliwatts b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(DecibelMilliwatts a,
-                                        DecibelMilliwatts b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(DecibelMilliwatts a,
-                                       DecibelMilliwatts b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(DecibelMilliwatts a,
-                                        DecibelMilliwatts b) {
-  return a.value() >= b.value();
-}
-
-// --- Hertz / BitsPerSecond / Bits ---------------------------------------
-
-[[nodiscard]] constexpr Hertz operator+(Hertz a, Hertz b) {
-  return Hertz{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Hertz operator-(Hertz a, Hertz b) {
-  return Hertz{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Hertz operator*(Hertz a, double k) {
-  return Hertz{a.value() * k};
-}
-[[nodiscard]] constexpr Hertz operator*(double k, Hertz a) {
-  return Hertz{k * a.value()};
-}
-[[nodiscard]] constexpr Hertz operator/(Hertz a, double k) {
-  return Hertz{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(Hertz a, Hertz b) {
-  return a.value() / b.value();
-}
 /// Processing gain W/C (Section 6): how far the signal is spread.
-[[nodiscard]] constexpr LinearGain operator/(Hertz w, BitsPerSecond c);
-[[nodiscard]] constexpr bool operator<(Hertz a, Hertz b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Hertz a, Hertz b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Hertz a, Hertz b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Hertz a, Hertz b) {
-  return a.value() >= b.value();
-}
-
-[[nodiscard]] constexpr BitsPerSecond operator+(BitsPerSecond a,
-                                                BitsPerSecond b) {
-  return BitsPerSecond{a.value() + b.value()};
-}
-[[nodiscard]] constexpr BitsPerSecond operator-(BitsPerSecond a,
-                                                BitsPerSecond b) {
-  return BitsPerSecond{a.value() - b.value()};
-}
-[[nodiscard]] constexpr BitsPerSecond operator*(BitsPerSecond a, double k) {
-  return BitsPerSecond{a.value() * k};
-}
-[[nodiscard]] constexpr BitsPerSecond operator*(double k, BitsPerSecond a) {
-  return BitsPerSecond{k * a.value()};
-}
-[[nodiscard]] constexpr BitsPerSecond operator/(BitsPerSecond a, double k) {
-  return BitsPerSecond{a.value() / k};
-}
-[[nodiscard]] constexpr double operator/(BitsPerSecond a, BitsPerSecond b) {
-  return a.value() / b.value();
-}
-/// Spectral rate fraction C/W of Eq. 3-4 (bits/s/Hz), dimensionless.
-[[nodiscard]] constexpr double operator/(BitsPerSecond c, Hertz w) {
-  return c.value() / w.value();
-}
-[[nodiscard]] constexpr bool operator<(BitsPerSecond a, BitsPerSecond b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(BitsPerSecond a, BitsPerSecond b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(BitsPerSecond a, BitsPerSecond b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(BitsPerSecond a, BitsPerSecond b) {
-  return a.value() >= b.value();
-}
-
-constexpr LinearGain operator/(Hertz w, BitsPerSecond c) {
+[[nodiscard]] constexpr LinearGain operator/(Hertz w, BitsPerSecond c) {
   return LinearGain{w.value() / c.value()};
 }
 /// Inverse of the processing-gain ratio: the raw chip-budget data rate
@@ -514,22 +191,11 @@ constexpr LinearGain operator/(Hertz w, BitsPerSecond c) {
 [[nodiscard]] constexpr BitsPerSecond operator/(Hertz w, LinearGain g) {
   return BitsPerSecond{w.value() / g.value()};
 }
+/// Spectral rate fraction C/W of Eq. 3-4 (bits/s/Hz), dimensionless.
+[[nodiscard]] constexpr double operator/(BitsPerSecond c, Hertz w) {
+  return c.value() / w.value();
+}
 
-[[nodiscard]] constexpr Bits operator+(Bits a, Bits b) {
-  return Bits{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Bits operator-(Bits a, Bits b) {
-  return Bits{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Bits operator*(Bits a, double k) {
-  return Bits{a.value() * k};
-}
-[[nodiscard]] constexpr Bits operator*(double k, Bits a) {
-  return Bits{k * a.value()};
-}
-[[nodiscard]] constexpr double operator/(Bits a, Bits b) {
-  return a.value() / b.value();
-}
 /// Packet airtime: length over rate.
 [[nodiscard]] constexpr Seconds operator/(Bits n, BitsPerSecond c) {
   return Seconds{n.value() / c.value()};
@@ -545,36 +211,7 @@ constexpr LinearGain operator/(Hertz w, BitsPerSecond c) {
 [[nodiscard]] constexpr Bits operator*(Seconds t, BitsPerSecond c) {
   return Bits{t.value() * c.value()};
 }
-[[nodiscard]] constexpr bool operator<(Bits a, Bits b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Bits a, Bits b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Bits a, Bits b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Bits a, Bits b) {
-  return a.value() >= b.value();
-}
 
-// --- Slots --------------------------------------------------------------
-
-[[nodiscard]] constexpr Slots operator+(Slots a, Slots b) {
-  return Slots{a.value() + b.value()};
-}
-[[nodiscard]] constexpr Slots operator-(Slots a, Slots b) {
-  return Slots{a.value() - b.value()};
-}
-[[nodiscard]] constexpr Slots operator*(Slots a, double k) {
-  return Slots{a.value() * k};
-}
-[[nodiscard]] constexpr Slots operator*(double k, Slots a) {
-  return Slots{k * a.value()};
-}
-[[nodiscard]] constexpr double operator/(Slots a, Slots b) {
-  return a.value() / b.value();
-}
 /// A slot count times a slot duration is a span of time (Section 7).
 [[nodiscard]] constexpr Seconds operator*(Slots n, Seconds slot) {
   return Seconds{n.value() * slot.value()};
@@ -582,64 +219,19 @@ constexpr LinearGain operator/(Hertz w, BitsPerSecond c) {
 [[nodiscard]] constexpr Seconds operator*(Seconds slot, Slots n) {
   return Seconds{slot.value() * n.value()};
 }
-[[nodiscard]] constexpr bool operator<(Slots a, Slots b) {
-  return a.value() < b.value();
-}
-[[nodiscard]] constexpr bool operator<=(Slots a, Slots b) {
-  return a.value() <= b.value();
-}
-[[nodiscard]] constexpr bool operator>(Slots a, Slots b) {
-  return a.value() > b.value();
-}
-[[nodiscard]] constexpr bool operator>=(Slots a, Slots b) {
-  return a.value() >= b.value();
-}
-
-// --- Explicit conversions ------------------------------------------------
-//
-// The only bridges between the decibel and linear worlds. Formulas are
-// bit-identical to the historical radio/units.hpp helpers so migrating a
-// call site never changes a result.
-
-inline Decibels LinearGain::to_db() const {
-  DRN_EXPECTS(value_ > 0.0);
-  return Decibels{10.0 * std::log10(value_)};
-}
-
-inline LinearGain Decibels::to_linear() const {
-  return LinearGain{std::pow(10.0, value_ / 10.0)};
-}
-
-constexpr Milliwatts Watts::to_milliwatts() const {
-  return Milliwatts{value_ * 1.0e3};
-}
-
-constexpr Watts Milliwatts::to_watts() const { return Watts{value_ * 1.0e-3}; }
-
-inline DecibelMilliwatts Watts::to_dbm() const {
-  DRN_EXPECTS(value_ > 0.0);
-  return DecibelMilliwatts{10.0 * std::log10(value_) + 30.0};
-}
-
-inline Watts DecibelMilliwatts::to_watts() const {
-  return Watts{std::pow(10.0, (value_ - 30.0) / 10.0)};
-}
 
 // --- Formatting (units.cpp) ----------------------------------------------
 //
 // Human-readable "value unit" strings for reports and diagnostics; the
 // simulator's machine outputs stay raw doubles.
 
-[[nodiscard]] std::string format(Seconds q);
-[[nodiscard]] std::string format(Meters q);
-[[nodiscard]] std::string format(Watts q);
-[[nodiscard]] std::string format(Milliwatts q);
-[[nodiscard]] std::string format(LinearGain q);
-[[nodiscard]] std::string format(Decibels q);
-[[nodiscard]] std::string format(DecibelMilliwatts q);
-[[nodiscard]] std::string format(Hertz q);
-[[nodiscard]] std::string format(BitsPerSecond q);
-[[nodiscard]] std::string format(Bits q);
-[[nodiscard]] std::string format(Slots q);
+namespace detail {
+[[nodiscard]] std::string with_symbol(double value, const char* symbol);
+}  // namespace detail
+
+template <class Tag>
+[[nodiscard]] std::string format(Quantity<Tag> q) {
+  return detail::with_symbol(q.value(), Tag::kSymbol);
+}
 
 }  // namespace drn::units

@@ -8,20 +8,10 @@ double to_db(double linear) { return LinearGain{linear}.to_db().value(); }
 
 double from_db(double db) { return Decibels{db}.to_linear().value(); }
 
-double watts_to_dbm(double watts) { return Watts{watts}.to_dbm().value(); }
-
-double dbm_to_watts(double dbm) {
-  return DecibelMilliwatts{dbm}.to_watts().value();
-}
-
 Watts thermal_noise(Hertz bandwidth, double temperature_k) {
   DRN_EXPECTS(bandwidth.value() > 0.0);
   DRN_EXPECTS(temperature_k > 0.0);
   return Watts{kBoltzmann * temperature_k * bandwidth.value()};
-}
-
-double thermal_noise_watts(double bandwidth_hz, double temperature_k) {
-  return thermal_noise(Hertz{bandwidth_hz}, temperature_k).value();
 }
 
 }  // namespace drn::radio

@@ -17,12 +17,10 @@ namespace drn::radio {
 
 using units::Bits;
 using units::BitsPerSecond;
-using units::DecibelMilliwatts;
 using units::Decibels;
 using units::Hertz;
 using units::LinearGain;
 using units::Meters;
-using units::Milliwatts;
 using units::Seconds;
 using units::Slots;
 using units::Watts;
@@ -39,20 +37,10 @@ inline constexpr double kStandardTemperatureK = 290.0;
 /// Decibels -> linear power ratio.
 [[nodiscard]] double from_db(double db);
 
-/// Watts -> dBm (decibels relative to one milliwatt).
-[[nodiscard]] double watts_to_dbm(double watts);
-
-/// dBm -> watts.
-[[nodiscard]] double dbm_to_watts(double dbm);
-
 /// Thermal noise floor kTB for the given bandwidth, at the standard 290 K
 /// reference temperature. Section 4 argues this is dominated by aggregate
 /// interference at scale; the simulator still includes it.
 [[nodiscard]] Watts thermal_noise(Hertz bandwidth,
                                   double temperature_k = kStandardTemperatureK);
-
-/// Raw-double boundary form of thermal_noise().
-[[nodiscard]] double thermal_noise_watts(double bandwidth_hz,
-                                         double temperature_k = kStandardTemperatureK);
 
 }  // namespace drn::radio

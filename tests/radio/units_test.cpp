@@ -26,25 +26,19 @@ TEST(Units, ToDbRequiresPositive) {
   EXPECT_THROW((void)to_db(-1.0), ContractViolation);
 }
 
-TEST(Units, DbmConversions) {
-  EXPECT_DOUBLE_EQ(watts_to_dbm(1.0), 30.0);
-  EXPECT_DOUBLE_EQ(watts_to_dbm(0.001), 0.0);
-  EXPECT_NEAR(dbm_to_watts(20.0), 0.1, 1e-12);
-  EXPECT_NEAR(dbm_to_watts(watts_to_dbm(0.05)), 0.05, 1e-12);
-}
-
 TEST(Units, ThermalNoiseKtb) {
   // kT at 290 K is about 4.00e-21 W/Hz (-174 dBm/Hz).
-  const double n = thermal_noise_watts(1.0);
-  EXPECT_NEAR(n, 4.0039e-21, 1e-24);
-  EXPECT_NEAR(watts_to_dbm(thermal_noise_watts(1.0e6)), -114.0, 0.1);
+  EXPECT_NEAR(thermal_noise(Hertz{1.0}).value(), 4.0039e-21, 1e-24);
+  // About -114 dBm over 1 MHz (dBm: decibels relative to 1 mW).
+  EXPECT_NEAR(to_db(thermal_noise(Hertz{1.0e6}).value() / 1e-3), -114.0, 0.1);
   // Linear in bandwidth.
-  EXPECT_DOUBLE_EQ(thermal_noise_watts(2.0e6), 2.0 * thermal_noise_watts(1.0e6));
+  EXPECT_DOUBLE_EQ(thermal_noise(Hertz{2.0e6}).value(),
+                   2.0 * thermal_noise(Hertz{1.0e6}).value());
 }
 
 TEST(Units, ThermalNoiseContracts) {
-  EXPECT_THROW((void)thermal_noise_watts(0.0), ContractViolation);
-  EXPECT_THROW((void)thermal_noise_watts(1.0, 0.0), ContractViolation);
+  EXPECT_THROW((void)thermal_noise(Hertz{0.0}), ContractViolation);
+  EXPECT_THROW((void)thermal_noise(Hertz{1.0}, 0.0), ContractViolation);
 }
 
 TEST(Units, PaperSignificanceExample) {

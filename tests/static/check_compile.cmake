@@ -10,7 +10,9 @@
 #
 # A probe that "fails to compile" because the harness itself is broken — a
 # missing probe file or include directory — must not count as a pass, so
-# infrastructure errors are detected explicitly before the result check.
+# infrastructure errors are detected explicitly before the result check. So
+# must a probe that names an undeclared type or function: it would keep
+# "passing" after the thing it tests is deleted.
 
 if(NOT EXISTS "${PROBE}")
   message(FATAL_ERROR "harness error: probe file not found: ${PROBE}")
@@ -20,6 +22,8 @@ if(NOT EXISTS "${INCLUDE_DIR}/common/units.hpp")
       "harness error: units.hpp not under include dir: ${INCLUDE_DIR}")
 endif()
 
+# Diagnostics are matched as text below, so keep them untranslated.
+set(ENV{LC_ALL} C)
 execute_process(
   COMMAND "${CXX}" -std=c++20 -fsyntax-only -I "${INCLUDE_DIR}" "${PROBE}"
   RESULT_VARIABLE rc
@@ -37,6 +41,15 @@ if(EXPECT_FAIL)
     message(FATAL_ERROR
         "ill-formed probe COMPILED — the unit layer lost a compile-time "
         "guarantee: ${PROBE}")
+  endif()
+  # The probe must be rejected by the unit algebra. An undeclared name (a
+  # probe naming a type or function the header no longer has) fails the
+  # compile too, and its follow-on parse errors hide it, so any such error
+  # means the probe tests nothing — report it as a harness error.
+  if(err MATCHES "error: [^\n]*(was not declared in this scope|does not name a type)")
+    message(FATAL_ERROR
+        "harness error: probe names something the header does not declare, "
+        "so its rejection says nothing about unit algebra: ${PROBE}\n${err}")
   endif()
 else()
   if(NOT rc EQUAL 0)
