@@ -22,6 +22,9 @@ namespace {
 /// to rounding error and the tolerance is tight.
 constexpr double kRelTol = 1e-12;
 
+/// How many violations keep full detail text (all are always counted).
+constexpr std::size_t kMaxRecordedViolations = 64;
+
 /// Open-interval overlap: shared boundary instants (a transmission ending
 /// exactly when another starts) do not count, matching the event queue's
 /// end-before-start simultaneity rule.
@@ -38,6 +41,21 @@ const char* loss_name(sim::LossType type) {
     case sim::LossType::kAborted: return "aborted";
   }
   return "?";
+}
+
+std::string describe(const sim::TxEvent& tx) {
+  return "tx " + std::to_string(tx.tx_id) + " from " + std::to_string(tx.from);
+}
+
+std::string describe(const sim::RxEvent& rx) {
+  return "rx of tx " + std::to_string(rx.tx_id) + " at " +
+         std::to_string(rx.rx);
+}
+
+/// check() evidence "<event> <what>", built only when called.
+template <class Event>
+auto about(const Event& ev, const char* what) {
+  return [&ev, what] { return describe(ev) + " " + what; };
 }
 
 }  // namespace
@@ -79,18 +97,15 @@ void InvariantAuditor::mix_double(double x) {
   mix(bits);
 }
 
-void InvariantAuditor::violate(const std::string& invariant, double time_s,
-                               const std::string& detail) {
+template <class Detail>
+void InvariantAuditor::check(bool pass, const char* invariant, double time_s,
+                             const Detail& detail) {
+  ++checks_run_;
+  if (pass) return;
   ++total_violations_;
   ++counts_[invariant];
-  if (violations_.size() < config_.max_recorded_violations)
-    violations_.push_back(Violation{invariant, detail, time_s});
-}
-
-void InvariantAuditor::check(bool pass, const char* invariant, double time_s,
-                             const std::string& detail) {
-  ++checks_run_;
-  if (!pass) violate(invariant, time_s, detail);
+  if (violations_.size() < kMaxRecordedViolations)
+    violations_.push_back(Violation{invariant, detail(), time_s});
 }
 
 double InvariantAuditor::min_active_start() const {
@@ -100,8 +115,7 @@ double InvariantAuditor::min_active_start() const {
   return min_start;
 }
 
-void InvariantAuditor::note_own_transmission(const sim::TxEvent& tx,
-                                             const std::string& who) {
+void InvariantAuditor::note_own_transmission(const sim::TxEvent& tx) {
   // One transmitter per station: this station's transmissions (data or
   // noise) must not overlap each other.
   auto& own = own_tx_[tx.from];
@@ -109,7 +123,7 @@ void InvariantAuditor::note_own_transmission(const sim::TxEvent& tx,
   for (const Interval& i : own)
     serialized &= !overlaps(i.start_s, i.end_s, tx.start_s, tx.end_s);
   check(serialized, "tx-serialization", tx.start_s,
-        who + " overlaps an earlier transmission of the same station");
+        about(tx, "overlaps an earlier transmission of the same station"));
   own.push_back(Interval{tx.start_s, tx.end_s});
 
   max_airtime_s_ = std::max(max_airtime_s_, tx.end_s - tx.start_s);
@@ -130,11 +144,8 @@ void InvariantAuditor::on_transmit_start(const sim::TxEvent& tx) {
   mix_double(tx.rate_bps);
   mix(tx.packet);
 
-  std::ostringstream who;
-  who << "tx " << tx.tx_id << " from " << tx.from;
-
   check(tx.start_s >= last_event_s_, "event-monotonicity", tx.start_s,
-        who.str() + " starts in the past of the event stream");
+        about(tx, "starts in the past of the event stream"));
   last_event_s_ = std::max(last_event_s_, tx.start_s);
 
   if (tx.to == kNoStation) {
@@ -142,25 +153,25 @@ void InvariantAuditor::on_transmit_start(const sim::TxEvent& tx) {
     // any transmission but is rateless, carries no packet and produces no
     // reception outcomes.
     check(tx.end_s > tx.start_s && tx.power_w > 0.0, "tx-wellformed",
-          tx.start_s, who.str() + " (noise) has a non-positive duration or power");
+          tx.start_s, about(tx, "(noise) has a non-positive airtime or power"));
     check(tx.from < config_.stations, "tx-wellformed", tx.start_s,
-          who.str() + " (noise) has an out-of-range emitter");
+          about(tx, "(noise) has an out-of-range emitter"));
     if (tx.from >= config_.stations) return;
-    note_own_transmission(tx, who.str());
+    note_own_transmission(tx);
     ++noise_starts_;
     return;
   }
 
   check(tx.end_s > tx.start_s && tx.power_w > 0.0 && tx.rate_bps > 0.0,
         "tx-wellformed", tx.start_s,
-        who.str() + " has a non-positive airtime, power or rate");
+        about(tx, "has a non-positive airtime, power or rate"));
   check(tx.from < config_.stations &&
             (tx.to < config_.stations || tx.to == kBroadcast) &&
             tx.to != tx.from,
-        "tx-wellformed", tx.start_s, who.str() + " has out-of-range endpoints");
+        "tx-wellformed", tx.start_s, about(tx, "has out-of-range endpoints"));
   if (tx.from >= config_.stations) return;  // cannot index further checks
 
-  note_own_transmission(tx, who.str());
+  note_own_transmission(tx);
 
   TxRecord rec;
   rec.ev = tx;
@@ -173,34 +184,32 @@ void InvariantAuditor::on_transmit_start(const sim::TxEvent& tx) {
   }
   const bool fresh = active_.emplace(tx.tx_id, std::move(rec)).second;
   check(fresh, "conservation", tx.start_s,
-        who.str() + " reuses a live transmission id");
+        about(tx, "reuses a live transmission id"));
 }
 
 void InvariantAuditor::check_reception_identity(const TxRecord& rec,
                                                 const sim::RxEvent& rx) {
-  std::ostringstream who;
-  who << "rx of tx " << rx.tx_id << " at " << rx.rx;
   const sim::TxEvent& tx = rec.ev;
   if (tx.to == kBroadcast) {
     check(rx.rx < config_.stations && rx.rx != tx.from, "conservation",
-          tx.end_s, who.str() + " reported at an impossible station");
+          tx.end_s, about(rx, "reported at an impossible station"));
   } else {
     check(rx.rx == tx.to, "conservation", tx.end_s,
-          who.str() + " reported at a station the packet was not sent to");
+          about(rx, "reported at a station the packet was not sent to"));
   }
   check(rx.delivered == (rx.loss == sim::LossType::kNone), "outcome-exclusive",
-        tx.end_s,
-        who.str() + " is both delivered and lost (" + loss_name(rx.loss) + ")");
+        tx.end_s, [&] {
+          return describe(rx) + " is both delivered and lost (" +
+                 loss_name(rx.loss) + ")";
+        });
 }
 
 void InvariantAuditor::check_sinr(const TxRecord& rec, const sim::RxEvent& rx) {
-  std::ostringstream who;
-  who << "rx of tx " << rx.tx_id << " at " << rx.rx;
   const double t = rec.ev.end_s;
   const double slack = 1.0 + kRelTol;
 
   check(rx.signal_w >= 0.0 && rx.required_snr > 0.0, "sinr-consistency", t,
-        who.str() + " reports a negative signal or non-positive threshold");
+        about(rx, "reports a negative signal or non-positive threshold"));
 
   // Eq. 5-6: interference only ever adds to thermal noise, so no reported
   // SINR can exceed the zero-interference bound signal/thermal. (Multiuser
@@ -208,15 +217,17 @@ void InvariantAuditor::check_sinr(const TxRecord& rec, const sim::RxEvent& rx) {
   const units::LinearGain zero_interference_bound =
       units::Watts{rx.signal_w} / config_.thermal_noise;
   check(rx.min_sinr <= zero_interference_bound.value() * slack,
-        "sinr-consistency", t,
-        who.str() + " reports an SINR above its zero-interference bound of " +
-            units::format(zero_interference_bound));
+        "sinr-consistency", t, [&] {
+          return describe(rx) +
+                 " reports an SINR above its zero-interference bound of " +
+                 units::format(zero_interference_bound);
+        });
 
   // Eq. 3-4: a delivered packet held SINR at or above the threshold for its
   // whole airtime.
   if (rx.delivered) {
     check(rx.min_sinr * slack >= rx.required_snr, "sinr-threshold", t,
-          who.str() + " was delivered below its required SINR");
+          about(rx, "was delivered below its required SINR"));
   }
 
   // Eq. 4 at this transmission's rate: the threshold the simulator applied
@@ -228,9 +239,10 @@ void InvariantAuditor::check_sinr(const TxRecord& rec, const sim::RxEvent& rx) {
                                      config_.bandwidth.value());
     const bool matches = rx.required_snr <= expected.value() * slack &&
                          rx.required_snr * slack >= expected.value();
-    check(matches, "required-snr", t,
-          who.str() + " was held to a threshold inconsistent with its rate" +
-              " (Eq. 4 expects " + units::format(expected) + ")");
+    check(matches, "required-snr", t, [&] {
+      return describe(rx) + " was held to a threshold inconsistent with " +
+             "its rate (Eq. 4 expects " + units::format(expected) + ")";
+    });
   }
 }
 
@@ -241,10 +253,8 @@ void InvariantAuditor::check_half_duplex(const TxRecord& rec,
   bool clean = true;
   for (const Interval& own : own_tx_[rx.rx])
     clean &= !overlaps(own.start_s, own.end_s, tx.start_s, tx.end_s);
-  std::ostringstream what;
-  what << "rx of tx " << rx.tx_id << " at " << rx.rx
-       << " delivered while the receiver was transmitting (Type 3)";
-  check(clean, "half-duplex", tx.end_s, what.str());
+  check(clean, "half-duplex", tx.end_s,
+        about(rx, "delivered while the receiver was transmitting (Type 3)"));
 }
 
 void InvariantAuditor::check_despreading_cap(const TxRecord& rec,
@@ -265,23 +275,24 @@ void InvariantAuditor::check_despreading_cap(const TxRecord& rec,
   // count this interval's already-completed containers now and let longer
   // receptions still in flight increment it (and each stored count) as they
   // complete.
+  const auto check_cap = [&](int stabbing) {
+    check(stabbing <= cap, "despreading-cap", tx.end_s, [&] {
+      std::ostringstream what;
+      what << "station " << rx.rx << " held " << stabbing
+           << " simultaneous receptions with only " << cap
+           << " despreading channels";
+      return what.str();
+    });
+  };
   PendingOccupancy mine{tx.start_s, tx.end_s, 1};
   for (PendingOccupancy& p : pending) {
     if (p.start_s <= tx.start_s && tx.start_s < p.end_s) ++mine.stabbing;
     if (tx.start_s <= p.start_s && p.start_s < tx.end_s) {
       ++p.stabbing;
-      std::ostringstream what;
-      what << "station " << rx.rx << " held " << p.stabbing
-           << " simultaneous receptions with only " << cap
-           << " despreading channels";
-      check(p.stabbing <= cap, "despreading-cap", tx.end_s, what.str());
+      check_cap(p.stabbing);
     }
   }
-  std::ostringstream what;
-  what << "station " << rx.rx << " held " << mine.stabbing
-       << " simultaneous receptions with only " << cap
-       << " despreading channels";
-  check(mine.stabbing <= cap, "despreading-cap", tx.end_s, what.str());
+  check_cap(mine.stabbing);
   pending.push_back(mine);
 
   // A stored interval is dead once no in-flight transmission can still
@@ -307,11 +318,8 @@ void InvariantAuditor::on_reception_complete(const sim::RxEvent& rx) {
 
   auto it = active_.find(rx.tx_id);
   if (it == active_.end()) {
-    std::ostringstream what;
-    what << "rx at " << rx.rx << " references unknown or already-completed tx "
-         << rx.tx_id;
-    ++checks_run_;
-    violate("conservation", last_event_s_, what.str());
+    check(false, "conservation", last_event_s_,
+          about(rx, "references an unknown or already-completed tx"));
     return;
   }
   TxRecord& rec = it->second;
@@ -319,8 +327,7 @@ void InvariantAuditor::on_reception_complete(const sim::RxEvent& rx) {
 
   // Reception outcomes surface exactly when their transmission ends.
   check(tx.end_s >= last_event_s_, "event-monotonicity", tx.end_s,
-        "rx of tx " + std::to_string(rx.tx_id) +
-            " completes in the past of the event stream");
+        about(rx, "completes in the past of the event stream"));
   last_event_s_ = std::max(last_event_s_, tx.end_s);
 
   check_reception_identity(rec, rx);
@@ -332,9 +339,7 @@ void InvariantAuditor::on_reception_complete(const sim::RxEvent& rx) {
     rec.seen_at[rx.rx] = true;
   }
   check(!duplicate, "conservation", tx.end_s,
-        "station " + std::to_string(rx.rx) +
-            " reported two outcomes for broadcast tx " +
-            std::to_string(rx.tx_id));
+        about(rx, "is a second outcome of one broadcast"));
 
   check_sinr(rec, rx);
   check_half_duplex(rec, rx);
@@ -360,14 +365,11 @@ void InvariantAuditor::on_transmit_aborted(const sim::TxEvent& tx,
   mix(tx.from);
   mix_double(time_s);
 
-  std::ostringstream who;
-  who << "abort of tx " << tx.tx_id << " from " << tx.from;
-
   check(time_s >= last_event_s_, "event-monotonicity", time_s,
-        who.str() + " happens in the past of the event stream");
+        about(tx, "is aborted in the past of the event stream"));
   last_event_s_ = std::max(last_event_s_, time_s);
   check(time_s >= tx.start_s && time_s < tx.end_s, "abort-wellformed", time_s,
-        who.str() + " lies outside the transmission's airtime");
+        about(tx, "is aborted outside its airtime"));
 
   // The signal left the air at time_s, not at the planned end: truncate the
   // sender's transmit interval so later receptions at a rejoined station are
@@ -381,12 +383,9 @@ void InvariantAuditor::on_transmit_aborted(const sim::TxEvent& tx,
   if (tx.to == kNoStation) return;  // noise: no record, no outcomes expected
 
   const auto it = active_.find(tx.tx_id);
-  ++checks_run_;
-  if (it == active_.end()) {
-    violate("conservation", time_s,
-            who.str() + " references an unknown or completed transmission");
-    return;
-  }
+  check(it != active_.end(), "conservation", time_s,
+        about(tx, "is aborted but unknown or already completed"));
+  if (it == active_.end()) return;
   // The kAborted reception outcomes that follow immediately complete at
   // time_s; move the record's end so monotonicity and finalize() agree.
   it->second.ev.end_s = time_s;
@@ -394,23 +393,26 @@ void InvariantAuditor::on_transmit_aborted(const sim::TxEvent& tx,
 
 void InvariantAuditor::finalize(double cutoff_s) {
   for (const auto& [id, rec] : active_) {
-    std::ostringstream what;
-    what << "tx " << id << " ended at " << rec.ev.end_s << " but reported "
-         << rec.seen_rx << "/" << rec.expected_rx << " reception outcomes";
     // A transmission still on the air at the cutoff is legitimately
     // unresolved; one that ended inside the audited window is not.
-    check(rec.ev.end_s > cutoff_s, "conservation", rec.ev.end_s, what.str());
+    check(rec.ev.end_s > cutoff_s, "conservation", rec.ev.end_s, [&] {
+      std::ostringstream what;
+      what << "tx " << id << " ended at " << rec.ev.end_s << " but reported "
+           << rec.seen_rx << "/" << rec.expected_rx << " reception outcomes";
+      return what.str();
+    });
   }
 }
 
 void InvariantAuditor::cross_check(const sim::Metrics& m) {
   const auto expect_eq = [this](const char* what, std::uint64_t metrics_says,
                                 std::uint64_t audit_says) {
-    std::ostringstream detail;
-    detail << what << ": metrics counted " << metrics_says
-           << ", the event stream implies " << audit_says;
-    check(metrics_says == audit_says, "metrics-crosscheck", last_event_s_,
-          detail.str());
+    check(metrics_says == audit_says, "metrics-crosscheck", last_event_s_, [&] {
+      std::ostringstream detail;
+      detail << what << ": metrics counted " << metrics_says
+             << ", the event stream implies " << audit_says;
+      return detail.str();
+    });
   };
   expect_eq("hop attempts", m.hop_attempts(), unicast_starts_);
   expect_eq("hop successes", m.hop_successes(), unicast_delivered_);

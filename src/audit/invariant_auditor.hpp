@@ -10,8 +10,11 @@
 //
 // InvariantAuditor is a passive SimObserver that re-derives each invariant
 // from the Tx/Rx event stream alone, sharing no state or code path with the
-// physics it audits. It is O(active transmissions) per event and prunes its
-// history, so it can ride along on full-length sweeps. Wire it up with
+// physics it audits. It is O(active transmissions) per event, prunes its
+// history and formats evidence only for a failed check, so it can ride along
+// on full-length sweeps: drn_sim at M = 1024 with 1 s beacons and churn
+// (22.5 M checks) runs in 1.5 s audited against 0.9-1.1 s unaudited
+// (RelWithDebInfo, 4 vCPU). Wire it up with
 // Simulator::add_observer (observers are never detached), run, then
 // finalize() and cross_check() against sim::Metrics; ok() reports the
 // verdict and report() the evidence.
@@ -50,8 +53,6 @@ struct AuditConfig {
   /// rate (Eq. 4 at margin). bandwidth <= 0 disables that check.
   units::Hertz bandwidth;
   units::Decibels margin;
-  /// How many violations keep full detail text (all are always counted).
-  std::size_t max_recorded_violations = 64;
 };
 
 /// The AuditConfig a simulator's public configuration implies.
@@ -97,7 +98,7 @@ class InvariantAuditor final : public sim::SimObserver {
   }
   /// Individual invariant evaluations performed so far.
   [[nodiscard]] std::uint64_t checks_run() const { return checks_run_; }
-  /// Violations with recorded detail (capped at max_recorded_violations).
+  /// Violations with recorded detail (the first 64; all are counted).
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return violations_;
   }
@@ -142,14 +143,14 @@ class InvariantAuditor final : public sim::SimObserver {
   void mix(std::uint64_t word);
   void mix_double(double x);
 
-  void violate(const std::string& invariant, double time_s,
-               const std::string& detail);
-  /// Runs one check: records a violation when `pass` is false.
+  /// Runs one check: records a violation when `pass` is false, and only then
+  /// calls `detail()` for its text (nearly every check passes).
+  template <class Detail>
   void check(bool pass, const char* invariant, double time_s,
-             const std::string& detail);
+             const Detail& detail);
   /// Serialization check + interval bookkeeping shared by data transmissions
   /// and noise bursts (both occupy the station's one transmitter).
-  void note_own_transmission(const sim::TxEvent& tx, const std::string& who);
+  void note_own_transmission(const sim::TxEvent& tx);
   void check_reception_identity(const TxRecord& rec, const sim::RxEvent& rx);
   void check_sinr(const TxRecord& rec, const sim::RxEvent& rx);
   void check_half_duplex(const TxRecord& rec, const sim::RxEvent& rx);

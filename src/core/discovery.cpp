@@ -1,6 +1,7 @@
 #include "core/discovery.hpp"
 
 #include "common/expects.hpp"
+#include "core/scheduled_station.hpp"
 #include "radio/units.hpp"
 #include "sim/simulator.hpp"
 
@@ -12,17 +13,19 @@ namespace {
 /// affine fit track drift.
 constexpr std::size_t kMinClockSamples = 2;
 
+/// The known, network-wide beacon transmit power: how receivers turn
+/// received power into a gain estimate.
+constexpr double kBeaconPowerW = 1.0e-4;
+
 }  // namespace
 
 DiscoveryStation::DiscoveryStation(DiscoveryConfig config, StationClock clock)
     : config_(config), clock_(clock) {
   DRN_EXPECTS(config.beacon_count >= 1);
   DRN_EXPECTS(config.duration_s > 0.0);
-  DRN_EXPECTS(config.beacon_power_w > 0.0);
-  DRN_EXPECTS(config.beacon_bits > 0.0);
   DRN_EXPECTS(config.data_rate_bps > 0.0);
   DRN_EXPECTS(config.gain_noise_db >= 0.0);
-  const double airtime = config.beacon_bits / config.data_rate_bps;
+  const double airtime = kBeaconBits / config.data_rate_bps;
   DRN_EXPECTS(config.duration_s >
               static_cast<double>(config.beacon_count) * 2.0 * airtime);
 }
@@ -32,7 +35,7 @@ void DiscoveryStation::on_start(sim::MacContext& ctx) {
   // leaving room for the airtime so our own beacons never overlap.
   const double stratum =
       config_.duration_s / static_cast<double>(config_.beacon_count);
-  const double airtime = config_.beacon_bits / config_.data_rate_bps;
+  const double airtime = kBeaconBits / config_.data_rate_bps;
   for (int i = 0; i < config_.beacon_count; ++i) {
     const double offset = ctx.rng().uniform(0.0, stratum - airtime);
     ctx.set_timer(static_cast<double>(i) * stratum + offset,
@@ -45,10 +48,10 @@ void DiscoveryStation::on_timer(sim::MacContext& ctx, std::uint64_t cookie) {
   sim::Packet beacon;
   beacon.source = ctx.self();
   beacon.destination = kBroadcast;
-  beacon.size_bits = config_.beacon_bits;
+  beacon.size_bits = kBeaconBits;
   beacon.sender_local_s = clock_.local(Seconds{ctx.now()}).value();
   // Air the beacon at the rate its receivers correct the stamp by.
-  ctx.transmit(beacon, kBroadcast, config_.beacon_power_w, ctx.now(),
+  ctx.transmit(beacon, kBroadcast, kBeaconPowerW, ctx.now(),
                config_.data_rate_bps);
 }
 
@@ -62,7 +65,7 @@ void DiscoveryStation::on_broadcast_received(sim::MacContext& ctx,
                                              StationId from, double signal_w) {
   NeighborObservation& obs = observations_[from];
 
-  double measured_gain = signal_w / config_.beacon_power_w;
+  double measured_gain = signal_w / kBeaconPowerW;
   if (config_.gain_noise_db > 0.0) {
     measured_gain *=
         radio::from_db(config_.gain_noise_db * ctx.rng().normal());

@@ -4,8 +4,8 @@
 // stations" (Section 3.5) and "occasionally rendezvous and exchange clock
 // readings" (Section 7) but leaves the bootstrap mechanics open. This module
 // implements the obvious one: during a discovery phase every station
-// broadcasts a few beacons at known power, each stamped with the sender's
-// local clock. A receiver that decodes a beacon learns
+// broadcasts a few kBeaconBits beacons at a known, network-wide power, each
+// stamped with the sender's local clock. A receiver that decodes a beacon learns
 //   * a path-gain sample   (received power / known beacon power), and
 //   * a clock sample       (its own reading paired with the beacon stamp,
 //                           corrected for the beacon's airtime),
@@ -34,11 +34,6 @@ struct DiscoveryConfig {
   /// Length of the discovery phase, seconds. Beacons are stratified over it
   /// at random offsets so they rarely collide.
   double duration_s = 10.0;
-  /// Known, network-wide beacon transmit power (how receivers turn received
-  /// power into a gain estimate).
-  double beacon_power_w = 1.0e-4;
-  /// Beacon length in bits.
-  double beacon_bits = 500.0;
   /// The rate beacons air at; receivers correct clock stamps by the airtime
   /// at this same rate.
   double data_rate_bps = 1.0e6;
@@ -75,8 +70,6 @@ class DiscoveryStation final : public sim::MacProtocol {
   /// least-squares clock model; neighbours below `min_gain` or with fewer
   /// than two clock samples are not trusted.
   [[nodiscard]] NeighborTable build_neighbor_table(double min_gain) const;
-
-  [[nodiscard]] const StationClock& clock() const { return clock_; }
 
  private:
   DiscoveryConfig config_;

@@ -82,12 +82,10 @@ ScheduledNetwork assemble_scheduled_network(
         .packet_airtime_s = net.packet_airtime_s,
         .guard_s = config.guard_fraction * config.slot_s,
         .power = power,
-        .max_queue = config.max_queue,
         .interference_budget_w = net.interference_budget_w};
     if (config.beacon_interval_s > 0.0) {
       sc.data_rate_bps = criterion.data_rate_bps();
       sc.beacon_interval_s = config.beacon_interval_s;
-      sc.beacon_bits = config.beacon_bits;
       sc.neighbor_timeout_s = config.neighbor_timeout_s;
       sc.readopt_neighbors = config.readopt_neighbors;
     }

@@ -52,15 +52,13 @@ struct ScheduledNetworkConfig {
   /// budget we would consume a significant share of.
   bool respect_third_party_windows = true;
 
-  std::size_t max_queue = 4096;
-
   /// Maintenance beacons + dynamics resilience, copied into every station's
-  /// ScheduledStationConfig (see scheduled_station.hpp). beacon_interval_s
-  /// > 0 also sets each station's data_rate_bps from the criterion (beacons
-  /// need a rate to have an airtime). All default off: a network built
-  /// without them behaves draw-for-draw as before.
+  /// ScheduledStationConfig (see scheduled_station.hpp; queue capacity and
+  /// beacon size keep that config's defaults). beacon_interval_s > 0 also
+  /// sets each station's data_rate_bps from the criterion (beacons need a
+  /// rate to have an airtime). All default off: a network built without them
+  /// behaves draw-for-draw as before.
   double beacon_interval_s = 0.0;
-  double beacon_bits = 500.0;
   double neighbor_timeout_s = 0.0;
   bool readopt_neighbors = false;
 };

@@ -34,6 +34,10 @@
 
 namespace drn::core {
 
+/// Length of every beacon, bits: maintenance beacons (below) and the
+/// discovery phase's (discovery.hpp) alike.
+inline constexpr double kBeaconBits = 500.0;
+
 struct ScheduledStationConfig {
   /// The network-wide schedule function (same seed everywhere).
   Schedule schedule;
@@ -70,7 +74,7 @@ struct ScheduledStationConfig {
   /// stamps, keeping guards valid indefinitely under drift. Requires
   /// data_rate_bps > 0.
   double beacon_interval_s = 0.0;
-  double beacon_bits = 500.0;
+  double beacon_bits = kBeaconBits;
   /// Dynamics resilience: when > 0 (requires beacons), a neighbour not heard
   /// from for this long is evicted — its queue is dropped and its receive
   /// windows stop constraining us, so packets are never routed at a ghost

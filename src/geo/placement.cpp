@@ -29,35 +29,6 @@ Placement uniform_disc(std::size_t n, double radius, Rng& rng) {
   return p;
 }
 
-Placement uniform_square(std::size_t n, double side, Rng& rng) {
-  DRN_EXPECTS(side > 0.0);
-  Placement p;
-  p.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    p.push_back({rng.uniform(0.0, side), rng.uniform(0.0, side)});
-  return p;
-}
-
-Placement jittered_grid(std::size_t rows, std::size_t cols, double spacing,
-                        double jitter, Rng& rng) {
-  DRN_EXPECTS(spacing > 0.0);
-  DRN_EXPECTS(jitter >= 0.0);
-  Placement p;
-  p.reserve(rows * cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      Vec2 pos{static_cast<double>(c) * spacing,
-               static_cast<double>(r) * spacing};
-      if (jitter > 0.0) {
-        pos.x += rng.uniform(-jitter, jitter);
-        pos.y += rng.uniform(-jitter, jitter);
-      }
-      p.push_back(pos);
-    }
-  }
-  return p;
-}
-
 Placement clustered_disc(std::size_t clusters, std::size_t per_cluster,
                          double radius, double cluster_radius, Rng& rng) {
   DRN_EXPECTS(radius > 0.0);

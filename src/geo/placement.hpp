@@ -2,10 +2,10 @@
 //
 // Section 4 of the paper analyses stations "distributed randomly within a
 // circle of radius R"; the simulations in Section 1/8 use 100- and
-// 1000-station random placements. Beyond the uniform disc we provide jittered
-// grids (engineered deployments), Matérn-style clusters (buildings along
-// streets — the paper's motivating scenario), and degenerate line/ring
-// layouts useful for constructing worst cases in tests.
+// 1000-station random placements. Beyond the uniform disc we provide
+// Matérn-style clusters (buildings along streets — the paper's motivating
+// scenario), and degenerate line/ring layouts useful for constructing worst
+// cases in tests.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +23,6 @@ using Placement = std::vector<Vec2>;
 /// `n` stations uniform i.i.d. in the disc of the given radius centred at the
 /// origin — the Section 4 model.
 [[nodiscard]] Placement uniform_disc(std::size_t n, double radius, Rng& rng);
-
-/// `n` stations uniform i.i.d. in the axis-aligned square [0,side]x[0,side].
-[[nodiscard]] Placement uniform_square(std::size_t n, double side, Rng& rng);
-
-/// Stations on a rows x cols grid with the given spacing, each perturbed by a
-/// uniform jitter in [-jitter, jitter]^2. jitter = 0 gives an exact lattice.
-[[nodiscard]] Placement jittered_grid(std::size_t rows, std::size_t cols,
-                                      double spacing, double jitter, Rng& rng);
 
 /// Matérn-style cluster process: `clusters` parent points uniform in the disc
 /// of `radius`, each with `per_cluster` daughters uniform in a disc of

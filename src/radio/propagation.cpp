@@ -9,25 +9,28 @@
 
 namespace drn::radio {
 
-PowerLawPropagation::PowerLawPropagation(double exponent,
-                                         LinearGain reference_gain,
-                                         Meters reference_distance,
-                                         Meters min_distance)
-    : exponent_(exponent),
-      reference_gain_(reference_gain),
-      reference_distance_(reference_distance),
-      min_distance_(min_distance) {
+namespace {
+
+/// kappa: the gain at kReferenceDistance. The Section 6.1 power-control
+/// target absorbs it, so 1 loses nothing.
+constexpr LinearGain kReferenceGain{1.0};
+constexpr Meters kReferenceDistance{1.0};
+/// Near-field clamp: closer pairs see the gain at this distance.
+constexpr Meters kMinDistance{0.1};
+/// Dual-slope exponent past the breakpoint (two-ray ground reflection).
+constexpr double kFarExponent = 4.0;
+
+}  // namespace
+
+PowerLawPropagation::PowerLawPropagation(double exponent)
+    : exponent_(exponent) {
   DRN_EXPECTS(exponent > 0.0);
-  DRN_EXPECTS(reference_gain.value() > 0.0);
-  DRN_EXPECTS(reference_distance.value() > 0.0);
-  DRN_EXPECTS(min_distance.value() > 0.0);
 }
 
 LinearGain PowerLawPropagation::gain_at(Meters r) const {
   DRN_EXPECTS(r.value() >= 0.0);
-  const Meters clamped = std::max(r, min_distance_);
-  return reference_gain_ *
-         std::pow(reference_distance_ / clamped, exponent_);
+  const Meters clamped = std::max(r, kMinDistance);
+  return kReferenceGain * std::pow(kReferenceDistance / clamped, exponent_);
 }
 
 LinearGain PowerLawPropagation::power_gain(geo::Vec2 a, geo::Vec2 b) const {
@@ -36,9 +39,7 @@ LinearGain PowerLawPropagation::power_gain(geo::Vec2 a, geo::Vec2 b) const {
 
 MultipathPenalty::MultipathPenalty(std::shared_ptr<const PropagationModel> base,
                                    Decibels penalty)
-    : base_(std::move(base)),
-      penalty_(penalty),
-      factor_((-penalty).to_linear()) {
+    : base_(std::move(base)), factor_((-penalty).to_linear()) {
   DRN_EXPECTS(base_ != nullptr);
   DRN_EXPECTS(penalty.value() >= 0.0);
 }
@@ -47,25 +48,16 @@ LinearGain MultipathPenalty::power_gain(geo::Vec2 a, geo::Vec2 b) const {
   return base_->power_gain(a, b) * factor_;
 }
 
-DualSlopePropagation::DualSlopePropagation(Meters breakpoint,
-                                           double far_exponent,
-                                           LinearGain reference_gain,
-                                           Meters reference_distance,
-                                           Meters min_distance)
-    : near_(2.0, reference_gain, reference_distance, min_distance),
-      breakpoint_(breakpoint),
-      far_exponent_(far_exponent) {
-  DRN_EXPECTS(breakpoint.value() > 0.0);
-  DRN_EXPECTS(far_exponent > 2.0);
-  DRN_EXPECTS(breakpoint >= min_distance);
+DualSlopePropagation::DualSlopePropagation(Meters breakpoint)
+    : breakpoint_(breakpoint) {
+  DRN_EXPECTS(breakpoint >= kMinDistance);
 }
 
 LinearGain DualSlopePropagation::gain_at(Meters r) const {
   DRN_EXPECTS(r.value() >= 0.0);
   if (r <= breakpoint_) return near_.gain_at(r);
   // Continuous at the breakpoint: gain(bp) * (bp/r)^alpha2.
-  return near_.gain_at(breakpoint_) *
-         std::pow(breakpoint_ / r, far_exponent_);
+  return near_.gain_at(breakpoint_) * std::pow(breakpoint_ / r, kFarExponent);
 }
 
 LinearGain DualSlopePropagation::power_gain(geo::Vec2 a, geo::Vec2 b) const {

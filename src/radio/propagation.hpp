@@ -34,20 +34,14 @@ class PropagationModel {
                                               geo::Vec2 b) const = 0;
 };
 
-/// Inverse power law: gain = reference_gain * (reference_distance / r)^alpha,
-/// clamped below min_distance so the gain never exceeds the gain at
-/// min_distance (the far-field model is meaningless at r -> 0).
+/// Inverse power law: gain = kappa * (r0 / r)^alpha with kappa = 1 and
+/// r0 = 1 m (the Section 6.1 power-control target absorbs kappa), clamped
+/// below 0.1 m so the gain never exceeds the gain there (the far-field model
+/// is meaningless at r -> 0).
 class PowerLawPropagation : public PropagationModel {
  public:
-  /// @param exponent           path-loss exponent alpha (2 = free space).
-  /// @param reference_gain     gain at reference_distance (the paper's kappa,
-  ///                           set by antennas and wavelength).
-  /// @param reference_distance distance at which reference_gain applies.
-  /// @param min_distance       near-field clamp distance.
-  explicit PowerLawPropagation(double exponent = 2.0,
-                               LinearGain reference_gain = LinearGain{1.0},
-                               Meters reference_distance = Meters{1.0},
-                               Meters min_distance = Meters{0.1});
+  /// @param exponent path-loss exponent alpha (2 = free space).
+  explicit PowerLawPropagation(double exponent = 2.0);
 
   [[nodiscard]] LinearGain power_gain(geo::Vec2 a, geo::Vec2 b) const override;
 
@@ -55,23 +49,14 @@ class PowerLawPropagation : public PropagationModel {
   /// noise-growth code and tests.
   [[nodiscard]] LinearGain gain_at(Meters r) const;
 
-  [[nodiscard]] double exponent() const { return exponent_; }
-
  private:
   double exponent_;
-  LinearGain reference_gain_;
-  Meters reference_distance_;
-  Meters min_distance_;
 };
 
 /// The paper's model: free space, power falls as 1/r².
 class FreeSpacePropagation : public PowerLawPropagation {
  public:
-  explicit FreeSpacePropagation(LinearGain reference_gain = LinearGain{1.0},
-                                Meters reference_distance = Meters{1.0},
-                                Meters min_distance = Meters{0.1})
-      : PowerLawPropagation(2.0, reference_gain, reference_distance,
-                            min_distance) {}
+  FreeSpacePropagation() : PowerLawPropagation(2.0) {}
 };
 
 /// Constant multipath penalty (Section 3.3): "the reduction in performance
@@ -85,41 +70,32 @@ class MultipathPenalty : public PropagationModel {
 
   [[nodiscard]] LinearGain power_gain(geo::Vec2 a, geo::Vec2 b) const override;
 
-  [[nodiscard]] Decibels penalty() const { return penalty_; }
-
  private:
   std::shared_ptr<const PropagationModel> base_;
-  Decibels penalty_;
   LinearGain factor_;
 };
 
 /// Dual-slope (two-ray) model: free-space 1/r^2 out to a breakpoint
-/// distance, then a steeper 1/r^alpha2 beyond it — the classic ground-
-/// reflection behaviour of near-ground urban links. Continuous at the
-/// breakpoint. Strictly more pessimistic than free space past the
-/// breakpoint, so the Section 3.5 envelope argument still holds (and the
-/// Section 4 interference integral CONVERGES under it, removing the
-/// radio-horizon cutoff assumption — see the noise-growth tests).
+/// distance, then a steeper 1/r^4 beyond it — the classic ground-reflection
+/// behaviour of near-ground urban links. Continuous at the breakpoint.
+/// Strictly more pessimistic than free space past the breakpoint, so the
+/// Section 3.5 envelope argument still holds (and the Section 4 interference
+/// integral CONVERGES under it, removing the radio-horizon cutoff assumption
+/// — see the noise-growth tests).
 class DualSlopePropagation : public PropagationModel {
  public:
-  /// @param breakpoint   distance where the slope steepens.
-  /// @param far_exponent alpha2 (> 2; classically 4).
-  DualSlopePropagation(Meters breakpoint, double far_exponent = 4.0,
-                       LinearGain reference_gain = LinearGain{1.0},
-                       Meters reference_distance = Meters{1.0},
-                       Meters min_distance = Meters{0.1});
+  /// @param breakpoint distance where the slope steepens (>= the 0.1 m
+  ///                   near-field clamp).
+  explicit DualSlopePropagation(Meters breakpoint);
 
   [[nodiscard]] LinearGain power_gain(geo::Vec2 a, geo::Vec2 b) const override;
 
   /// Gain at scalar distance r.
   [[nodiscard]] LinearGain gain_at(Meters r) const;
 
-  [[nodiscard]] Meters breakpoint() const { return breakpoint_; }
-
  private:
-  PowerLawPropagation near_;
+  FreeSpacePropagation near_;
   Meters breakpoint_;
-  double far_exponent_;
 };
 
 /// Decorates a base model with deterministic log-normal shadowing: each

@@ -1,6 +1,7 @@
 #include "runner/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -198,9 +199,12 @@ Trial::Trial(const ScenarioSpec& spec, std::uint64_t seed)
   if (nearfar) {
     // Lazy near/far evaluation over the same physics the scenario matrix
     // was built from; it carries its own geometry for mobility.
+    // The default cutoff is twice the free-space reach of the power budget.
     radio::NearFarConfig nf;
     nf.cutoff = radio::Meters{
-        spec.engine_cutoff_m > 0.0 ? spec.engine_cutoff_m : 2.0 * spec.region_m};
+        spec.engine_cutoff_m > 0.0
+            ? spec.engine_cutoff_m
+            : 2.0 / std::sqrt(spec.net.power().min_gain())};
     nf.cell = radio::Meters{spec.engine_cell_m};
     engine = radio::make_nearfar_engine(placement_, model, nf);
   } else {

@@ -102,8 +102,9 @@ struct ScenarioSpec {
   radio::InterferenceEngineKind engine =
       radio::InterferenceEngineKind::kCompensated;
   /// Near/far engine knobs (engine == kNearFar only): cutoff radius inside
-  /// which interferers are summed exactly (<= 0 = the whole region, i.e.
-  /// near-exact) and grid cell side (<= 0 = cutoff / 4).
+  /// which interferers are summed exactly (<= 0 = 2/√net.power().min_gain(),
+  /// twice the free-space reach of the power budget) and grid cell side
+  /// (<= 0 = cutoff / 4).
   double engine_cutoff_m = 0.0;
   double engine_cell_m = 0.0;
   /// Network dynamics & fault injection (src/dynamics/). All off by default:

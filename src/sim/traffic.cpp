@@ -68,18 +68,4 @@ std::vector<Injection> poisson_traffic(double packets_per_second,
   return out;
 }
 
-std::vector<Injection> uniform_traffic(std::size_t count, double duration_s,
-                                       double size_bits,
-                                       const PairChooser& choose, Rng& rng) {
-  DRN_EXPECTS(duration_s > 0.0);
-  std::vector<Injection> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t =
-        duration_s * static_cast<double>(i) / static_cast<double>(count);
-    out.push_back(make_injection(t, size_bits, choose, rng));
-  }
-  return out;
-}
-
 }  // namespace drn::sim

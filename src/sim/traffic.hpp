@@ -40,11 +40,4 @@ using PairChooser = std::function<std::pair<StationId, StationId>(Rng&)>;
                                                      const PairChooser& choose,
                                                      Rng& rng);
 
-/// Deterministic arrivals: `count` packets evenly spaced over [0, duration).
-[[nodiscard]] std::vector<Injection> uniform_traffic(std::size_t count,
-                                                     double duration_s,
-                                                     double size_bits,
-                                                     const PairChooser& choose,
-                                                     Rng& rng);
-
 }  // namespace drn::sim

@@ -282,16 +282,16 @@ TEST(InvariantAuditor, TripsOnMetricsMismatch) {
 // Reporting machinery.
 
 TEST(InvariantAuditor, ReportNamesInvariantAndCountsAllViolations) {
-  AuditConfig cfg = config();
-  cfg.max_recorded_violations = 2;
-  InvariantAuditor a(cfg);
-  for (std::uint64_t i = 0; i < 5; ++i)
+  InvariantAuditor a(config());
+  for (std::uint64_t i = 0; i < 70; ++i)
     a.on_reception_complete(rx_event(100 + i, 1, true));  // all unknown
-  EXPECT_EQ(a.violation_count(), 5u);
-  EXPECT_EQ(a.violations().size(), 2u);  // detail capped, count exact
+  EXPECT_EQ(a.violation_count(), 70u);
+  EXPECT_EQ(a.violations().size(), 64u);  // detail capped, count exact
+  EXPECT_EQ(a.violations().back().detail,
+            "rx of tx 163 at 1 references an unknown or already-completed tx");
   const std::string report = a.report();
   EXPECT_NE(report.find("conservation"), std::string::npos);
-  EXPECT_NE(report.find("5 violations"), std::string::npos);
+  EXPECT_NE(report.find("70 violations"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

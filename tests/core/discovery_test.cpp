@@ -23,7 +23,6 @@ DiscoveryConfig discovery_config() {
   DiscoveryConfig cfg;
   cfg.beacon_count = 6;
   cfg.duration_s = 5.0;
-  cfg.beacon_power_w = 1.0e-4;
   cfg.gain_noise_db = 0.0;  // exact measurements for the unit tests
   return cfg;
 }
@@ -179,7 +178,6 @@ TEST(Discovery, DiscoveredStationsCarryTheNetworkConfig) {
   net_cfg.target_received_w = 1.0e-9;
   net_cfg.max_power_w = 1.6e-4;
   net_cfg.beacon_interval_s = 0.5;
-  net_cfg.beacon_bits = 400.0;
   net_cfg.neighbor_timeout_s = 3.0;
   net_cfg.readopt_neighbors = true;
   Rng build_rng(32);
@@ -190,7 +188,7 @@ TEST(Discovery, DiscoveredStationsCarryTheNetworkConfig) {
   for (const auto& mac : net.macs) {
     const ScheduledStationConfig& sc = mac->config();
     EXPECT_EQ(sc.beacon_interval_s, net_cfg.beacon_interval_s);
-    EXPECT_EQ(sc.beacon_bits, net_cfg.beacon_bits);
+    EXPECT_EQ(sc.beacon_bits, kBeaconBits);
     EXPECT_EQ(sc.neighbor_timeout_s, net_cfg.neighbor_timeout_s);
     EXPECT_TRUE(sc.readopt_neighbors);
     EXPECT_EQ(sc.data_rate_bps, criterion().data_rate_bps());

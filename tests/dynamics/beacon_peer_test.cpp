@@ -17,7 +17,6 @@ namespace {
 
 constexpr double kSlot = 0.01;
 constexpr double kRate = 1.0e6;
-constexpr double kBeaconBits = 500.0;
 
 /// A MacContext whose clock the test sets; timers and transmissions are
 /// recorded (cookies) or ignored, never fired.
@@ -63,7 +62,6 @@ ScheduledStationConfig beacon_config(bool readopt, double timeout_s = 0.0) {
                              PowerControl::fixed(1.0e-4)};
   cfg.data_rate_bps = kRate;
   cfg.beacon_interval_s = 1.0;
-  cfg.beacon_bits = kBeaconBits;
   cfg.neighbor_timeout_s = timeout_s;
   cfg.readopt_neighbors = readopt;
   return cfg;

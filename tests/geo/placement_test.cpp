@@ -41,38 +41,6 @@ TEST(Placement, UniformDiscDeterministicPerSeed) {
   EXPECT_NE(pa, uniform_disc(10, 1.0, c));
 }
 
-TEST(Placement, UniformSquareBounds) {
-  Rng rng(5);
-  const Placement p = uniform_square(200, 7.0, rng);
-  for (const Vec2& v : p) {
-    EXPECT_GE(v.x, 0.0);
-    EXPECT_LT(v.x, 7.0);
-    EXPECT_GE(v.y, 0.0);
-    EXPECT_LT(v.y, 7.0);
-  }
-}
-
-TEST(Placement, GridWithoutJitterIsExactLattice) {
-  Rng rng(1);
-  const Placement p = jittered_grid(3, 4, 2.0, 0.0, rng);
-  ASSERT_EQ(p.size(), 12u);
-  EXPECT_EQ(p[0], (Vec2{0.0, 0.0}));
-  EXPECT_EQ(p[1], (Vec2{2.0, 0.0}));
-  EXPECT_EQ(p[4], (Vec2{0.0, 2.0}));
-  EXPECT_EQ(p[11], (Vec2{6.0, 4.0}));
-}
-
-TEST(Placement, GridJitterStaysBounded) {
-  Rng rng(9);
-  const Placement exact = jittered_grid(5, 5, 10.0, 0.0, rng);
-  Rng rng2(9);
-  const Placement jittered = jittered_grid(5, 5, 10.0, 1.0, rng2);
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_LE(std::abs(jittered[i].x - exact[i].x), 1.0);
-    EXPECT_LE(std::abs(jittered[i].y - exact[i].y), 1.0);
-  }
-}
-
 TEST(Placement, ClusteredDiscCountAndSpread) {
   Rng rng(13);
   const Placement p = clustered_disc(8, 25, 100.0, 5.0, rng);
@@ -141,8 +109,6 @@ TEST(Placement, NearestNeighborScalesAsCharacteristicLength) {
 TEST(Placement, ContractViolations) {
   Rng rng(1);
   EXPECT_THROW(uniform_disc(5, 0.0, rng), ContractViolation);
-  EXPECT_THROW(uniform_square(5, -1.0, rng), ContractViolation);
-  EXPECT_THROW(jittered_grid(2, 2, 0.0, 0.0, rng), ContractViolation);
   EXPECT_THROW(line(3, {0, 0}, 0.0), ContractViolation);
   EXPECT_THROW(ring(3, 0.0), ContractViolation);
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
+
 #include "audit/invariant_auditor.hpp"
 #include "common/expects.hpp"
 #include "geo/vec2.hpp"
@@ -101,6 +104,46 @@ TEST(Trial, ObserverAttachedBeforeRunSeesTheWholeTrial) {
   // Every unicast hop attempt keyed up a transmitter the trace saw.
   EXPECT_GT(r.hop_attempts, 0u);
   EXPECT_GE(trace.transmissions().size(), r.hop_attempts);
+}
+
+TEST(Trial, NearFarDefaultCutoffIsTwiceThePowerBudgetReach) {
+  // The near/far default cutoff is decided once, in Trial: a trial without
+  // one runs exactly like a trial given 2/√min_gain. At the spec defaults
+  // that is 800 m inside a 1000 m disc, so far-field pairs exist and any
+  // other default (2 × region = 2000 m would make every pair near) shows
+  // in their receptions' min-SINR.
+  ScenarioSpec spec;
+  spec.engine = radio::InterferenceEngineKind::kNearFar;
+  struct Run {
+    TrialResult result;
+    std::deque<sim::RxEvent> receptions;
+  };
+  const auto traced = [](const ScenarioSpec& s) {
+    sim::TraceRecorder trace;
+    Trial trial(s, 3);
+    trial.simulator().add_observer(&trace);
+    const TrialResult result = trial.run();
+    return Run{result, trace.receptions()};
+  };
+  const Run by_default = traced(spec);
+  spec.engine_cutoff_m = 2.0 / std::sqrt(spec.net.power().min_gain());
+  EXPECT_DOUBLE_EQ(spec.engine_cutoff_m, 800.0);
+  const Run explicit_cutoff = traced(spec);
+
+  EXPECT_TRUE(by_default.result == explicit_cutoff.result);
+  EXPECT_GT(by_default.result.hop_attempts, 0u);
+  ASSERT_EQ(by_default.receptions.size(), explicit_cutoff.receptions.size());
+  for (std::size_t i = 0; i < by_default.receptions.size(); ++i) {
+    const sim::RxEvent& a = by_default.receptions[i];
+    const sim::RxEvent& b = explicit_cutoff.receptions[i];
+    EXPECT_EQ(a.tx_id, b.tx_id);
+    EXPECT_EQ(a.rx, b.rx);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.loss, b.loss);
+    EXPECT_EQ(a.min_sinr, b.min_sinr) << "reception " << i;
+    EXPECT_EQ(a.required_snr, b.required_snr);
+    EXPECT_EQ(a.signal_w, b.signal_w);
+  }
 }
 
 TEST(Trial, RefusesStationCountsAboveTheDenseGuard) {

@@ -89,14 +89,6 @@ TEST(Traffic, PoissonInterarrivalsExponential) {
   EXPECT_NEAR(mean_gap, 0.01, 0.001);
 }
 
-TEST(Traffic, UniformTrafficEvenSpacing) {
-  Rng rng(9);
-  const auto traffic = uniform_traffic(10, 1.0, 500.0, fixed_pair(0, 1), rng);
-  ASSERT_EQ(traffic.size(), 10u);
-  for (std::size_t i = 0; i < traffic.size(); ++i)
-    EXPECT_DOUBLE_EQ(traffic[i].time_s, 0.1 * static_cast<double>(i));
-}
-
 TEST(Traffic, Contracts) {
   Rng rng(1);
   EXPECT_THROW((void)uniform_pairs(1), ContractViolation);

@@ -100,6 +100,7 @@ assert runs, "no benchmark runs recorded"
 for run in runs:
     assert run["events"] >= doc["target_events"], run
     assert run["events_per_s"] > 0, run
+    assert run["loop_events_per_s"] >= run["events_per_s"], run
 engines = {run["engine"] for run in runs}
 assert engines == {"compensated", "nearfar"}, engines
 print(f"bench smoke OK: {len(runs)} runs, engines {sorted(engines)}")

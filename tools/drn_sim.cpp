@@ -141,15 +141,11 @@ bool parse(int argc, char** argv, Options& opt) {
     return false;
   // drn_sim's own defaults, spelled out as spec values: the baselines
   // transmit at the power limit, back off for one slot on average and sense
-  // carrier at 2.5x the delivered-power target; the near/far cutoff is twice
-  // the free-space reach of the power budget.
+  // carrier at 2.5x the delivered-power target.
   if (dual_slope) spec.dual_slope_breakpoint_m = breakpoint_m;
   spec.baseline_power_w = net.max_power_w;
   spec.baseline_backoff_mean_s = net.slot_s;
   spec.csma_sense_threshold_w = 2.5 * net.target_received_w;
-  if (spec.engine == radio::InterferenceEngineKind::kNearFar &&
-      spec.engine_cutoff_m <= 0.0)
-    spec.engine_cutoff_m = 2.0 / std::sqrt(net.power().min_gain());
   return true;
 }
 

@@ -72,7 +72,7 @@ interference engine
   --engine NAME         compensated|nearfar applied to every trial
                         (default compensated; see drn_sim --help)
   --cutoff METERS       nearfar only: exact-summation radius (default 0 =
-                        twice the trial's region radius, i.e. near-exact)
+                        2x the free-space reach of the power budget)
   --cell METERS         nearfar only: grid cell side (default 0 = cutoff/4)
 
 network dynamics (applied to every trial; all off by default)
