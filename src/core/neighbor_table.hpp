@@ -22,17 +22,21 @@ namespace drn::core {
 
 struct Neighbor {
   StationId id = kNoStation;
+  /// If true, never transmit (to anyone else) during this neighbour's
+  /// receive windows — our signal would raise its noise floor significantly.
+  bool respect_receive_windows = false;
   /// Power gain between us and the neighbour (reciprocal channel).
   double gain = 0.0;
   /// Map from our local clock to theirs.
   ClockModel clock;
-  /// If true, never transmit (to anyone else) during this neighbour's
-  /// receive windows — our signal would raise its noise floor significantly.
-  bool respect_receive_windows = false;
   /// Per-link data rate (core/rate_selection extension); 0 = the network's
   /// fixed design rate.
   double rate_bps = 0.0;
 };
+// Every station keeps one entry per neighbour (about a thousand each under
+// re-adoption at M = 1024): the flag sits in the id's padding, and a new
+// field must not silently re-pad the entry.
+static_assert(sizeof(Neighbor) == 48);
 
 /// Open-addressing map from station id to a dense slot number: linear
 /// probing over a power-of-two table kept at most half full, with kNoStation

@@ -1,8 +1,10 @@
 #include "core/scheduled_station.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/expects.hpp"
@@ -264,17 +266,7 @@ void ScheduledStation::on_broadcast_received(sim::MacContext& ctx,
   sample.mine_s = config_.clock.local(Seconds{ctx.now()}).value();
   sample.theirs_s =
       pkt.sender_local_s + pkt.size_bits / config_.data_rate_bps;
-  const std::size_t capacity = kMaxClockSamples;
-  ClockSample* window = windows_.data() + slot * capacity;
-  if (peer.samples < capacity) {
-    window[peer.samples++] = sample;
-  } else {
-    // Full: slide the oldest out (a short move within the slot's cache
-    // lines). The window must stay oldest->newest: ClockModel::fit sums in
-    // that order, and the pinned outputs depend on its bits.
-    std::copy(window + 1, window + capacity, window);
-    window[capacity - 1] = sample;
-  }
+  record_stamp(peer, sample);
 
   if (peer.neighbor == IdIndex::kAbsent) {
     // An unknown beaconer — a station that joined or rejoined. Adopt it once
@@ -283,7 +275,7 @@ void ScheduledStation::on_broadcast_received(sim::MacContext& ctx,
     Neighbor fresh;
     fresh.id = from;
     fresh.gain = signal_w / pkt.tx_power_w;
-    fresh.clock = ClockModel::fit(beacon_window(slot));
+    fresh.clock = fit_clock(slot);
     peer.neighbor = static_cast<std::uint32_t>(neighbors_.size());
     neighbors_.add(fresh);
     beacon_power_w_ =
@@ -302,7 +294,48 @@ void ScheduledStation::on_broadcast_received(sim::MacContext& ctx,
   }
 
   // Refit once the window holds enough points to track drift.
-  if (peer.samples >= 2) n.clock = ClockModel::fit(beacon_window(slot));
+  if (peer.samples >= 2) n.clock = fit_clock(slot);
+}
+
+void ScheduledStation::record_stamp(BeaconPeer& peer,
+                                    const ClockSample& sample) {
+  if (peer.samples < kHeldSamples) {
+    peer.held[peer.samples++] = sample;
+    return;
+  }
+  if (peer.spill == BeaconPeer::kNoSpill) {
+    if (free_spills_.empty()) {
+      peer.spill = static_cast<std::uint32_t>(spills_.size() / kSpillSamples);
+      spills_.resize(spills_.size() + kSpillSamples);
+    } else {
+      peer.spill = free_spills_.back();
+      free_spills_.pop_back();
+    }
+  }
+  ClockSample* spill = spills_.data() + peer.spill * kSpillSamples;
+  if (peer.samples < kMaxClockSamples) {
+    spill[peer.samples++ - kHeldSamples] = sample;
+    return;
+  }
+  // Full: slide the oldest out across held and spill stamps alike. The
+  // window must stay oldest->newest: ClockModel::fit sums in that order, and
+  // the pinned outputs depend on its bits.
+  peer.held[0] = peer.held[1];
+  peer.held[1] = spill[0];
+  std::copy(spill + 1, spill + kSpillSamples, spill);
+  spill[kSpillSamples - 1] = sample;
+}
+
+ClockModel ScheduledStation::fit_clock(std::uint32_t slot) const {
+  const BeaconPeer& peer = peers_[slot];
+  if (peer.samples <= kHeldSamples)
+    return ClockModel::fit(std::span(peer.held.data(), peer.samples));
+  std::array<ClockSample, kMaxClockSamples> window;
+  std::copy(peer.held.begin(), peer.held.end(), window.begin());
+  const ClockSample* spill = spills_.data() + peer.spill * kSpillSamples;
+  std::copy(spill, spill + (peer.samples - kHeldSamples),
+            window.begin() + kHeldSamples);
+  return ClockModel::fit(std::span(window.data(), peer.samples));
 }
 
 std::uint32_t ScheduledStation::open_peer(StationId id,
@@ -311,7 +344,6 @@ std::uint32_t ScheduledStation::open_peer(StationId id,
   if (free_peers_.empty()) {
     slot = static_cast<std::uint32_t>(peers_.size());
     peers_.emplace_back();
-    windows_.resize(windows_.size() + kMaxClockSamples);
   } else {
     slot = free_peers_.back();  // reset to an empty window when freed
     free_peers_.pop_back();
@@ -319,12 +351,6 @@ std::uint32_t ScheduledStation::open_peer(StationId id,
   peers_[slot].neighbor = neighbor;
   peer_index_.insert(id, slot);
   return slot;
-}
-
-std::span<const ClockSample> ScheduledStation::beacon_window(
-    std::uint32_t slot) const {
-  return {windows_.data() + slot * kMaxClockSamples,
-          peers_[slot].samples};
 }
 
 void ScheduledStation::on_clock_rate_changed(sim::MacContext& ctx,
@@ -358,6 +384,8 @@ void ScheduledStation::evict_stale(sim::MacContext& ctx) {
         slot != IdIndex::kAbsent) {
       // Freed with an empty window: a re-adopted peer starts afresh.
       peer_index_.erase(id);
+      if (peers_[slot].spill != BeaconPeer::kNoSpill)
+        free_spills_.push_back(peers_[slot].spill);
       peers_[slot] = BeaconPeer{};
       free_peers_.push_back(slot);
     }

@@ -18,11 +18,11 @@
 // single data transmission is the only emission per hop.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/access.hpp"
@@ -120,7 +120,42 @@ class ScheduledStation final : public sim::MacProtocol {
     return peer_index_.size();
   }
 
+  /// Spill windows ever allocated, and how many of them are free (test
+  /// introspection).
+  [[nodiscard]] std::size_t spill_windows() const {
+    return spills_.size() / kSpillSamples;
+  }
+  [[nodiscard]] std::size_t free_spill_windows() const {
+    return free_spills_.size();
+  }
+
  private:
+  /// Stamps a peer record holds itself; the rest of a window spills.
+  static constexpr std::size_t kHeldSamples = 2;
+  static constexpr std::size_t kSpillSamples =
+      kMaxClockSamples - kHeldSamples;
+
+  /// Per-beaconer bookkeeping: when the station was last heard (global
+  /// seconds), where it sits in neighbors_ (if it does), and its last
+  /// kMaxClockSamples clock stamps. At large M every station hears every
+  /// beacon, so this state is reached through one O(1) id lookup per
+  /// decoded beacon: peer_index_ names a slot in peers_, and the slot names
+  /// the neighbour entry. Under re-adoption most peers hold two stamps or
+  /// fewer for a whole trial (a stranger is adopted at its second), so the
+  /// record holds the first kHeldSamples stamps itself, and the third takes
+  /// a pooled spill window for the rest. The window reads held then spill,
+  /// oldest->newest. A beaconer that is neither a neighbour nor adoptable
+  /// gets no state. An evicted neighbour's slot and spill window are freed
+  /// and reused, so a re-adopted peer starts a fresh window.
+  struct BeaconPeer {
+    static constexpr std::uint32_t kNoSpill = IdIndex::kAbsent;
+    double last_heard_global_s = 0.0;
+    std::uint32_t neighbor = IdIndex::kAbsent;  // position in neighbors_
+    std::uint32_t samples = 0;
+    std::uint32_t spill = kNoSpill;  // window in spills_ from stamp 3 on
+    std::array<ClockSample, kHeldSamples> held{};
+  };
+
   struct Plan {
     StationId neighbor = kNoStation;  // kBroadcast for a beacon
     double start_local_s = 0.0;
@@ -146,10 +181,13 @@ class ScheduledStation final : public sim::MacProtocol {
   /// opportunity exists.
   void replan(sim::MacContext& ctx);
 
-  /// The clock-stamp window of peer slot `slot`, oldest->newest, ready for
-  /// ClockModel::fit. Valid until the next new peer.
-  [[nodiscard]] std::span<const ClockSample> beacon_window(
-      std::uint32_t slot) const;
+  /// ClockModel::fit over the stamps of peer slot `slot` (at least one),
+  /// oldest->newest.
+  [[nodiscard]] ClockModel fit_clock(std::uint32_t slot) const;
+
+  /// Appends `sample` to the stamps of `peer`, sliding the oldest out of a
+  /// full window.
+  void record_stamp(BeaconPeer& peer, const ClockSample& sample);
 
   /// Starts an empty window for beaconer `id`, whose neighbour-table
   /// position is `neighbor` (IdIndex::kAbsent if none); returns its slot.
@@ -181,25 +219,13 @@ class ScheduledStation final : public sim::MacProtocol {
   // Maintenance-beacon state.
   double next_beacon_due_global_s_ = 0.0;
   double beacon_power_w_ = 0.0;
-  /// Per-beaconer bookkeeping: when the station was last heard (global
-  /// seconds), where it sits in neighbors_ (if it does), and its clock-stamp
-  /// window. At large M every station hears every beacon, so this state is
-  /// reached through one O(1) id lookup per decoded beacon: peer_index_
-  /// names a slot in peers_, and the slot names the neighbour entry. Each
-  /// window holds the last kMaxClockSamples stamps oldest->newest in the
-  /// pooled windows_ (slot s owns [s * capacity, (s + 1) * capacity)). A
-  /// beaconer that is neither a neighbour nor adoptable gets no state. An
-  /// evicted neighbour's slot is freed and reused, so a re-adopted peer
-  /// starts a fresh window.
-  struct BeaconPeer {
-    double last_heard_global_s = 0.0;
-    std::uint32_t neighbor = IdIndex::kAbsent;  // position in neighbors_
-    std::uint32_t samples = 0;
-  };
   IdIndex peer_index_;  // id -> slot in peers_
   std::vector<BeaconPeer> peers_;
   std::vector<std::uint32_t> free_peers_;
-  std::vector<ClockSample> windows_;
+  /// Pooled spill windows, kSpillSamples stamps each: window w is
+  /// [w * kSpillSamples, (w + 1) * kSpillSamples).
+  std::vector<ClockSample> spills_;
+  std::vector<std::uint32_t> free_spills_;
   // Reference instant a never-heard neighbour's silence ages from.
   double eviction_epoch_s_ = 0.0;
 };

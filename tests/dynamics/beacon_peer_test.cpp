@@ -106,6 +106,26 @@ void expect_same_bits(const ClockModel& got, const ClockModel& want) {
   EXPECT_EQ(got.max_residual_s(), want.max_residual_s());
 }
 
+/// Delivers beacon k of `from` at global 0.5 + 0.25 k and records its stamp
+/// in `heard`; then checks that `from` is a neighbour keeping the last
+/// min(|heard|, 8) stamps and that its clock has the bits of a fit over
+/// exactly those.
+void hear_and_check(ScheduledStation& station, StubContext& ctx,
+                    StationId from, int k, std::vector<ClockSample>& heard) {
+  const double now = 0.5 + 0.25 * k;
+  hear(station, ctx, from, now, sent_at(k));
+  heard.push_back(stamp(now, sent_at(k)));
+  const std::size_t kept =
+      std::min(heard.size(), ScheduledStation::kMaxClockSamples);
+  SCOPED_TRACE(heard.size());
+  ASSERT_EQ(station.clock_samples_from(from), kept);
+  const Neighbor* n = station.neighbors().find(from);
+  ASSERT_NE(n, nullptr);
+  const std::vector<ClockSample> window(heard.end() - static_cast<long>(kept),
+                                        heard.end());
+  expect_same_bits(n->clock, ClockModel::fit(window));
+}
+
 TEST(BeaconPeers, StrangersGetNoStateWithoutReadoption) {
   StubContext ctx;
   ScheduledStation station(beacon_config(/*readopt=*/false), table({1}));
@@ -159,6 +179,68 @@ TEST(BeaconPeers, FullWindowKeepsTheLastStampsInOrder) {
     expect_same_bits(station.neighbors().find(1)->clock,
                      ClockModel::fit(window));
   }
+}
+
+TEST(BeaconPeers, AdoptedPeerWindowCrossesHeldAndSpillStamps) {
+  StubContext ctx;
+  ScheduledStation station(beacon_config(/*readopt=*/true), table({}));
+  station.on_start(ctx);
+  std::vector<ClockSample> heard;
+  hear(station, ctx, 5, 0.5, sent_at(0));
+  heard.push_back(stamp(0.5, sent_at(0)));
+  // Adopted at stamp 2 (held), spilled at 3, full at 8, sliding from 9 on.
+  for (int k = 1; k < 11; ++k) {
+    hear_and_check(station, ctx, 5, k, heard);
+    EXPECT_EQ(station.spill_windows(), k < 2 ? 0U : 1U);
+  }
+}
+
+TEST(BeaconPeers, EvictedSpillWindowIsReusedWithoutStaleStamps) {
+  StubContext ctx;
+  const double timeout_s = 3.0;
+  ScheduledStation station(beacon_config(/*readopt=*/true, timeout_s),
+                           table({1}));
+  station.on_start(ctx);
+  const std::uint64_t wake = ctx.cookies.front();
+  // Neighbour 1 fills a whole window, spill included, then falls silent.
+  for (int k = 0; k < 9; ++k) hear(station, ctx, 1, 0.5 + 0.25 * k, sent_at(k));
+  ASSERT_EQ(station.spill_windows(), 1U);
+  ctx.now_s = 6.0;
+  station.on_timer(ctx, wake);
+  ASSERT_EQ(station.neighbors().find(1), nullptr);
+  EXPECT_EQ(station.free_spill_windows(), 1U);
+
+  // A stranger's third stamp takes the freed window, whose old stamps must
+  // never reach its fit.
+  std::vector<ClockSample> heard;
+  hear(station, ctx, 9, 6.25, sent_at(23));
+  heard.push_back(stamp(6.25, sent_at(23)));
+  for (int k = 24; k < 34; ++k) {
+    hear_and_check(station, ctx, 9, k, heard);
+    EXPECT_EQ(station.spill_windows(), 1U);
+    EXPECT_EQ(station.free_spill_windows(), heard.size() < 3 ? 1U : 0U);
+  }
+}
+
+TEST(BeaconPeers, PeerEvictedWithHeldStampsOnlyFreesNoSpillWindow) {
+  StubContext ctx;
+  const double timeout_s = 3.0;
+  ScheduledStation station(beacon_config(/*readopt=*/false, timeout_s),
+                           table({1, 2}));
+  station.on_start(ctx);
+  const std::uint64_t wake = ctx.cookies.front();
+  // 1 is heard twice early, 2 three times late: only 2 spills.
+  hear(station, ctx, 1, 0.5, sent_at(0));
+  hear(station, ctx, 1, 0.75, sent_at(1));
+  for (int k = 17; k < 20; ++k)
+    hear(station, ctx, 2, 0.5 + 0.25 * k, sent_at(k));
+  ASSERT_EQ(station.spill_windows(), 1U);
+  ctx.now_s = 6.0;
+  station.on_timer(ctx, wake);
+  ASSERT_EQ(station.neighbors().find(1), nullptr);
+  ASSERT_NE(station.neighbors().find(2), nullptr);
+  EXPECT_EQ(station.free_spill_windows(), 0U);
+  EXPECT_EQ(station.spill_windows(), 1U);
 }
 
 TEST(BeaconPeers, EvictedPeerIsReadoptedWithAFreshWindow) {

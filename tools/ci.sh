@@ -17,10 +17,14 @@
 #   7. trialbench counters  trialbench/run.py --check-counters: every
 #                    workload's per-layer work counts must equal the pinned
 #                    ones (needs python3; built under build-ci/trialbench)
-#   8. pinned output replay of the bench_*_pinned ctests by name:
-#                    bench_tab_sec8_network_sim's and bench_abl_multiuser's
-#                    stdout must hash to the md5s pinned in
-#                    bench/CMakeLists.txt
+#   8. pinned output replay of the *_pinned ctests by name; each stdout
+#                    must hash to its pinned md5:
+#                    bench_tab_sec8_network_sim_pinned and
+#                    bench_abl_multiuser_pinned (bench/CMakeLists.txt),
+#                    drn_sim_beacon_churn_pinned (512 stations, beacons,
+#                    churn, audited) and
+#                    drn_sim_propagation_connected_pinned (dual-slope +
+#                    shadowing, audited) (tools/CMakeLists.txt)
 #   9. clang-tidy    over src/ and tools/ (needs stage 4's compile commands)
 #  10. build + test  once per sanitizer config (default: tsan, then
 #                    asan+ubsan)
@@ -171,10 +175,10 @@ fi
 
 echo "==== stage: pinned outputs ===="
 # The Section 8 table is the reproduction's headline output. Changes that
-# must not move any reported number keep it byte-identical; one that moves
-# it on purpose re-pins its md5 in bench/CMakeLists.txt and says why. The
-# ctests already ran in stage 4; replay them by name so a drift is reported
-# under its own stage.
+# must not move any reported number keep it and the other pinned outputs
+# byte-identical; one that moves a pin on purpose re-pins its md5 and says
+# why. The ctests already ran in stage 4; replay them by name so a drift is
+# reported under its own stage.
 ctest --test-dir build-ci -R '_pinned$' --output-on-failure
 
 echo "==== stage: clang-tidy ===="
