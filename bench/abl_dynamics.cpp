@@ -75,11 +75,8 @@ runner::SweepSpec sweep_for(const BenchConfig& c, double churn_rate) {
   sw.base.region_m = c.region_m;
   sw.base.dynamics.churn_rate_per_s = churn_rate;
   sw.base.dynamics.mean_downtime_s = 2.0;
-  // Beacons keep the scheme's clock models and neighbour sets live across
-  // churn (baselines ignore these fields — they carry no neighbour state).
-  sw.base.net.beacon_interval_s = 0.5;
-  sw.base.net.neighbor_timeout_s = 6.0;
-  sw.base.net.readopt_neighbors = true;
+  // The scheme's trials beacon every 0.5 s under churn, keeping clock models
+  // and neighbour sets live (runner::make_scenario).
   return sw;
 }
 

@@ -37,17 +37,6 @@ LinearGain PowerLawPropagation::power_gain(geo::Vec2 a, geo::Vec2 b) const {
   return gain_at(Meters{geo::distance(a, b)});
 }
 
-MultipathPenalty::MultipathPenalty(std::shared_ptr<const PropagationModel> base,
-                                   Decibels penalty)
-    : base_(std::move(base)), factor_((-penalty).to_linear()) {
-  DRN_EXPECTS(base_ != nullptr);
-  DRN_EXPECTS(penalty.value() >= 0.0);
-}
-
-LinearGain MultipathPenalty::power_gain(geo::Vec2 a, geo::Vec2 b) const {
-  return base_->power_gain(a, b) * factor_;
-}
-
 DualSlopePropagation::DualSlopePropagation(Meters breakpoint)
     : breakpoint_(breakpoint) {
   DRN_EXPECTS(breakpoint >= kMinDistance);

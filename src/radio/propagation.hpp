@@ -59,22 +59,6 @@ class FreeSpacePropagation : public PowerLawPropagation {
   FreeSpacePropagation() : PowerLawPropagation(2.0) {}
 };
 
-/// Constant multipath penalty (Section 3.3): "the reduction in performance
-/// due to actual multipath would be equivalent to a couple of decibel
-/// decrease in signal to interference ratio" — modelled, as the paper does,
-/// as a flat dB loss on every link (a rake receiver recovers the rest).
-class MultipathPenalty : public PropagationModel {
- public:
-  MultipathPenalty(std::shared_ptr<const PropagationModel> base,
-                   Decibels penalty);
-
-  [[nodiscard]] LinearGain power_gain(geo::Vec2 a, geo::Vec2 b) const override;
-
- private:
-  std::shared_ptr<const PropagationModel> base_;
-  LinearGain factor_;
-};
-
 /// Dual-slope (two-ray) model: free-space 1/r^2 out to a breakpoint
 /// distance, then a steeper 1/r^4 beyond it — the classic ground-reflection
 /// behaviour of near-ground urban links. Continuous at the breakpoint.

@@ -17,6 +17,32 @@
 
 namespace drn::runner {
 
+namespace {
+
+// The trial rules make_baseline_mac and make_scenario document.
+constexpr double kBaselinePowerW = 1.0e-4;
+constexpr int kBaselineMaxRetries = 6;
+constexpr double kCsmaSenseTargets = 2.5;
+constexpr double kMaintenanceBeaconS = 0.5;
+constexpr double kTimeoutIntervals = 12.0;
+
+/// spec.net with the maintenance-beacon rule applied.
+core::ScheduledNetworkConfig trial_network_config(const ScenarioSpec& spec) {
+  core::ScheduledNetworkConfig net = spec.net;
+  const dynamics::DynamicsConfig& dyn = spec.dynamics;
+  if (spec.mac != MacKind::kScheme) return net;
+  if ((dyn.churn_enabled() || dyn.drift_enabled()) &&
+      net.beacon_interval_s <= 0.0)
+    net.beacon_interval_s = kMaintenanceBeaconS;
+  if (dyn.churn_enabled() && net.neighbor_timeout_s <= 0.0) {
+    net.neighbor_timeout_s = kTimeoutIntervals * net.beacon_interval_s;
+    net.readopt_neighbors = true;
+  }
+  return net;
+}
+
+}  // namespace
+
 std::optional<MacKind> parse_mac(std::string_view name) {
   if (name == "scheme") return MacKind::kScheme;
   if (name == "aloha") return MacKind::kAloha;
@@ -38,18 +64,12 @@ std::string_view mac_name(MacKind mac) {
 }
 
 radio::ReceptionCriterion scheme_criterion() {
-  return radio::ReceptionCriterion(radio::Hertz{200.0e6},
-                                   radio::BitsPerSecond{1.0e6},
-                                   radio::Decibels{5.0});
+  return ScenarioSpec{}.criterion();
 }
 
 core::ScheduledNetworkConfig multihop_config() {
   core::ScheduledNetworkConfig cfg;
-  cfg.target_received_w = 1.0e-9;
   cfg.max_power_w = 1.6e-4;
-  cfg.exact_clock_models = false;
-  cfg.max_drift_ppm = 20.0;
-  cfg.rendezvous_noise_s = 1.0e-6;
   return cfg;
 }
 
@@ -76,8 +96,8 @@ Scenario make_scenario(const ScenarioSpec& spec, std::uint64_t seed,
   auto gains =
       radio::make_dense_gains(placement, *propagation_model(spec, seed));
   Rng build_rng = rng.split(1);
-  auto net = core::build_scheduled_network(gains, spec.criterion(), spec.net,
-                                           build_rng);
+  auto net = core::build_scheduled_network(
+      gains, spec.criterion(), trial_network_config(spec), build_rng);
   // Routing runs over the scheduled network's neighbours: one reach rule,
   // one pair scan, and MAC neighbours equal routing edges.
   const auto graph = routing::Graph::min_energy(net.neighbors, gains);
@@ -126,32 +146,26 @@ TrialResult summarize(const sim::Metrics& m, double total_duration_s) {
 }
 
 std::unique_ptr<sim::MacProtocol> make_baseline_mac(const ScenarioSpec& spec) {
+  const baselines::ContentionConfig cc{.power_w = kBaselinePowerW,
+                                       .max_retries = kBaselineMaxRetries,
+                                       .backoff_mean_s = spec.net.slot_s};
   switch (spec.mac) {
     case MacKind::kScheme:
       break;  // scheme MACs come from the network builder, not here
     case MacKind::kAloha:
+      return std::make_unique<baselines::PureAloha>(cc);
     case MacKind::kSlottedAloha:
-    case MacKind::kCsma: {
-      baselines::ContentionConfig cc;
-      cc.power_w = spec.baseline_power_w;
-      cc.max_retries = spec.baseline_max_retries;
-      cc.backoff_mean_s = spec.baseline_backoff_mean_s;
-      if (spec.mac == MacKind::kAloha)
-        return std::make_unique<baselines::PureAloha>(cc);
-      if (spec.mac == MacKind::kSlottedAloha)
-        return std::make_unique<baselines::SlottedAloha>(
-            cc, spec.net.slot_s / 4.0);
+      return std::make_unique<baselines::SlottedAloha>(cc,
+                                                       spec.net.slot_s / 4.0);
+    case MacKind::kCsma:
       return std::make_unique<baselines::CsmaMac>(
-          cc, spec.csma_sense_threshold_w);
-    }
-    case MacKind::kMaca: {
-      baselines::MacaConfig mc;
-      mc.power_w = spec.baseline_power_w;
-      mc.max_retries = spec.baseline_max_retries;
-      mc.backoff_mean_s = spec.baseline_backoff_mean_s;
-      mc.data_rate_bps = spec.data_rate_bps;
-      return std::make_unique<baselines::MacaMac>(mc);
-    }
+          cc, kCsmaSenseTargets * spec.net.target_received_w);
+    case MacKind::kMaca:
+      return std::make_unique<baselines::MacaMac>(
+          baselines::MacaConfig{.power_w = cc.power_w,
+                                .data_rate_bps = spec.data_rate_bps,
+                                .max_retries = cc.max_retries,
+                                .backoff_mean_s = cc.backoff_mean_s});
   }
   DRN_EXPECTS(false);  // make_baseline_mac(kScheme)
   return nullptr;

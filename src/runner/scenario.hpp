@@ -47,12 +47,12 @@ enum class MacKind : std::uint8_t {
 [[nodiscard]] std::optional<MacKind> parse_mac(std::string_view name);
 [[nodiscard]] std::string_view mac_name(MacKind mac);
 
-/// 1 Mb/s design rate over 200 MHz spread (23 dB processing gain), 5 dB
-/// detection margin — the Section 6 design point.
+/// The Section 6 design point, a default ScenarioSpec's criterion(): 1 Mb/s
+/// over 200 MHz spread (23 dB processing gain), 5 dB detection margin.
 [[nodiscard]] radio::ReceptionCriterion scheme_criterion();
 
-/// Multihop-flavoured network defaults: reach ~400 m from a 1 nW delivered
-/// power target.
+/// Multihop-flavoured network defaults: a 1.6e-4 W power limit, which
+/// reaches ~400 m at ScheduledNetworkConfig's 1 nW delivered power target.
 [[nodiscard]] core::ScheduledNetworkConfig multihop_config();
 
 /// A fully assembled network: placement, physics, scheduled-network state
@@ -90,11 +90,6 @@ struct ScenarioSpec {
   /// drawn per station pair from the trial seed.
   double dual_slope_breakpoint_m = 0.0;
   double shadowing_db = 0.0;
-  /// Baseline-MAC knobs (the Section 8 comparison defaults).
-  double baseline_power_w = 1.0e-4;
-  int baseline_max_retries = 6;
-  double baseline_backoff_mean_s = 0.01;
-  double csma_sense_threshold_w = 2.5e-9;
   /// Ride an audit::InvariantAuditor along on the trial's simulator and
   /// report its verdict in the result (audit_checks / audit_violations).
   bool audit = false;
@@ -109,12 +104,11 @@ struct ScenarioSpec {
   double engine_cell_m = 0.0;
   /// Network dynamics & fault injection (src/dynamics/). All off by default:
   /// a spec with dynamics disabled takes exactly the static trial code path,
-  /// draw for draw. When churn or drift is on and the MAC is the scheme, set
-  /// net.beacon_interval_s (+ neighbor_timeout_s / readopt_neighbors) so the
-  /// stations can actually re-converge; jammer stations are appended after
-  /// the real network and excluded from traffic, routing and churn. When
-  /// mobility is on and mobility_region_m is 0, run_trial fills it from
-  /// region_m.
+  /// draw for draw. A scheme trial under churn or drift gets maintenance
+  /// beacons unless net sets them (see make_scenario); jammer stations are
+  /// appended after the real network and excluded from traffic, routing and
+  /// churn. When mobility is on and mobility_region_m is 0, run_trial fills
+  /// it from region_m.
   dynamics::DynamicsConfig dynamics;
 
   [[nodiscard]] radio::ReceptionCriterion criterion() const {
@@ -174,7 +168,9 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
 
 /// A fresh instance of the spec's baseline MAC (spec.mac != kScheme) — what
 /// install_macs gives every station, and what a churned baseline station
-/// reboots with.
+/// reboots with: a fixed 1e-4 W (no power control), 6 retries, a mean
+/// backoff of spec.net.slot_s (slotted ALOHA: slots of slot_s / 4), and CSMA
+/// senses carrier at 2.5 x spec.net.target_received_w.
 [[nodiscard]] std::unique_ptr<sim::MacProtocol> make_baseline_mac(
     const ScenarioSpec& spec);
 
@@ -187,6 +183,10 @@ void install_macs(sim::Simulator& sim, Scenario& scenario,
 /// spec.criterion() and spec.net, and min-energy routes. `connected`, when
 /// given, receives whether the routing graph spans every station. Refuses
 /// M > radio::kDenseMatrixGuardM (the gains are a dense matrix).
+/// A scheme trial under churn or drift needs maintenance beacons to evict
+/// ghosts, re-adopt returnees and re-fit clocks, so what spec.net leaves at
+/// 0 is filled in: beacons every 0.5 s and, under churn, a timeout of 12
+/// intervals and re-adoption.
 [[nodiscard]] Scenario make_scenario(const ScenarioSpec& spec,
                                      std::uint64_t seed,
                                      bool* connected = nullptr);

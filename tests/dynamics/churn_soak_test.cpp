@@ -17,9 +17,6 @@ TEST(ChurnSoak, AuditedEverythingOnRunStaysInvariantClean) {
   spec.duration_s = 60.0;
   spec.drain_s = 30.0;
   spec.audit = true;
-  spec.net.beacon_interval_s = 0.5;
-  spec.net.neighbor_timeout_s = 6.0;
-  spec.net.readopt_neighbors = true;
   spec.dynamics.churn_rate_per_s = 1.0;
   spec.dynamics.mean_downtime_s = 3.0;
   spec.dynamics.mobility_speed_mps = 1.0;

@@ -13,7 +13,8 @@ namespace drn::testing {
 namespace {
 
 /// 30 stations in a 900 m disc under aggressive load (400 pkt/s). Trials of
-/// one seed share placement, routes and offered traffic, whatever the MAC.
+/// one seed share placement, routes and offered traffic, whatever the MAC,
+/// and the baselines radiate 1e-4 W, comparable to the scheme's power.
 runner::ScenarioSpec comparison_spec(runner::MacKind mac) {
   runner::ScenarioSpec spec;
   spec.stations = 30;
@@ -22,7 +23,6 @@ runner::ScenarioSpec comparison_spec(runner::MacKind mac) {
   spec.rate_pps = 400.0;
   spec.duration_s = 2.0;
   spec.net.exact_clock_models = true;
-  spec.baseline_power_w = 1.0e-4;  // comparable radiated power
   spec.audit = true;
   return spec;
 }
@@ -58,11 +58,9 @@ TEST(BaselineComparison, SchemeBeatsRandomAccessUnderLoad) {
 TEST(BaselineComparison, CsmaSuffersHiddenTerminalsTheSchemeDoesNot) {
   const std::uint64_t seed = 103;
   const auto scheme = audited(comparison_spec(runner::MacKind::kScheme), seed);
-  auto spec = comparison_spec(runner::MacKind::kCsma);
-  spec.baseline_backoff_mean_s = 0.005;
-  // Sense threshold ~ the power a 200 m neighbour delivers.
-  spec.csma_sense_threshold_w = 2.5e-9;
-  const auto csma = audited(spec, seed);
+  // CSMA senses carrier at 2.5 nW, about the power a 200 m neighbour
+  // delivers.
+  const auto csma = audited(comparison_spec(runner::MacKind::kCsma), seed);
 
   EXPECT_EQ(collisions(scheme), 0u);
   EXPECT_GT(collisions(csma), 0u);
@@ -70,10 +68,8 @@ TEST(BaselineComparison, CsmaSuffersHiddenTerminalsTheSchemeDoesNot) {
 }
 
 TEST(BaselineComparison, SlottedAlohaStillCollides) {
-  auto spec = comparison_spec(runner::MacKind::kSlottedAloha);
-  spec.baseline_max_retries = 4;
-  spec.baseline_backoff_mean_s = 0.02;
-  const auto slotted = audited(spec, 105);  // slots of net.slot_s / 4
+  const auto slotted = audited(comparison_spec(runner::MacKind::kSlottedAloha),
+                               105);  // slots of net.slot_s / 4
   EXPECT_GT(collisions(slotted), 0u);
   EXPECT_LT(slotted.delivery_ratio, 1.0);
 }

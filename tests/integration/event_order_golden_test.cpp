@@ -66,17 +66,14 @@ TEST(EventOrderGolden, AlohaHashPinned) {
 /// receptions. Pins the ordering contract under dynamics, not just the
 /// static Section 8 runs.
 std::uint64_t churn_mobility_hash(std::uint64_t seed) {
+  // The trial gives churned scheme stations maintenance beacons (0.5 s, a
+  // 6 s neighbour timeout, re-adoption) so they can re-converge, and lets
+  // stations move over the whole region.
   runner::ScenarioSpec spec = golden_spec(runner::MacKind::kScheme);
-  // Maintenance beacons so churned stations can re-converge (the same knobs
-  // drn_sweep auto-enables under churn).
-  spec.net.beacon_interval_s = 0.5;
-  spec.net.neighbor_timeout_s = 12.0 * spec.net.beacon_interval_s;
-  spec.net.readopt_neighbors = true;
   spec.dynamics.churn_rate_per_s = 2.0;
   spec.dynamics.mean_downtime_s = 1.0;
   spec.dynamics.mobility_speed_mps = 20.0;
   spec.dynamics.mobility_step_s = 0.25;
-  spec.dynamics.mobility_region_m = spec.region_m;
   runner::TrialResult r;
   const std::uint64_t hash = hash_of(spec, seed, &r);
   // The scenario must actually exercise the dynamics paths it pins.
@@ -107,7 +104,6 @@ TEST(EventOrderGolden, NearFarHashPinned) {
   spec.dynamics.mean_downtime_s = 1.0;
   spec.dynamics.mobility_speed_mps = 20.0;
   spec.dynamics.mobility_step_s = 0.25;
-  spec.dynamics.mobility_region_m = spec.region_m;
   runner::TrialResult r;
   const std::uint64_t hash = hash_of(spec, runner::trial_seed(909, 0), &r);
   EXPECT_GT(r.station_leaves, 0u);

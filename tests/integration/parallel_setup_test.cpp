@@ -51,10 +51,8 @@ std::vector<std::shared_ptr<const radio::PropagationModel>> models() {
   auto free_space = std::make_shared<radio::FreeSpacePropagation>();
   return {free_space,
           std::make_shared<radio::DualSlopePropagation>(radio::Meters{150.0}),
-          std::make_shared<radio::MultipathPenalty>(
-              std::make_shared<radio::LogNormalShadowing>(
-                  free_space, radio::Decibels{6.0}, 0x5AD0ull),
-              radio::Decibels{2.0})};
+          std::make_shared<radio::LogNormalShadowing>(
+              free_space, radio::Decibels{6.0}, 0x5AD0ull)};
 }
 
 TEST(ParallelSetup, DenseGainsMatchSerialReference) {

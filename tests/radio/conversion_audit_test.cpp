@@ -7,7 +7,6 @@
 // Paper references (Shepard, SIGCOMM '96):
 //   Eq. 3-4   C = W log2(1 + S/N); beta margin on the required S/N
 //   Eq. 15    S/N = 1 / (eta ln M) nearest-neighbour scaling
-//   Sec. 3.3  "a couple of decibel" multipath penalty, h^2 path gains
 //   Sec. 6    W/C processing gain, "20 to 25 dB"
 #include <gtest/gtest.h>
 
@@ -76,17 +75,6 @@ TEST(ConversionAudit, ProcessingGainSection6) {
   EXPECT_NEAR(c.processing_gain_db().value(), 10.0 * std::log10(200.0),
               1e-12);
   EXPECT_NEAR(c.processing_gain_db().value(), 23.0103, 1e-4);
-}
-
-TEST(ConversionAudit, MultipathPenaltySection33) {
-  // "A couple of decibel decrease": -2 dB is a flat x10^-0.2 on every link.
-  auto base = std::make_shared<FreeSpacePropagation>();
-  const MultipathPenalty model(base, Decibels{2.0});
-  const geo::Vec2 a{0.0, 0.0};
-  const geo::Vec2 b{100.0, 0.0};
-  EXPECT_DOUBLE_EQ(
-      (model.power_gain(a, b) / base->power_gain(a, b)).value(),
-      from_db(-2.0));
 }
 
 TEST(ConversionAudit, ShadowingSigmaScalesInDb) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 
 #include "common/expects.hpp"
@@ -56,28 +55,6 @@ TEST(PowerLaw, Contracts) {
   EXPECT_THROW(PowerLawPropagation(-1.0), ContractViolation);
   const FreeSpacePropagation model;
   EXPECT_THROW((void)model.gain_at(Meters{-1.0}), ContractViolation);
-}
-
-TEST(Multipath, CoupleOfDbPenaltyAppliedUniformly) {
-  // Section 3.3: multipath costs "a couple of decibel decrease in signal to
-  // interference ratio" — a flat factor on every link.
-  auto base = std::make_shared<FreeSpacePropagation>();
-  const MultipathPenalty model(base, Decibels{2.0});
-  for (double r : {1.0, 10.0, 500.0}) {
-    const geo::Vec2 b{r, 0.0};
-    EXPECT_NEAR(
-        (model.power_gain({0, 0}, b) / base->power_gain({0, 0}, b)).value(),
-        std::pow(10.0, -0.2), 1e-12);
-  }
-}
-
-TEST(Multipath, ZeroPenaltyIsTransparentAndContractsHold) {
-  auto base = std::make_shared<FreeSpacePropagation>();
-  const MultipathPenalty model(base, Decibels{0.0});
-  EXPECT_DOUBLE_EQ(model.power_gain({0, 0}, {5, 0}).value(),
-                   base->power_gain({0, 0}, {5, 0}).value());
-  EXPECT_THROW(MultipathPenalty(nullptr, Decibels{2.0}), ContractViolation);
-  EXPECT_THROW(MultipathPenalty(base, Decibels{-1.0}), ContractViolation);
 }
 
 TEST(DualSlope, FreeSpaceBeforeBreakpoint) {

@@ -146,6 +146,51 @@ TEST(Trial, NearFarDefaultCutoffIsTwiceThePowerBudgetReach) {
   }
 }
 
+/// The maintenance-beacon settings station 0 of (spec, seed 1) runs with.
+core::ScheduledStationConfig station_config(const ScenarioSpec& spec) {
+  return make_scenario(spec, 1).net.macs[0]->config();
+}
+
+TEST(Trial, SchemeUnderChurnGetsMaintenanceBeacons) {
+  // Churned stations must beacon to evict ghosts and re-adopt returnees:
+  // 0.5 s beacons, a timeout of 12 intervals, re-adoption on.
+  ScenarioSpec spec = small_spec();
+  spec.dynamics.churn_rate_per_s = 1.0;
+  const auto sc = station_config(spec);
+  EXPECT_EQ(sc.beacon_interval_s, 0.5);
+  EXPECT_EQ(sc.neighbor_timeout_s, 6.0);
+  EXPECT_TRUE(sc.readopt_neighbors);
+}
+
+TEST(Trial, SchemeUnderDriftBeaconsWithoutTimeouts) {
+  // Drifting clocks need re-fitting beacons; nobody leaves, so no timeout.
+  ScenarioSpec spec = small_spec();
+  spec.dynamics.drift_ppm_per_s = 2.0;
+  const auto sc = station_config(spec);
+  EXPECT_EQ(sc.beacon_interval_s, 0.5);
+  EXPECT_EQ(sc.neighbor_timeout_s, 0.0);
+  EXPECT_FALSE(sc.readopt_neighbors);
+}
+
+TEST(Trial, ExplicitMaintenanceSettingsStay) {
+  ScenarioSpec spec = small_spec();
+  spec.dynamics.churn_rate_per_s = 1.0;
+  spec.net.beacon_interval_s = 1.0;
+  spec.net.neighbor_timeout_s = 3.0;
+  spec.net.readopt_neighbors = true;
+  const auto sc = station_config(spec);
+  EXPECT_EQ(sc.beacon_interval_s, 1.0);
+  EXPECT_EQ(sc.neighbor_timeout_s, 3.0);
+  EXPECT_TRUE(sc.readopt_neighbors);
+  // An explicit interval alone: the timeout is 12 of that interval.
+  spec.net.neighbor_timeout_s = 0.0;
+  spec.net.readopt_neighbors = false;
+  const auto derived = station_config(spec);
+  EXPECT_EQ(derived.beacon_interval_s, 1.0);
+  EXPECT_EQ(derived.neighbor_timeout_s, 12.0);
+  EXPECT_TRUE(derived.readopt_neighbors);
+}
+
 TEST(Trial, RefusesStationCountsAboveTheDenseGuard) {
   ScenarioSpec spec = small_spec();
   spec.stations = radio::kDenseMatrixGuardM + 1;

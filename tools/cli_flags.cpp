@@ -71,7 +71,7 @@ bool take_switch(Flags& flags, const char* name, bool& out) {
   return true;
 }
 
-bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s) {
+bool take_shared(Flags& flags, runner::ScenarioSpec& spec) {
   if (auto it = flags.find("engine"); it != flags.end()) {
     const auto kind = radio::parse_engine(it->second);
     if (!kind) {
@@ -104,13 +104,13 @@ bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s) {
                  "--jammers N\n";
     return false;
   }
-  take(flags, "beacon", beacon_s);
+  take(flags, "beacon", spec.net.beacon_interval_s);
   return take_switch(flags, "audit", spec.audit);
 }
 
-bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
-                   bool scheme_runs, std::size_t max_stations) {
-  auto& dyn = spec.dynamics;
+bool finish_shared(const runner::ScenarioSpec& spec,
+                   std::size_t max_stations) {
+  const auto& dyn = spec.dynamics;
   const bool nearfar = spec.engine == radio::InterferenceEngineKind::kNearFar;
   if ((spec.engine_cutoff_m > 0.0 || spec.engine_cell_m > 0.0) && !nearfar) {
     std::cerr << "--cutoff/--cell tune the near/far engine; "
@@ -141,7 +141,7 @@ bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
                  "--jammer-duty in (0, 1]\n";
     return false;
   }
-  if (beacon_s < 0.0) {
+  if (spec.net.beacon_interval_s < 0.0) {
     std::cerr << "--beacon must be >= 0\n";
     return false;
   }
@@ -158,17 +158,6 @@ bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
                  "pipeline (ROADMAP.md, "
                  "\"Matrix-free setup\") is the way past it.\n";
     return false;
-  }
-  // Under churn or drift the scheme needs maintenance beacons to evict
-  // ghosts, re-adopt returnees and re-fit drifting clocks.
-  if (scheme_runs &&
-      (dyn.churn_enabled() || dyn.drift_enabled() || beacon_s > 0.0)) {
-    auto& net = spec.net;
-    net.beacon_interval_s = beacon_s > 0.0 ? beacon_s : 0.5;
-    if (dyn.churn_enabled()) {
-      net.neighbor_timeout_s = 12.0 * net.beacon_interval_s;
-      net.readopt_neighbors = true;
-    }
   }
   return true;
 }

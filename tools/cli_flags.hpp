@@ -72,20 +72,16 @@ void take(Flags& flags, const char* name, Count& out) {
 /// A 0|1 switch: anything else is rejected.
 bool take_switch(Flags& flags, const char* name, bool& out);
 
-/// Consumes the shared flags into `spec`; --beacon lands in `beacon_s`
-/// (0 = auto). False on an unknown engine name or a bad --audit value.
-bool take_shared(Flags& flags, runner::ScenarioSpec& spec, double& beacon_s);
+/// Consumes the shared flags into `spec` (--beacon into
+/// spec.net.beacon_interval_s). False on an unknown engine name or a bad
+/// --audit value.
+bool take_shared(Flags& flags, runner::ScenarioSpec& spec);
 
-/// Validates the shared values once every flag is read, then applies the
-/// auto-beacon rule: when the scheme runs and churn or drift is on (or
-/// --beacon was given), its stations beacon every `beacon_s` (0.5 s on
-/// auto) and, under churn, time out silent neighbours after 12 intervals
-/// and re-adopt returnees. `max_stations` is the largest station count the
-/// command will run; setup builds an M x M gain matrix, so counts
-/// above radio::kDenseMatrixGuardM are refused here rather than deep inside
-/// a trial.
-bool finish_shared(runner::ScenarioSpec& spec, double beacon_s,
-                   bool scheme_runs, std::size_t max_stations);
+/// Validates the shared values once every flag is read. `max_stations` is
+/// the largest station count the command will run; setup builds an M x M
+/// gain matrix, so counts above radio::kDenseMatrixGuardM are refused here
+/// rather than deep inside a trial.
+bool finish_shared(const runner::ScenarioSpec& spec, std::size_t max_stations);
 
 /// False, naming the first leftover flag, unless every flag was consumed.
 bool all_consumed(const Flags& flags);

@@ -24,7 +24,6 @@ namespace {
 using namespace drn;
 
 struct Options {
-  /// The trial, with drn_sim's own defaults made explicit by parse().
   runner::ScenarioSpec spec;
   std::uint64_t seed = 1;
   std::string csv_trace;
@@ -52,7 +51,8 @@ radio design point
   --data-rate BPS       design rate C               (default 1e6)
   --margin DB           detection margin            (default 5)
   --target-power W      delivered power target      (default 1e-9)
-  --max-power W         transmit power limit        (default 1.6e-4)
+  --max-power W         scheme power limit          (default 1.6e-4)
+                        (baseline MACs radiate a fixed 1e-4 W)
 
 channel access
   --mac NAME            scheme|aloha|slotted|csma|maca   (default scheme)
@@ -123,8 +123,7 @@ bool parse(int argc, char** argv, Options& opt) {
   cli::take(kv, "shadowing", spec.shadowing_db);
   cli::take(kv, "csv-trace", opt.csv_trace);
   cli::take(kv, "trace-cap", opt.trace_cap);
-  double beacon_s = 0.0;
-  if (!cli::take_shared(kv, spec, beacon_s)) return false;
+  if (!cli::take_shared(kv, spec)) return false;
   if (!cli::take_switch(kv, "json", opt.json)) return false;
   if (!cli::all_consumed(kv)) return false;
   if (opt.trace_cap > 0 && opt.csv_trace.empty()) {
@@ -136,16 +135,8 @@ bool parse(int argc, char** argv, Options& opt) {
     std::cerr << "--breakpoint must be > 0 with --dual-slope 1\n";
     return false;
   }
-  if (!cli::finish_shared(spec, beacon_s, spec.mac == runner::MacKind::kScheme,
-                          spec.stations))
-    return false;
-  // drn_sim's own defaults, spelled out as spec values: the baselines
-  // transmit at the power limit, back off for one slot on average and sense
-  // carrier at 2.5x the delivered-power target.
+  if (!cli::finish_shared(spec, spec.stations)) return false;
   if (dual_slope) spec.dual_slope_breakpoint_m = breakpoint_m;
-  spec.baseline_power_w = net.max_power_w;
-  spec.baseline_backoff_mean_s = net.slot_s;
-  spec.csma_sense_threshold_w = 2.5 * net.target_received_w;
   return true;
 }
 

@@ -197,20 +197,15 @@ bool parse(int argc, char** argv, Options& opt) {
   if (!cli::take_switch(kv, "paired", opt.spec.paired_seeds) ||
       !cli::take_switch(kv, "progress", opt.progress))
     return false;
-  double beacon_s = 0.0;
-  if (!cli::take_shared(kv, opt.spec.base, beacon_s)) return false;
+  if (!cli::take_shared(kv, opt.spec.base)) return false;
   cli::take(kv, "json", opt.json_path);
   if (!cli::all_consumed(kv)) return false;
   if (opt.spec.seeds == 0) {
     std::cerr << "--seeds must be >= 1\n";
     return false;
   }
-  const auto& macs = opt.spec.macs;
-  const bool scheme_in_sweep =
-      std::find(macs.begin(), macs.end(), runner::MacKind::kScheme) !=
-      macs.end();
   return cli::finish_shared(
-      opt.spec.base, beacon_s, scheme_in_sweep,
+      opt.spec.base,
       *std::max_element(opt.spec.stations.begin(), opt.spec.stations.end()));
 }
 
