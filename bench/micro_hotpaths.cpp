@@ -312,7 +312,8 @@ BENCHMARK(BM_RoutingTablesBuild)->Arg(100)->Arg(300)->Unit(benchmark::kMilliseco
 /// A trial's pattern: M/2 uniform random pairs routed hop by hop from fresh
 /// lazy tables, so only the trees (and tree parts) those routes need are
 /// built. `tree_bytes` is what the routes added to the empty tables, per
-/// tree built.
+/// tree built; `settled_per_pair` is the stations the searches settled, per
+/// pair.
 void BM_RoutingUniformPairs(benchmark::State& state) {
   const auto stations = static_cast<std::size_t>(state.range(0));
   const auto graph = routing_graph(stations);
@@ -322,6 +323,7 @@ void BM_RoutingUniformPairs(benchmark::State& state) {
     pairs.emplace_back(static_cast<StationId>(rng.uniform_index(stations)),
                        static_cast<StationId>(rng.uniform_index(stations)));
   double tree_bytes = 0.0;
+  double settled_per_pair = 0.0;
   for (auto _ : state) {
     const auto tables = drn::routing::RoutingTables::build(graph);
     const std::size_t empty_bytes = tables.memory_bytes();
@@ -331,8 +333,11 @@ void BM_RoutingUniformPairs(benchmark::State& state) {
     }
     tree_bytes = static_cast<double>(tables.memory_bytes() - empty_bytes) /
                  static_cast<double>(tables.stats().trees);
+    settled_per_pair = static_cast<double>(tables.stats().settled) /
+                       static_cast<double>(pairs.size());
   }
   state.counters["tree_bytes"] = tree_bytes;
+  state.counters["settled_per_pair"] = settled_per_pair;
   state.SetLabel("stations=" + std::to_string(stations));
 }
 BENCHMARK(BM_RoutingUniformPairs)

@@ -1,8 +1,8 @@
 // Centralized min-cost paths (Dijkstra) and the next-hop tables built from
 // them. The distributed computation the paper actually proposes is in
 // routing/bellman_ford.hpp; Dijkstra serves as the reference oracle the
-// distributed algorithm must agree with (tested), and as the fast way to
-// route large simulations.
+// distributed algorithm must agree with (tested), and its goal-directed A*
+// form as the fast way to route large simulations.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,15 @@ struct PathTree {
 /// parent of `at` in the shortest-path tree rooted at `dst`.
 ///
 /// The trees are computed lazily, one per destination on its first query,
-/// and only as far as the queries need: a destination's Dijkstra pauses as
-/// soon as the queried station's entry is final and resumes for a later
-/// query further out. Pausing does not change the computation, so every
-/// answer equals the one shortest_paths(graph, dst) gives, bit for bit.
-/// Memory is O(M + E) up front plus one 4-byte word per station per
+/// and only as far as the queries need: a destination's A* search, steered
+/// toward the queried station by landmark lower bounds, pauses as soon as
+/// that station settles and resumes toward the next one queried. Every
+/// settled entry is final, and equal costs go to the predecessor
+/// shortest_paths settles first, so every answer equals the one
+/// shortest_paths(graph, dst) gives, bit for bit. A query between two
+/// components builds no tree. Memory is O(M + E) up front, 16 landmark
+/// costs and a component label per station and a reverse index per arc
+/// from the first query on, plus one 4-byte word per station per
 /// destination queried (and the frontier of a tree not yet complete), never
 /// an M x M table. Copies and router() closures share one set of trees; like
 /// the Simulator they serve, they must be used from one thread at a time.
@@ -64,18 +68,27 @@ class RoutingTables {
   /// every tree.
   [[nodiscard]] bool prefix_consistent() const;
 
+  /// The lower bound on cost(from, to) that steers the searches toward
+  /// `to`: the largest difference between the two stations' costs to one
+  /// landmark, scaled by 1 - 1e-9. 0 if `to` lies outside the landmarks'
+  /// component, infinity across components. Builds the landmarks on first
+  /// use, as a query does.
+  [[nodiscard]] double lower_bound(StationId from, StationId to) const;
+
   /// A Simulator-compatible router closure. It shares these tables' trees
   /// (no copy), and keeps them alive after this object is gone.
   [[nodiscard]] std::function<StationId(StationId, StationId)> router() const;
 
   /// Work done so far; deterministic in the sequence of queries.
   struct Stats {
-    std::uint64_t trees = 0;    // destinations whose Dijkstra has started
+    std::uint64_t trees = 0;    // destinations whose search has started
     std::uint64_t settled = 0;  // stations settled, summed over the trees
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Bytes held: the captured adjacency plus every tree started so far.
+  /// Bytes held: the captured adjacency, what the first query builds (the
+  /// landmark costs, component labels and reverse arcs), the shared run
+  /// scratch, and every tree started so far.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:

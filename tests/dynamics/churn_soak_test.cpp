@@ -1,7 +1,6 @@
-// Long-running churn soak — registered under the `soak` ctest configuration
-// (ctest -C soak) and deliberately excluded from the tier-1 suite: it runs a
-// fully audited, minutes-long simulation with every fault class enabled at
-// once and asserts the physics invariants never crack.
+// Churn soak: a fully audited simulation of 60 s of traffic with every fault
+// class enabled at once, asserting the physics invariants never crack. It
+// takes about a second, so it runs with the rest of the suite.
 #include <gtest/gtest.h>
 
 #include "runner/scenario.hpp"

@@ -29,6 +29,11 @@
 #  10. build + test  once per sanitizer config (default: tsan, then
 #                    asan+ubsan)
 #
+# Every config runs test_dynamics_soak, the audited churn soak: about 1.5 s
+# in the default config, 14 s under tsan and 8 s under asan+ubsan on a
+# 4-vCPU x86-64 VM. The longest test there is test_routing (74 s and 31 s),
+# whose all-pairs checks resume each routing tree hundreds of times.
+#
 # Stages 1, 4, 7, 8 and 9 fail the build on any finding. The others also fail on
 # findings, but are skipped with a notice when the host lacks the tool
 # (libclang / clang-format / clang-tidy — the baked toolchain is gcc-only);
