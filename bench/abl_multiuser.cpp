@@ -29,7 +29,8 @@ struct Outcome {
 Outcome run_aloha(int k, std::uint64_t seed) {
   auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(
+      {.stations = 20, .region_m = 600.0, .net = cfg}, seed);
   // Narrowband receiver (0 dB threshold): ALOHA's collisions are SINR
   // failures a canceller can actually rescue. (Under the 23 dB spread
   // design, ALOHA's losses are almost purely Type 3 — the receiver's own
@@ -59,12 +60,23 @@ Outcome run_aloha(int k, std::uint64_t seed) {
 Outcome run_scheme(int k, std::uint64_t seed) {
   auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::runner::make_scenario(20, 600.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(
+      {.stations = 20, .region_m = 600.0, .net = cfg}, seed);
+  // runner::Trial would build its own simulator, without multiuser
+  // detection, so the rig is wired by hand like run_aloha's.
   sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sc.multiuser_subtract_k = k;
   sim::Simulator sim(scenario.gains, sc);
-  const auto& m =
-      drn::runner::run_scheme(scenario, sim, 800.0, 2.0, seed, 60.0);
+  for (StationId s = 0; s < scenario.gains.size(); ++s)
+    sim.set_mac(s, std::move(scenario.net.macs[s]));
+  sim.set_router(scenario.tables.router());
+  drn::Rng rng(seed);
+  for (const auto& inj : sim::poisson_traffic(
+           800.0, 2.0, scenario.net.packet_bits,
+           sim::uniform_pairs(scenario.gains.size()), rng))
+    sim.inject(inj.time_s, inj.packet);
+  sim.run_until(2.0 + 60.0);
+  const auto& m = sim.metrics();
   return {m.delivery_ratio(), m.losses(sim::LossType::kType1),
           m.losses(sim::LossType::kType2), m.losses(sim::LossType::kType3)};
 }

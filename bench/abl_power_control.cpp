@@ -10,6 +10,7 @@
 #include "analysis/table.hpp"
 #include "radio/units.hpp"
 #include "runner/scenario.hpp"
+#include "sim/traffic.hpp"
 
 namespace {
 
@@ -27,7 +28,8 @@ struct Outcome {
 Outcome run(bool controlled, std::uint64_t seed) {
   auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::runner::make_scenario(40, 1000.0, seed, cfg);
+  auto scenario = drn::runner::make_scenario(
+      {.stations = 40, .region_m = 1000.0, .net = cfg}, seed);
 
   if (!controlled) {
     // Rebuild the MACs with fixed-power policy: every station blasts at the
@@ -48,10 +50,20 @@ Outcome run(bool controlled, std::uint64_t seed) {
     }
   }
 
+  // runner::Trial would install the builder's MACs, so the rig is wired by
+  // hand: MACs, min-energy router, Poisson uniform-pair traffic.
   sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
   sim::Simulator simulator(scenario.gains, sc);
-  const auto& m = drn::runner::run_scheme(scenario, simulator, 300.0, 2.0,
-                                         seed, 120.0);
+  for (StationId s = 0; s < scenario.gains.size(); ++s)
+    simulator.set_mac(s, std::move(scenario.net.macs[s]));
+  simulator.set_router(scenario.tables.router());
+  drn::Rng rng(seed);
+  for (const auto& inj : sim::poisson_traffic(
+           300.0, 2.0, scenario.net.packet_bits,
+           sim::uniform_pairs(scenario.gains.size()), rng))
+    simulator.inject(inj.time_s, inj.packet);
+  simulator.run_until(2.0 + 120.0);
+  const auto& m = simulator.metrics();
   Outcome o;
   o.margin_mean_db = m.sinr_margin_db().mean();
   o.margin_stddev_db =

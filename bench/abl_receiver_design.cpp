@@ -70,11 +70,15 @@ void packet_fraction() {
     auto cfg = drn::runner::multihop_config();
     cfg.packet_fraction = f;
     cfg.exact_clock_models = true;
-    auto scenario = drn::runner::make_scenario(25, 800.0, 909, cfg);
-    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
-    sim::Simulator simulator(scenario.gains, sc);
-    const auto& m =
-        drn::runner::run_scheme(scenario, simulator, 200.0, 2.0, 909, 120.0);
+    drn::runner::Trial trial({.stations = 25,
+                              .region_m = 800.0,
+                              .rate_pps = 200.0,
+                              .duration_s = 2.0,
+                              .drain_s = 120.0,
+                              .net = cfg},
+                             909);
+    trial.run();
+    const auto& m = trial.simulator().metrics();
     t.add_row({Table::num(f, 3),
                Table::num(drn::analysis::packing_efficiency(f), 3),
                Table::num(m.delivered()),

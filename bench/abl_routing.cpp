@@ -76,7 +76,8 @@ int main() {
 
   auto cfg = drn::runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = drn::runner::make_scenario(40, 1000.0, 808, cfg);
+  auto scenario = drn::runner::make_scenario(
+      {.stations = 40, .region_m = 1000.0, .net = cfg}, 808);
   const double min_gain = cfg.power().min_gain();
 
   const auto energy_graph = routing::Graph::min_energy(scenario.gains, min_gain);

@@ -178,14 +178,15 @@ void BM_SimulatorEvent(benchmark::State& state) {
     state.PauseTiming();
     auto cfg = drn::runner::multihop_config();
     cfg.exact_clock_models = true;
-    auto scenario =
-        drn::runner::make_scenario(stations, 1000.0, 42, cfg);
-    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
-    sim::Simulator simulator(scenario.gains, sc);
+    drn::runner::Trial trial({.stations = stations,
+                              .region_m = 1000.0,
+                              .rate_pps = 300.0,
+                              .duration_s = 1.0,
+                              .drain_s = 30.0,
+                              .net = cfg},
+                             42);
     state.ResumeTiming();
-    const auto& m =
-        drn::runner::run_scheme(scenario, simulator, 300.0, 1.0, 42, 30.0);
-    benchmark::DoNotOptimize(m.delivered());
+    benchmark::DoNotOptimize(trial.run().delivered);
   }
   state.SetLabel("stations=" + std::to_string(stations));
 }

@@ -115,12 +115,16 @@ void duty_cycle_sweep() {
   for (double p : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
     auto cfg = drn::runner::multihop_config();
     cfg.receive_fraction = p;
-    auto scenario = drn::runner::make_scenario(30, 900.0, 99, cfg);
-    sim::SimulatorConfig sc{drn::runner::scheme_criterion()};
-    sim::Simulator simulator(scenario.gains, sc);
     const double duration = 3.0;
-    const auto& m = drn::runner::run_scheme(scenario, simulator, 700.0,
-                                           duration, 99, 120.0);
+    drn::runner::Trial trial({.stations = 30,
+                              .region_m = 900.0,
+                              .rate_pps = 700.0,
+                              .duration_s = duration,
+                              .drain_s = 120.0,
+                              .net = cfg},
+                             99);
+    trial.run();
+    const auto& m = trial.simulator().metrics();
     t.add_row({Table::num(p, 2), Table::num(m.delivered()),
                Table::num(m.delay().mean() / cfg.slot_s, 1),
                Table::num(m.mean_duty_cycle(duration), 3),

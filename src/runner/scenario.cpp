@@ -107,16 +107,6 @@ Scenario make_scenario(const ScenarioSpec& spec, std::uint64_t seed,
                   std::move(tables)};
 }
 
-Scenario make_scenario(std::size_t stations, double region_m,
-                       std::uint64_t seed,
-                       core::ScheduledNetworkConfig net_cfg) {
-  ScenarioSpec spec;
-  spec.stations = stations;
-  spec.region_m = region_m;
-  spec.net = net_cfg;
-  return make_scenario(spec, seed);
-}
-
 TrialResult summarize(const sim::Metrics& m, double total_duration_s) {
   TrialResult r;
   r.offered = m.offered();
@@ -307,21 +297,6 @@ TrialResult Trial::run() {
 
 TrialResult run_trial(const ScenarioSpec& spec, std::uint64_t seed) {
   return Trial(spec, seed).run();
-}
-
-const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
-                               double packets_per_s, double duration_s,
-                               std::uint64_t traffic_seed, double drain_s) {
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, std::move(scenario.net.macs[s]));
-  sim.set_router(scenario.tables.router());
-  Rng rng(traffic_seed);
-  for (const auto& inj : sim::poisson_traffic(
-           packets_per_s, duration_s, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), rng))
-    sim.inject(inj.time_s, inj.packet);
-  sim.run_until(duration_s + drain_s);
-  return sim.metrics();
 }
 
 }  // namespace drn::runner

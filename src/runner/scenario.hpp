@@ -1,8 +1,8 @@
 // Declarative scenario assembly + single-trial execution: the one place a
-// trial is wired. drn_sim, drn_sweep and the golden-digest tests run whole
-// trials through Trial / run_trial; benches and tests that need a
-// random-disc network on a simulator of their own take it from
-// make_scenario.
+// trial is wired. drn_sim, drn_sweep, the benches and the integration tests
+// run whole trials through Trial / run_trial, attaching observers through
+// Trial::simulator(); a caller that needs only a network, or that replaces
+// what Trial installs, builds it with make_scenario(spec, seed).
 //
 // A trial is a pure function of (ScenarioSpec, seed): it builds a fresh
 // placement, propagation matrix, network and simulator, runs Poisson traffic
@@ -64,12 +64,6 @@ struct Scenario {
   routing::RoutingTables tables;
 };
 
-/// make_scenario(spec, seed) for a free-space network at the Section 6
-/// design point (scheme_criterion()), under `net_cfg`.
-[[nodiscard]] Scenario make_scenario(std::size_t stations, double region_m,
-                                     std::uint64_t seed,
-                                     core::ScheduledNetworkConfig net_cfg);
-
 /// Everything that defines one experiment point, MAC and workload included.
 struct ScenarioSpec {
   std::size_t stations = 40;
@@ -109,7 +103,7 @@ struct ScenarioSpec {
   /// appended after the real network and excluded from traffic, routing and
   /// churn. When mobility is on and mobility_region_m is 0, run_trial fills
   /// it from region_m.
-  dynamics::DynamicsConfig dynamics;
+  dynamics::DynamicsConfig dynamics{};
 
   [[nodiscard]] radio::ReceptionCriterion criterion() const {
     return radio::ReceptionCriterion(radio::Hertz{bandwidth_hz},
@@ -215,6 +209,11 @@ class Trial {
   [[nodiscard]] const routing::RoutingTables& tables() const {
     return scenario_.tables;
   }
+  /// The scheduled network: schedule, true station clocks and neighbours.
+  /// Its MACs move into the simulator when run() installs them.
+  [[nodiscard]] const core::ScheduledNetwork& network() const {
+    return scenario_.net;
+  }
   /// The spec.audit auditor (null otherwise), finalised by run().
   [[nodiscard]] const audit::InvariantAuditor* auditor() const {
     return auditor_.get();
@@ -235,13 +234,5 @@ class Trial {
 /// arguments.
 [[nodiscard]] TrialResult run_trial(const ScenarioSpec& spec,
                                     std::uint64_t seed);
-
-/// Installs the scheme MACs + min-energy router and runs Poisson
-/// uniform-pair traffic; returns the metrics for inspection. For benches and
-/// tests that run a make_scenario network on a Simulator they configured
-/// themselves.
-const sim::Metrics& run_scheme(Scenario& scenario, sim::Simulator& sim,
-                               double packets_per_s, double duration_s,
-                               std::uint64_t traffic_seed, double drain_s = 60.0);
 
 }  // namespace drn::runner

@@ -173,8 +173,10 @@ SchemeChurnRig scheme_rig(double beacon_s, double timeout_s) {
   net.beacon_interval_s = beacon_s;
   net.neighbor_timeout_s = timeout_s;
   net.readopt_neighbors = true;
-  SchemeChurnRig rig{runner::make_scenario(10, 500.0, 77, net), {}, {}, {},
-                     {}};
+  SchemeChurnRig rig{
+      runner::make_scenario({.stations = 10, .region_m = 500.0, .net = net},
+                            77),
+      {}, {}, {}, {}};
   sim::SimulatorConfig cfg{runner::scheme_criterion()};
   cfg.seed = 77;
   rig.sim = std::make_unique<sim::Simulator>(rig.scenario.gains, cfg);

@@ -1,11 +1,13 @@
 // Audit harness shared by the integration tests: every scenario they run
-// rides an InvariantAuditor along. Scenarios themselves come from
-// runner::make_scenario / runner::Trial, the product path.
+// rides an InvariantAuditor along. Whole trials run on runner::Trial, the
+// product path, with spec.audit set; hand-built simulators take a
+// ScopedAudit.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "audit/invariant_auditor.hpp"
+#include "runner/scenario.hpp"
 #include "sim/simulator.hpp"
 
 namespace drn::testing {
@@ -34,5 +36,13 @@ class ScopedAudit {
   audit::InvariantAuditor auditor_;
   sim::Simulator* sim_;
 };
+
+/// Asserts the verdict of a finished spec.audit trial: the auditor ran
+/// checks and none of them failed.
+inline void expect_clean_audit(const runner::Trial& trial,
+                               const runner::TrialResult& result) {
+  EXPECT_GT(result.audit_checks, 0u);
+  EXPECT_EQ(result.audit_violations, 0u) << trial.auditor()->report();
+}
 
 }  // namespace drn::testing

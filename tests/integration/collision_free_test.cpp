@@ -10,7 +10,6 @@
 #include "helpers/scenario.hpp"
 #include "radio/propagation.hpp"
 #include "runner/scenario.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
@@ -18,25 +17,25 @@ namespace {
 class CollisionFree : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CollisionFree, RandomNetworkLosesNothingToCollisions) {
-  auto scenario =
-      runner::make_scenario(40, 1000.0, GetParam(), runner::multihop_config());
+  runner::Trial trial({.stations = 40,
+                       .region_m = 1000.0,
+                       .rate_pps = 150.0,
+                       .duration_s = 2.0,
+                       .audit = true},
+                      GetParam());
 
   // Fraction of ordered pairs the topology can route at all (random discs
   // leave some fringe stations disconnected at this reach).
-  const std::size_t n = scenario.gains.size();
+  const std::size_t n = trial.tables().size();
   std::size_t routable = 0;
   for (StationId a = 0; a < n; ++a)
     for (StationId b = 0; b < n; ++b)
-      if (a != b && scenario.tables.next_hop(a, b) != kNoStation) ++routable;
+      if (a != b && trial.tables().next_hop(a, b) != kNoStation) ++routable;
   const double routable_fraction =
       static_cast<double>(routable) / static_cast<double>(n * (n - 1));
 
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sc.seed = GetParam();
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = runner::run_scheme(scenario, sim, /*packets_per_s=*/150.0,
-                             /*duration_s=*/2.0, /*traffic_seed=*/GetParam());
+  expect_clean_audit(trial, trial.run());
+  const auto& m = trial.simulator().metrics();
 
   EXPECT_GT(m.offered(), 100u);
   EXPECT_EQ(m.losses(sim::LossType::kType2), 0u) << "seed " << GetParam();
@@ -59,11 +58,15 @@ class ReceiveFractionSweep : public ::testing::TestWithParam<double> {};
 TEST_P(ReceiveFractionSweep, CollisionFreedomHoldsAcrossDutyCycles) {
   auto cfg = runner::multihop_config();
   cfg.receive_fraction = GetParam();
-  auto scenario = runner::make_scenario(30, 900.0, 7, cfg);
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = runner::run_scheme(scenario, sim, 100.0, 2.0, 7);
+  runner::Trial trial({.stations = 30,
+                       .region_m = 900.0,
+                       .rate_pps = 100.0,
+                       .duration_s = 2.0,
+                       .net = cfg,
+                       .audit = true},
+                      7);
+  expect_clean_audit(trial, trial.run());
+  const auto& m = trial.simulator().metrics();
   EXPECT_EQ(m.losses(sim::LossType::kType2), 0u) << "p " << GetParam();
   EXPECT_EQ(m.losses(sim::LossType::kType3), 0u) << "p " << GetParam();
   EXPECT_GT(m.delivered(), 0u);
@@ -80,11 +83,15 @@ TEST(CollisionFreeEdge, InsufficientGuardBreaksTheInvariant) {
   cfg.guard_fraction = 0.0;
   cfg.rendezvous_noise_s = 2.0e-3;  // 20% of a slot: hopeless predictions
   cfg.max_drift_ppm = 100.0;
-  auto scenario = runner::make_scenario(30, 900.0, 13, cfg);
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = runner::run_scheme(scenario, sim, 150.0, 2.0, 13);
+  runner::Trial trial({.stations = 30,
+                       .region_m = 900.0,
+                       .rate_pps = 150.0,
+                       .duration_s = 2.0,
+                       .net = cfg,
+                       .audit = true},
+                      13);
+  expect_clean_audit(trial, trial.run());
+  const auto& m = trial.simulator().metrics();
   EXPECT_GT(m.total_hop_losses(), 0u);
 }
 
@@ -150,12 +157,14 @@ TEST(CollisionFreeEdge, SingleTransmissionPerHop) {
   // "at each hop requires no per-packet transmissions other than the single
   // transmission used to convey the packet": hop attempts == hop successes
   // (+ nothing), and attempts == delivered packets' total hop count.
-  auto scenario =
-      runner::make_scenario(25, 800.0, 21, runner::multihop_config());
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m = runner::run_scheme(scenario, sim, 100.0, 2.0, 21);
+  runner::Trial trial({.stations = 25,
+                       .region_m = 800.0,
+                       .rate_pps = 100.0,
+                       .duration_s = 2.0,
+                       .audit = true},
+                      21);
+  expect_clean_audit(trial, trial.run());
+  const auto& m = trial.simulator().metrics();
   EXPECT_EQ(m.hop_attempts(), m.hop_successes());
   const double total_hops = m.hops().sum();
   EXPECT_DOUBLE_EQ(static_cast<double>(m.hop_attempts()), total_hops);

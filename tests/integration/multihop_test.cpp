@@ -60,7 +60,8 @@ TEST(Multihop, ChainDeliversEndToEndWithExpectedHops) {
 TEST(Multihop, HopCountsMatchDijkstraOracle) {
   auto cfg = runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = runner::make_scenario(30, 900.0, 17, cfg);
+  auto scenario = runner::make_scenario(
+      {.stations = 30, .region_m = 900.0, .net = cfg}, 17);
 
   // Pick a handful of connected pairs and check delivered hop counts equal
   // the shortest-path hop counts.
@@ -221,7 +222,8 @@ TEST(Multihop, DistributedBellmanFordRoutesWorkInTheSimulator) {
   // paper proposes; behaviour must be identical in cost structure.
   auto cfg = runner::multihop_config();
   cfg.exact_clock_models = true;
-  auto scenario = runner::make_scenario(25, 800.0, 19, cfg);
+  auto scenario = runner::make_scenario(
+      {.stations = 25, .region_m = 800.0, .net = cfg}, 19);
   const auto graph = routing::Graph::min_energy(
       scenario.gains, cfg.target_received_w / cfg.max_power_w);
 

@@ -138,13 +138,15 @@ TEST(SinrBookkeeping, MarginMatchesBruteForceForStaggeredOverlaps) {
 class Conservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Conservation, AttemptsEqualSuccessesPlusLosses) {
-  auto scenario = runner::make_scenario(25, 800.0, GetParam(),
-                                        runner::multihop_config());
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  const auto& m =
-      runner::run_scheme(scenario, sim, 200.0, 1.5, GetParam(), 60.0);
+  runner::Trial trial({.stations = 25,
+                       .region_m = 800.0,
+                       .rate_pps = 200.0,
+                       .duration_s = 1.5,
+                       .drain_s = 60.0,
+                       .audit = true},
+                      GetParam());
+  expect_clean_audit(trial, trial.run());
+  const auto& m = trial.simulator().metrics();
   EXPECT_EQ(m.hop_attempts(), m.hop_successes() + m.total_hop_losses());
   EXPECT_EQ(m.delivered() + m.mac_drops(), m.offered());
 }
@@ -184,12 +186,15 @@ TEST(Conservation, HoldsForContendingBaselinesToo) {
 
 TEST(Determinism, FullScenarioIsBitReproducible) {
   auto run = [] {
-    auto scenario =
-        runner::make_scenario(20, 700.0, 31, runner::multihop_config());
-    sim::SimulatorConfig sc{runner::scheme_criterion()};
-    sim::Simulator sim(scenario.gains, sc);
-    ScopedAudit audited(sim);
-    const auto& m = runner::run_scheme(scenario, sim, 80.0, 1.0, 31, 30.0);
+    runner::Trial trial({.stations = 20,
+                         .region_m = 700.0,
+                         .rate_pps = 80.0,
+                         .duration_s = 1.0,
+                         .drain_s = 30.0,
+                         .audit = true},
+                        31);
+    expect_clean_audit(trial, trial.run());
+    const auto& m = trial.simulator().metrics();
     return std::tuple{m.offered(), m.delivered(), m.hop_attempts(),
                       m.delivered() > 0 ? m.delay().mean() : 0.0};
   };

@@ -5,14 +5,11 @@
 // the senders used.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "baselines/aloha.hpp"
 #include "helpers/scenario.hpp"
 #include "runner/scenario.hpp"
 #include "sim/observer.hpp"
-#include "sim/traffic.hpp"
 
 namespace drn::testing {
 namespace {
@@ -70,14 +67,17 @@ TEST_P(ScheduleCompliance, EveryTransmissionHonoursBothSchedules) {
   cfg.exact_clock_models = false;  // fitted models + guards must still comply
   cfg.max_drift_ppm = 20.0;
   cfg.rendezvous_noise_s = 1.0e-6;
-  auto scenario = runner::make_scenario(30, 900.0, GetParam(), cfg);
+  runner::Trial trial({.stations = 30,
+                       .region_m = 900.0,
+                       .rate_pps = 120.0,
+                       .duration_s = 2.0,
+                       .net = cfg,
+                       .audit = true},
+                      GetParam());
 
-  WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  sim.add_observer(&auditor);
-  (void)runner::run_scheme(scenario, sim, 120.0, 2.0, GetParam());
+  WindowAuditor auditor(trial.network().schedule, trial.network().clocks);
+  trial.simulator().add_observer(&auditor);
+  expect_clean_audit(trial, trial.run());
 
   EXPECT_GT(auditor.transmissions(), 200u);
   EXPECT_EQ(auditor.sender_violations(), 0u) << "seed " << GetParam();
@@ -90,25 +90,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleCompliance,
 TEST(ScheduleCompliance, BaselinesDoViolateSchedules) {
   // Control: ALOHA transmits whenever it pleases, so against the same
   // schedules it racks up violations — the auditor is not vacuous.
-  auto scenario =
-      runner::make_scenario(30, 900.0, 13, runner::multihop_config());
+  runner::Trial trial({.stations = 30,
+                       .region_m = 900.0,
+                       .mac = runner::MacKind::kAloha,
+                       .rate_pps = 120.0,
+                       .duration_s = 2.0,
+                       .drain_s = 28.0,
+                       .audit = true},
+                      13);
 
-  WindowAuditor auditor(scenario.net.schedule, scenario.net.clocks);
-  sim::SimulatorConfig sc{runner::scheme_criterion()};
-  sim::Simulator sim(scenario.gains, sc);
-  ScopedAudit audited(sim);
-  sim.add_observer(&auditor);
-  baselines::ContentionConfig cc;
-  cc.power_w = 1.0e-4;
-  for (StationId s = 0; s < scenario.gains.size(); ++s)
-    sim.set_mac(s, std::make_unique<baselines::PureAloha>(cc));
-  sim.set_router(scenario.tables.router());
-  Rng rng(13);
-  for (const auto& inj : sim::poisson_traffic(
-           120.0, 2.0, scenario.net.packet_bits,
-           sim::uniform_pairs(scenario.gains.size()), rng))
-    sim.inject(inj.time_s, inj.packet);
-  sim.run_until(30.0);
+  WindowAuditor auditor(trial.network().schedule, trial.network().clocks);
+  trial.simulator().add_observer(&auditor);
+  expect_clean_audit(trial, trial.run());
   EXPECT_GT(auditor.sender_violations() + auditor.receiver_violations(), 0u);
 }
 

@@ -27,8 +27,8 @@ namespace {
 /// builds them.
 radio::PropagationMatrix section8_gains(std::size_t stations, double region_m,
                                         std::uint64_t seed) {
-  return runner::make_scenario(stations, region_m, seed,
-                               runner::multihop_config())
+  return runner::make_scenario({.stations = stations, .region_m = region_m},
+                               seed)
       .gains;
 }
 

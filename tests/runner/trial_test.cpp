@@ -44,20 +44,6 @@ TEST(Trial, NetworkPacketSizeFollowsSpecDataRate) {
   EXPECT_DOUBLE_EQ(fast.net.packet_bits, 2.0 * base.net.packet_bits);
 }
 
-TEST(Trial, ShorthandBuilderIsTheDefaultSpec) {
-  const ScenarioSpec spec = small_spec();
-  bool connected = false;
-  const auto full = make_scenario(spec, 9, &connected);
-  const auto shorthand =
-      make_scenario(spec.stations, spec.region_m, 9, spec.net);
-  EXPECT_TRUE(connected);
-  ASSERT_EQ(full.gains.size(), shorthand.gains.size());
-  for (StationId rx = 0; rx < full.gains.size(); ++rx)
-    for (StationId tx = 0; tx < full.gains.size(); ++tx)
-      EXPECT_EQ(full.gains.gain(rx, tx), shorthand.gains.gain(rx, tx));
-  EXPECT_EQ(full.net.packet_bits, shorthand.net.packet_bits);
-}
-
 TEST(Trial, PropagationModelFollowsSpec) {
   ScenarioSpec spec;
   const geo::Vec2 a{0.0, 0.0};

@@ -1,5 +1,7 @@
 #include "cli_flags.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 
 #include "radio/interference_engine.hpp"
@@ -106,6 +108,42 @@ bool take_shared(Flags& flags, runner::ScenarioSpec& spec) {
   }
   take(flags, "beacon", spec.net.beacon_interval_s);
   return take_switch(flags, "audit", spec.audit);
+}
+
+bool check_workload(std::span<const std::size_t> stations,
+                    std::span<const double> regions_m,
+                    std::span<const double> rates_pps,
+                    const runner::ScenarioSpec& spec) {
+  // "nan" and "inf" parse as numbers; neither is a workload.
+  const auto finite_positive = [](double v) {
+    return std::isfinite(v) && v > 0.0;
+  };
+  const auto positive = [&](std::span<const double> values) {
+    return std::all_of(values.begin(), values.end(), finite_positive);
+  };
+  if (std::any_of(stations.begin(), stations.end(),
+                  [](std::size_t m) { return m < 2; })) {
+    std::cerr << "--stations must be >= 2: traffic needs a source and "
+                 "another destination\n";
+    return false;
+  }
+  if (!positive(regions_m)) {
+    std::cerr << "--region must be finite and > 0\n";
+    return false;
+  }
+  if (!positive(rates_pps)) {
+    std::cerr << "--rate must be finite and > 0\n";
+    return false;
+  }
+  if (!finite_positive(spec.duration_s)) {
+    std::cerr << "--duration must be finite and > 0\n";
+    return false;
+  }
+  if (!std::isfinite(spec.drain_s) || spec.drain_s < 0.0) {
+    std::cerr << "--drain must be finite and >= 0\n";
+    return false;
+  }
+  return true;
 }
 
 bool finish_shared(const runner::ScenarioSpec& spec,

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -76,6 +77,16 @@ bool take_switch(Flags& flags, const char* name, bool& out);
 /// spec.net.beacon_interval_s). False on an unknown engine name or a bad
 /// --audit value.
 bool take_shared(Flags& flags, runner::ScenarioSpec& spec);
+
+/// Refuses a workload no trial can run, naming the flag: a --stations point
+/// below 2 (traffic needs a source and another destination), a --region or
+/// --rate point, or the spec's --duration, that is not finite and > 0, or a
+/// --drain that is not finite and >= 0. drn_sweep passes every axis point;
+/// drn_sim its one value of each.
+bool check_workload(std::span<const std::size_t> stations,
+                    std::span<const double> regions_m,
+                    std::span<const double> rates_pps,
+                    const runner::ScenarioSpec& spec);
 
 /// Validates the shared values once every flag is read. `max_stations` is
 /// the largest station count the command will run; setup builds an M x M

@@ -119,6 +119,9 @@ bool parse(int argc, char** argv, Options& opt) {
   bool dual_slope = false;
   double breakpoint_m = 100.0;
   if (!cli::take_switch(kv, "dual-slope", dual_slope)) return false;
+  // Like the jammer knobs: --breakpoint without the model it tunes would be
+  // dropped, so remember whether it was given.
+  const bool breakpoint_given = kv.count("breakpoint") > 0;
   cli::take(kv, "breakpoint", breakpoint_m);
   cli::take(kv, "shadowing", spec.shadowing_db);
   cli::take(kv, "csv-trace", opt.csv_trace);
@@ -131,11 +134,23 @@ bool parse(int argc, char** argv, Options& opt) {
                  "combine it with --csv-trace\n";
     return false;
   }
+  if (breakpoint_given && !dual_slope) {
+    std::cerr << "--breakpoint tunes the two-ray model; combine it with "
+                 "--dual-slope 1\n";
+    return false;
+  }
   if (dual_slope && breakpoint_m <= 0.0) {
     std::cerr << "--breakpoint must be > 0 with --dual-slope 1\n";
     return false;
   }
-  if (!cli::finish_shared(spec, spec.stations)) return false;
+  if (!std::isfinite(spec.shadowing_db) || spec.shadowing_db < 0.0) {
+    std::cerr << "--shadowing must be finite and >= 0 (0 = none)\n";
+    return false;
+  }
+  if (!cli::check_workload({&spec.stations, 1}, {&spec.region_m, 1},
+                           {&spec.rate_pps, 1}, spec) ||
+      !cli::finish_shared(spec, spec.stations))
+    return false;
   if (dual_slope) spec.dual_slope_breakpoint_m = breakpoint_m;
   return true;
 }

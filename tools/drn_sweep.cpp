@@ -204,6 +204,9 @@ bool parse(int argc, char** argv, Options& opt) {
     std::cerr << "--seeds must be >= 1\n";
     return false;
   }
+  if (!cli::check_workload(opt.spec.stations, opt.spec.region_m,
+                           opt.spec.rates_pps, opt.spec.base))
+    return false;
   return cli::finish_shared(
       opt.spec.base,
       *std::max_element(opt.spec.stations.begin(), opt.spec.stations.end()));
